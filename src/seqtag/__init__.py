@@ -7,7 +7,6 @@ from .autodiff import (
     Tensor,
     backward,
     finite_difference_check,
-    primitive_forward,
     stop_gradient,
 )
 from .charcomp import (
@@ -30,13 +29,10 @@ from .corpus import (
 from .crf import (
     LabelSet,
     TagLattice,
-    brute_force_oracle,
     crf_log_partition,
     crf_nll,
     crf_sequence_score,
-    crossentropy_loss,
     emission_scores,
-    softmax_predict,
     viterbi_decode,
 )
 from .layers import (

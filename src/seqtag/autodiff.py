@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
 NORM_EPS = 1e-8
 
 OP_KINDS = (
@@ -227,12 +225,12 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tanh(t: Tensor) -> Tensor:
-    out = kernels.tanh(t.values)
+    out = np.tanh(t.values)
     return _emit("tanh", (t,), out, (out,))
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    out = kernels.sigmoid(t.values)
+    out = 1.0 / (1.0 + np.exp(-t.values))
     return _emit("sigmoid", (t,), out, (out,))
 
 
@@ -276,9 +274,11 @@ def reduce_sum(t: Tensor) -> Tensor:
 def log_sum_exp(t: Tensor, axis=None) -> Tensor:
     v = t.values
     if axis is None and v.ndim == 1 and v.size:
-        out = kernels.logsumexp(v)
+        m = v.max()
+        out = np.asarray(float(m + np.log(np.exp(v - m).sum())), dtype=v.dtype)
     elif axis == 0 and v.ndim == 2 and v.shape[0]:
-        out = kernels.logsumexp_cols(v)
+        mx = v.max(axis=0)
+        out = np.asarray(mx + np.log(np.exp(v - mx).sum(axis=0)), dtype=v.dtype)
     else:
         raise _shape_error("log_sum_exp", v.shape)
     return _emit("log_sum_exp", (t,), out, (v, out, axis))
@@ -308,45 +308,6 @@ def pick_row(m: Tensor, i: int) -> Tensor:
 def stop_gradient(t: Tensor) -> Tensor:
     """Identity forward; the backward pass sends nothing through here."""
     return _emit("stop_gradient", (t,), _sg_value(t.values), ())
-
-
-_DISPATCH = {
-    "matmul": lambda ins, attrs: matmul(*ins),
-    "add": lambda ins, attrs: add(*ins),
-    "multiply": lambda ins, attrs: multiply(*ins),
-    "tanh": lambda ins, attrs: tanh(*ins),
-    "sigmoid": lambda ins, attrs: sigmoid(*ins),
-    "concat": lambda ins, attrs: concat(ins, **attrs),
-    "slice": lambda ins, attrs: narrow(ins[0], attrs["start"], attrs["stop"]),
-    "sum": lambda ins, attrs: reduce_sum(*ins),
-    "log_sum_exp": lambda ins, attrs: log_sum_exp(ins[0], **attrs),
-    "cosine_similarity": lambda ins, attrs: cosine_similarity(*ins),
-    "pick_row": lambda ins, attrs: pick_row(ins[0], attrs["row"]),
-}
-
-_ARITY = {
-    "matmul": 2,
-    "add": 2,
-    "multiply": 2,
-    "tanh": 1,
-    "sigmoid": 1,
-    "slice": 1,
-    "sum": 1,
-    "log_sum_exp": 1,
-    "cosine_similarity": 2,
-    "pick_row": 1,
-}
-
-
-def primitive_forward(op_kind: str, inputs, **attrs) -> Tensor:
-    """Uniform entry point over the primitive set, dispatching on kind."""
-    if op_kind not in _DISPATCH:
-        raise ValueError(f"unknown primitive kind: {op_kind!r}")
-    inputs = tuple(inputs)
-    want = _ARITY.get(op_kind)
-    if want is not None and len(inputs) != want:
-        raise ValueError(f"{op_kind}: expected {want} inputs, got {len(inputs)}")
-    return _DISPATCH[op_kind](inputs, attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +366,12 @@ def _bwd_multiply(node, g, grads, tensors):
 
 def _bwd_tanh(node, g, grads, tensors):
     (y,) = node.saved
-    _acc(grads, tensors, node.input_ids[0], kernels.tanh_grad(g, y))
+    _acc(grads, tensors, node.input_ids[0], g * (1.0 - y * y))
 
 
 def _bwd_sigmoid(node, g, grads, tensors):
     (y,) = node.saved
-    _acc(grads, tensors, node.input_ids[0], kernels.sigmoid_grad(g, y))
+    _acc(grads, tensors, node.input_ids[0], g * (y * (1.0 - y)))
 
 
 def _bwd_concat(node, g, grads, tensors):
@@ -443,9 +404,9 @@ def _bwd_sum(node, g, grads, tensors):
 def _bwd_log_sum_exp(node, g, grads, tensors):
     x, out, axis = node.saved
     if axis is None:
-        _acc(grads, tensors, node.input_ids[0], kernels.logsumexp_grad(g, x, out))
+        _acc(grads, tensors, node.input_ids[0], np.exp(x - float(out)) * float(g))
     else:
-        _acc(grads, tensors, node.input_ids[0], kernels.logsumexp_cols_grad(g, x, out))
+        _acc(grads, tensors, node.input_ids[0], np.exp(x - out) * g)
 
 
 def _bwd_cosine(node, g, grads, tensors):

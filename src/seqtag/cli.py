@@ -32,10 +32,10 @@ from .corpus import (
     load_conll,
     load_pretrained_embeddings,
     preprocess_token,
+    split_row,
 )
-from .metrics import extract_spans, f_beta_binary, span_f1, token_accuracy
 from .model import ModelConfig, assemble_model, count_parameters, load_model, save_model
-from .training import train
+from .training import evaluate, train
 
 
 def read_config_file(path) -> dict:
@@ -138,21 +138,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.metric == "f0.5" and not args.positive_label:
+        raise ValueError("evaluate: --metric f0.5 needs --positive-label")
     model = load_model(args.model)
     sentences = model.vocab.encode_corpus(_load_split(args.data, args))
-    gold = [s.labels for s in sentences]
-    pred = [model.predict_labels(s) for s in sentences]
-    if args.metric == "acc":
-        result = token_accuracy(gold, pred)
-    elif args.metric == "span-f1":
-        result = span_f1([extract_spans(g) for g in gold], [extract_spans(p) for p in pred])
-    else:
-        if not args.positive_label:
-            raise ValueError("evaluate: --metric f0.5 needs --positive-label")
-        flat_gold = [lab == args.positive_label for labs in gold for lab in labs]
-        flat_pred = [lab == args.positive_label for labs in pred for lab in labs]
-        result = f_beta_binary(flat_gold, flat_pred, beta=0.5)
-    print(result)
+    print(evaluate(model, sentences, args.metric, args.positive_label))
     return 0
 
 
@@ -165,23 +155,26 @@ def cmd_tag(args) -> int:
         def flush():
             if not block:
                 return
-            tokens = [line.split()[args.token_column] for line in block]
+            tokens = [
+                split_row(line, args.input, lineno, args.token_column)[args.token_column]
+                for lineno, line in block
+            ]
             sent = model.vocab.encode(
                 Sentence(tokens, [preprocess_token(t) for t in tokens], [""] * len(tokens))
             )
             labels = model.predict_labels(sent)
-            for line, label in zip(block, labels):
+            for (_, line), label in zip(block, labels):
                 out.write(f"{line}\t{label}\n")
             block.clear()
 
         with open(args.input, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line.strip():
                     flush()
                     out.write("\n")
                     continue
-                block.append(line)
+                block.append((lineno, line))
         flush()
     finally:
         if out is not sys.stdout:
@@ -218,7 +211,7 @@ def cmd_count_params(args) -> int:
 
 def cmd_dataset_stats(args) -> int:
     sentences = _load_split(args.data, args)
-    stats = dataset_stats({"data": sentences}, name=str(args.data))
+    stats = dataset_stats({"data": sentences})
     print("split\tsentences\ttokens\tlabels")
     print(f"data\t{len(sentences)}\t{stats.token_counts['data']}\t{stats.label_count}")
     return 0

@@ -54,6 +54,21 @@ class Sentence:
         return len(self.surface)
 
 
+def split_row(line: str, path, lineno: int, token_column: int, label_column: int | None = None):
+    """Whitespace-split one data row.
+
+    Columns may be negative (counted from the right). A row too short
+    for the requested columns is rejected with its line number.
+    """
+    cols = line.split()
+    needed = token_column + 1 if token_column >= 0 else -token_column
+    if label_column is not None:
+        needed = max(needed, label_column + 1 if label_column >= 0 else -label_column)
+    if len(cols) < needed:
+        raise ValueError(f"{path}:{lineno}: expected at least {needed} columns, got {len(cols)}")
+    return cols
+
+
 def load_conll(path, token_column: int = 0, label_column: int | None = -1):
     """Read whitespace-separated columns, one token per line.
 
@@ -82,16 +97,7 @@ def load_conll(path, token_column: int = 0, label_column: int | None = -1):
             if not line.strip():
                 flush()
                 continue
-            cols = line.split()
-            needed = token_column + 1 if token_column >= 0 else -token_column
-            if label_column is not None:
-                needed = max(
-                    needed, label_column + 1 if label_column >= 0 else -label_column
-                )
-            if len(cols) < needed:
-                raise ValueError(
-                    f"{path}:{lineno}: expected at least {needed} columns, got {len(cols)}"
-                )
+            cols = split_row(line, path, lineno, token_column, label_column)
             tokens.append(cols[token_column])
             labels.append(cols[label_column] if label_column is not None else "")
     flush()
@@ -111,7 +117,7 @@ def write_conll(path, sentences, predictions=None):
 class Vocabulary:
     """Bidirectional word/char id maps with OOV entries at index 0."""
 
-    def __init__(self, words, chars, label_set: LabelSet, word_counts=None, char_counts=None):
+    def __init__(self, words, chars, label_set: LabelSet):
         self.words = list(words)
         self.chars = list(chars)
         if not self.words or self.words[0] != OOV_TOKEN:
@@ -119,8 +125,6 @@ class Vocabulary:
         if not self.chars or self.chars[0] != OOV_CHAR:
             raise ValueError("Vocabulary: chars must start with the OOV entry")
         self.label_set = label_set
-        self.word_counts = word_counts
-        self.char_counts = char_counts
         self._w2i = {w: i for i, w in enumerate(self.words)}
         self._c2i = {c: i for i, c in enumerate(self.chars)}
 
@@ -189,7 +193,7 @@ def build_vocab(train_sentences, min_count: int = 2) -> Vocabulary:
                 labels.append(lab)
     words = [OOV_TOKEN] + [w for w, n in word_counts.items() if n >= min_count]
     chars = [OOV_CHAR] + list(char_counts)
-    return Vocabulary(words, chars, LabelSet(labels), word_counts, char_counts)
+    return Vocabulary(words, chars, LabelSet(labels))
 
 
 def random_embeddings(
@@ -250,19 +254,11 @@ def load_pretrained_embeddings(
 
 @dataclass
 class DatasetStats:
-    name: str
-    task: str
     label_count: int
     token_counts: dict
 
-    def rows(self):
-        out = []
-        for split, count in self.token_counts.items():
-            out.append((self.name, self.task, split, count, self.label_count))
-        return out
 
-
-def dataset_stats(splits: dict, name: str = "", task: str = "") -> DatasetStats:
+def dataset_stats(splits: dict) -> DatasetStats:
     """Token counts per split and the distinct-label count across them."""
     labels = set()
     token_counts = {}
@@ -272,4 +268,4 @@ def dataset_stats(splits: dict, name: str = "", task: str = "") -> DatasetStats:
             total += len(sent)
             labels.update(sent.labels)
         token_counts[split] = total
-    return DatasetStats(name=name, task=task, label_count=len(labels), token_counts=token_counts)
+    return DatasetStats(label_count=len(labels), token_counts=token_counts)

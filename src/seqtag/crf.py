@@ -1,4 +1,4 @@
-"""Output layers: softmax prediction and a linear-chain CRF.
+"""Output layer: per-token emission scores and a linear-chain CRF.
 
 A sentence's scores live in a ``TagLattice``: an emission matrix with
 one row per token and a square transition matrix over the label set
@@ -12,21 +12,16 @@ minus infinity.
 
 The negative log-likelihood runs the forward algorithm in log space on
 the tape, so its gradient comes from the reverse pass like everything
-else. Decoding is plain numeric Viterbi (see ``kernels``) with ties
-broken toward the lowest label index at every backpointer decision; the
-exhaustive oracle in this module applies the same preference, which for
-enumeration order means keeping the candidate whose reversed sequence
-compares lowest.
+else. Decoding is plain numeric Viterbi with ties broken toward the
+lowest label index at every backpointer decision; the exhaustive oracle
+in the tests applies the same preference, which for enumeration order
+means keeping the candidate whose reversed sequence compares lowest.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
-from . import kernels
 from .autodiff import (
     Tensor,
     add,
@@ -39,8 +34,6 @@ from .autodiff import (
     pick_row,
     reduce_sum,
 )
-
-ENUMERATION_LIMIT = 10**6
 
 
 class LabelSet:
@@ -119,40 +112,6 @@ def _check_sequence(lat: TagLattice, y) -> list:
     return y
 
 
-# ---------------------------------------------------------------------------
-# softmax output
-# ---------------------------------------------------------------------------
-
-def softmax_predict(d, w_o) -> np.ndarray:
-    """Probability distribution over labels for one token."""
-    d = np.asarray(getattr(d, "values", d))
-    w_o = np.asarray(getattr(w_o, "values", w_o))
-    if w_o.ndim != 2 or d.ndim != 1 or w_o.shape[1] != d.shape[0]:
-        raise ValueError(f"softmax_predict: weight {w_o.shape} does not apply to {d.shape}")
-    logits = w_o @ d
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
-def crossentropy_loss(probs_seq, gold) -> float:
-    """Negative log-probability of the gold labels under given distributions.
-
-    Probabilities are floored at 1e-12 before the log so a confidently
-    wrong model yields a large finite loss instead of an overflow.
-    """
-    probs_seq = list(probs_seq)
-    gold = list(gold)
-    if len(probs_seq) != len(gold):
-        raise ValueError(f"crossentropy_loss: {len(probs_seq)} distributions vs {len(gold)} labels")
-    total = 0.0
-    for probs, y in zip(probs_seq, gold):
-        probs = np.asarray(getattr(probs, "values", probs))
-        if not 0 <= y < probs.shape[0]:
-            raise ValueError(f"crossentropy_loss: gold id {y} outside [0, {probs.shape[0]})")
-        total -= math.log(max(float(probs[y]), 1e-12))
-    return total
-
-
 def emission_scores(d_seq, w_o: Tensor) -> Tensor:
     """Stack per-token emission rows W_o @ d_t into one (T, K) tensor."""
     d_seq = list(d_seq)
@@ -228,43 +187,33 @@ def crf_nll(lat: TagLattice, y) -> Tensor:
 # decoding
 # ---------------------------------------------------------------------------
 
+def _viterbi(emissions, transitions):
+    """Highest-scoring label path through a (T, K) lattice and its score.
+
+    ``np.argmax`` keeps the first maximum, so ties go to the lowest label
+    index. Score accumulation order matches ``crf_sequence_score`` bit for
+    bit, so exact score comparisons are meaningful.
+    """
+    T, K = emissions.shape
+    start, end = K, K + 1
+    alpha = transitions[start, :K] + emissions[0]
+    backptr = np.zeros((T, K), dtype=np.int64)
+    for t in range(1, T):
+        cand = alpha[:, None] + transitions[:K, :K]
+        best = np.argmax(cand, axis=0)
+        alpha = cand[best, np.arange(K)] + emissions[t]
+        backptr[t] = best
+    final = alpha + transitions[:K, end]
+    last = int(np.argmax(final))
+    score = float(final[last])
+    path = np.empty(T, dtype=np.int64)
+    path[T - 1] = last
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = backptr[t, path[t]]
+    return path, score
+
+
 def viterbi_decode(lat: TagLattice):
     """Best label sequence and its score (exactly crf_sequence_score of it)."""
-    path, score = kernels.viterbi(lat.emissions.values, lat.transitions.values)
+    path, score = _viterbi(lat.emissions.values, lat.transitions.values)
     return [int(p) for p in path], score
-
-
-def brute_force_oracle(lat: TagLattice):
-    """Exhaustive enumeration of all K**T sequences.
-
-    Returns (log partition, argmax sequence). Among equal-scoring
-    sequences the one whose reversed tuple is smallest wins, matching
-    the lowest-index backpointer preference of the Viterbi recursion.
-    """
-    t_len, k = lat.seq_len, lat.num_labels
-    count = k**t_len
-    if count > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"brute_force_oracle: {k}^{t_len} sequences exceed the {ENUMERATION_LIMIT} limit"
-        )
-    a = lat.emissions.values
-    b = lat.transitions.values
-    start, end = lat.start_index, lat.end_index
-
-    scores = np.empty(count, dtype=np.float64)
-    best_seq = None
-    best_key = None
-    for idx, seq in enumerate(itertools.product(range(k), repeat=t_len)):
-        s = b[start, seq[0]] + a[0, seq[0]]
-        for t in range(1, t_len):
-            s = s + b[seq[t - 1], seq[t]]
-            s = s + a[t, seq[t]]
-        s = s + b[seq[-1], end]
-        scores[idx] = s
-        key = (-s, tuple(reversed(seq)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_seq = seq
-    m = scores.max()
-    log_z = float(m + np.log(np.exp(scores - m).sum()))
-    return log_z, list(best_seq)

@@ -81,23 +81,6 @@ def extract_spans(labels) -> list:
     return spans
 
 
-def render_labels(spans, length: int) -> list:
-    """Inverse of extract_spans for well-formed, non-overlapping spans."""
-    labels = ["O"] * length
-    occupied = [False] * length
-    for span in spans:
-        if not 0 <= span.start < span.end <= length:
-            raise ValueError(f"render_labels: span {span} outside [0, {length})")
-        for i in range(span.start, span.end):
-            if occupied[i]:
-                raise ValueError(f"render_labels: overlapping span {span}")
-            occupied[i] = True
-        labels[span.start] = f"B-{span.label}"
-        for i in range(span.start + 1, span.end):
-            labels[i] = f"I-{span.label}"
-    return labels
-
-
 def span_f1(gold_spans, pred_spans) -> MetricResult:
     """Micro-averaged F1 over exact (start, end, type) span matches."""
     gold_spans = list(gold_spans)

@@ -382,17 +382,34 @@ def load_model(path) -> Model:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelFormatError(f"{path}: corrupt header ({exc})") from None
+        if not isinstance(header, dict):
+            raise ModelFormatError(f"{path}: corrupt header (not a JSON object)")
         version = header.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(
                 f"{path}: unsupported format version {version!r}, "
                 f"expected {MODEL_FORMAT_VERSION}"
             )
-        config = ModelConfig.from_dict(header["config"])
-        vocab = Vocabulary.from_dict(header["vocab"])
+        for key, kind in (("config", dict), ("vocab", dict), ("tensors", list)):
+            if not isinstance(header.get(key), kind):
+                raise ModelFormatError(
+                    f"{path}: header field {key!r} is missing or not a {kind.__name__}"
+                )
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            vocab = Vocabulary.from_dict(header["vocab"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: bad header ({type(exc).__name__}: {exc})") from None
+        manifest = header["tensors"]
+        for entry in manifest:
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+            ):
+                raise ModelFormatError(f"{path}: bad tensor manifest entry {entry!r}")
         model = assemble_model(config, vocab)
         registry = model.all_tensors()
-        manifest = header["tensors"]
         if {e["name"] for e in manifest} != set(registry):
             raise ModelFormatError(f"{path}: tensor names do not match the configuration")
         dtype = config.np_dtype()

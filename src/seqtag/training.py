@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tape, add, backward
 from .corpus import Vocabulary
-from .metrics import extract_spans, f_beta_binary, span_f1, token_accuracy
+from .metrics import MetricResult, extract_spans, f_beta_binary, span_f1, token_accuracy
 from .model import Model, ModelConfig, assemble_model
 
 log = logging.getLogger(__name__)
@@ -119,23 +119,26 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_metric(model: Model, sentences, metric: str, positive_label: str | None = None) -> float:
+def evaluate(model: Model, sentences, metric: str, positive_label: str | None = None) -> MetricResult:
     """Decode every sentence and score it under the chosen measure."""
     gold = [s.labels for s in sentences]
     pred = [model.predict_labels(s) for s in sentences]
     if metric == "acc":
-        return token_accuracy(gold, pred).value
+        return token_accuracy(gold, pred)
     if metric == "span-f1":
-        return span_f1(
-            [extract_spans(g) for g in gold], [extract_spans(p) for p in pred]
-        ).value
+        return span_f1([extract_spans(g) for g in gold], [extract_spans(p) for p in pred])
     if metric == "f0.5":
         if not positive_label:
             raise ValueError("evaluate_metric: f0.5 needs a positive label")
         flat_gold = [lab == positive_label for labs in gold for lab in labs]
         flat_pred = [lab == positive_label for labs in pred for lab in labs]
-        return f_beta_binary(flat_gold, flat_pred, beta=0.5).value
+        return f_beta_binary(flat_gold, flat_pred, beta=0.5)
     raise ValueError(f"evaluate_metric: unknown metric {metric!r}")
+
+
+def evaluate_metric(model: Model, sentences, metric: str, positive_label: str | None = None) -> float:
+    """The value of ``evaluate``: the number training selects epochs by."""
+    return evaluate(model, sentences, metric, positive_label).value
 
 
 def _batches(n: int, batch_size: int):

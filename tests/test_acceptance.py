@@ -16,12 +16,9 @@ from seqtag.cli import main
 from seqtag.corpus import Sentence, build_vocab, write_conll
 from seqtag.crf import (
     TagLattice,
-    brute_force_oracle,
     crf_log_partition,
     crf_nll,
     crf_sequence_score,
-    crossentropy_loss,
-    softmax_predict,
     viterbi_decode,
 )
 from seqtag.layers import embedding_lookup
@@ -29,6 +26,8 @@ from seqtag.metrics import extract_spans, f_beta_binary, span_f1, token_accuracy
 from seqtag.model import ModelConfig, assemble_model, count_parameters, save_model
 from seqtag.synthdata import make_suffix_corpus
 from seqtag.training import evaluate_metric
+
+from oracles import brute_force_oracle, crossentropy_loss, softmax_predict
 
 
 def _toy_corpus():

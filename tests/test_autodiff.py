@@ -18,7 +18,6 @@ from seqtag.autodiff import (
     multiply,
     narrow,
     pick_row,
-    primitive_forward,
     reduce_sum,
     sigmoid,
     stop_gradient,
@@ -54,6 +53,24 @@ def test_sigmoid_at_zero():
 def test_log_sum_exp_equal_entries():
     out = log_sum_exp(t64([0.0, 0.0, 0.0]))
     assert float(out.values) == pytest.approx(math.log(3.0), abs=1e-12)
+
+
+def test_log_sum_exp_against_scipy():
+    from scipy.special import logsumexp as scipy_lse
+
+    rng = np.random.default_rng(4)
+    for _ in range(25):
+        x = rng.normal(size=int(rng.integers(1, 12))) * 20
+        assert float(log_sum_exp(t64(x)).values) == pytest.approx(scipy_lse(x), abs=1e-12)
+        m = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6)))) * 20
+        assert np.allclose(log_sum_exp(t64(m), axis=0).values, scipy_lse(m, axis=0), atol=1e-12)
+
+
+def test_log_sum_exp_preserves_float32():
+    x32 = tensor(np.ones(3), dtype=np.float32)
+    assert log_sum_exp(x32).dtype == np.float32
+    m32 = tensor(np.ones((2, 3)), dtype=np.float32)
+    assert log_sum_exp(m32, axis=0).dtype == np.float32
 
 
 def test_backward_sum_is_ones():
@@ -364,19 +381,6 @@ def test_backward_rejects_foreign_loss():
     other = reduce_sum(x)  # built off-tape
     with pytest.raises(ValueError, match="not recorded"):
         backward(other, tape)
-
-
-def test_primitive_forward_dispatch_and_errors():
-    out = primitive_forward("tanh", [t64([0.0])])
-    assert np.array_equal(out.values, [0.0])
-    out = primitive_forward("slice", [t64([1.0, 2.0, 3.0])], start=1, stop=3)
-    assert np.array_equal(out.values, [2.0, 3.0])
-    out = primitive_forward("pick_row", [t64(np.eye(2))], row=1)
-    assert np.array_equal(out.values, [0.0, 1.0])
-    with pytest.raises(ValueError, match="unknown primitive kind"):
-        primitive_forward("exp", [t64([1.0])])
-    with pytest.raises(ValueError, match="expected 2 inputs"):
-        primitive_forward("add", [t64([1.0])])
 
 
 def test_concat_rejects_matrix_inputs():

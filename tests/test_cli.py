@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +196,45 @@ def test_tag_preserves_input_columns(trained_dir, tmp_path, capsys):
     assert out_lines[3].startswith("gammaic Z extra3\t")
     labels = [l.rsplit("\t", 1)[1] for l in out_lines if l]
     assert all(lab.startswith("C") for lab in labels)
+
+
+def test_tag_short_row_names_file_and_line(trained_dir, tmp_path, capsys):
+    src = tmp_path / "in.conll"
+    src.write_text("alphaan X\nbetaeb\n\n")
+    code = main([
+        "tag", "--model", str(trained_dir / "word" / "model.bin"), "--input", str(src),
+        "--token-column", "1",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{src}:2: expected at least 2 columns" in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h.pop("config"),
+    lambda h: h.update(config=[]),
+    lambda h: h.pop("vocab"),
+    lambda h: h["vocab"].pop("words"),
+    lambda h: h.pop("tensors"),
+    lambda h: h["tensors"][0].pop("name"),
+    lambda h: h["tensors"][0].update(shape=7),
+], ids=["no-config", "list-config", "no-vocab", "no-words", "no-tensors", "no-name", "int-shape"])
+def test_malformed_model_header_is_an_error(trained_dir, data_dir, tmp_path, capsys, mutate):
+    raw = (trained_dir / "word" / "model.bin").read_bytes()
+    (n,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12:12 + n])
+    mutate(header)
+    blob = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob + raw[12 + n:])
+    code = main([
+        "evaluate", "--model", str(bad), "--data", str(data_dir / "test.conll"), "--metric", "acc",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(bad) in err
 
 
 def test_inspect_gates_output(trained_dir, data_dir, tmp_path):

@@ -262,7 +262,7 @@ def test_dataset_stats_counts():
         [("c", "X")],
     ])
     dev = make_sentences([[("d", "Z")]])
-    stats = dataset_stats({"train": train, "dev": dev}, name="toy", task="tagging")
+    stats = dataset_stats({"train": train, "dev": dev})
     assert stats.token_counts == {"train": 3, "dev": 1}
     assert stats.label_count == 3
 

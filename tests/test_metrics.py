@@ -6,10 +6,11 @@ from seqtag.metrics import (
     Span,
     extract_spans,
     f_beta_binary,
-    render_labels,
     span_f1,
     token_accuracy,
 )
+
+from oracles import render_labels
 
 
 # ---------------------------------------------------------------------------
