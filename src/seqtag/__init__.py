@@ -7,6 +7,7 @@ from .autodiff import (
     Tensor,
     backward,
     finite_difference_check,
+    lstm_sequence,
     stop_gradient,
 )
 from .charcomp import (
@@ -15,7 +16,7 @@ from .charcomp import (
     char_aux_loss,
     combine_attention,
     combine_concat,
-    compose_word,
+    compose_words,
 )
 from .corpus import (
     Sentence,
@@ -36,13 +37,11 @@ from .crf import (
     viterbi_decode,
 )
 from .layers import (
-    BiLstmOutput,
     EmbeddingTable,
     LstmParams,
     bilstm_run,
     dense_tanh,
     embedding_lookup,
-    lstm_step,
 )
 from .metrics import MetricResult, Span, extract_spans, f_beta_binary, span_f1, token_accuracy
 from .model import (

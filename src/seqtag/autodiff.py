@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
-The engine is deliberately small: eleven primitive kinds, picked as the
-minimal set the tagging models in this package need, plus a gradient
-blocking marker. Values are dense numpy arrays of zero, one or two
-dimensions. float32 is the training precision; float64 is the
-verification precision (finite-difference checks are unreliable in
-float32).
+The engine is deliberately small: thirteen primitive kinds, picked as
+the minimal set the tagging models in this package need, plus a
+gradient blocking marker. Values are dense numpy arrays of zero to three
+dimensions; only ``lstm_sequence`` and ``pick_row`` take or give three.
+float32 is the training precision; float64 is the verification
+precision (finite-difference checks are unreliable in float32).
 
 Shape rules per primitive kind::
 
@@ -17,14 +17,29 @@ Shape rules per primitive kind::
     tanh(t), sigmoid(t)    elementwise, any shape
     concat(ts)             scalar or vector inputs joined into one vector
     concat(ts, rows=True)  equal-length vectors stacked into a matrix
+                           (no axis allowed)
+    concat(ts, axis=k)     equal-rank inputs joined along axis k; all
+                           other dimensions must agree
     narrow(t, i, j)        contiguous vector slice [i, j)     (kind "slice")
     reduce_sum(t)          every entry summed to a scalar     (kind "sum")
     log_sum_exp(t)         vector -> scalar, max-shifted so large inputs
                            cannot overflow
     log_sum_exp(t, axis=0) matrix -> vector of per-column reductions
-    cosine_similarity(a,b) vectors -> scalar; each norm is guarded with
-                           +1e-8 so zero vectors stay finite
-    pick_row(m, i)         matrix -> copy of row i
+    cosine_similarity(a,b) vectors -> scalar, or (n,d) matrices -> (n,)
+                           row by row; each norm is guarded with +1e-8
+                           so zero vectors stay finite
+    pick_row(m, i)         m[i] of a matrix or 3-D value, copied: i is
+                           an int (one row), an integer array (rows
+                           gathered into shape i.shape + m.shape[1:]) or
+                           a tuple of those indexing the leading axes;
+                           repeated indices accumulate gradient
+    transpose(m)           (m,n) -> (n,m)
+    lstm_sequence(x, w_x, w_h, b, reverse)
+                           (T,D) -> (T,H), or (B,T,D) -> (B,T,H) for B
+                           equal-length sequences: the hidden state
+                           after every position of a whole LSTM run, as
+                           one node with a hand-written backward pass
+                           through time
 
 Recording is scoped by a ``Tape`` used as a context manager; outside any
 tape the same functions run forward-only. The finite-difference checker
@@ -56,6 +71,8 @@ OP_KINDS = (
     "log_sum_exp",
     "cosine_similarity",
     "pick_row",
+    "transpose",
+    "lstm_sequence",
 )
 
 
@@ -229,16 +246,22 @@ def tanh(t: Tensor) -> Tensor:
     return _emit("tanh", (t,), out, (out,))
 
 
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-t.values))
+    out = _sigmoid(t.values)
     return _emit("sigmoid", (t,), out, (out,))
 
 
-def concat(ts, rows: bool = False) -> Tensor:
+def concat(ts, rows: bool = False, axis: int | None = None) -> Tensor:
     ts = tuple(ts)
     if not ts:
         raise ValueError("concat: need at least one input")
     if rows:
+        if axis is not None:
+            raise ValueError(f"concat: rows=True stacks vectors and takes no axis, got axis={axis}")
         width = None
         for t in ts:
             if t.values.ndim != 1:
@@ -248,14 +271,22 @@ def concat(ts, rows: bool = False) -> Tensor:
             elif t.shape[0] != width:
                 raise _shape_error("concat(rows)", (width,), t.shape)
         out = np.stack([t.values for t in ts])
-        return _emit("concat", ts, out, ("rows", None))
-    shapes = []
-    for t in ts:
-        if t.values.ndim > 1:
-            raise _shape_error("concat", t.shape)
-        shapes.append(t.shape)
-    out = np.concatenate([np.atleast_1d(t.values) for t in ts])
-    return _emit("concat", ts, out, ("flat", tuple(shapes)))
+        return _emit("concat", ts, out, ("rows", None, None))
+    shapes = tuple(t.shape for t in ts)
+    if axis is None:
+        for t in ts:
+            if t.values.ndim > 1:
+                raise _shape_error("concat", t.shape)
+        parts = [np.atleast_1d(t.values) for t in ts]
+        axis = 0
+    else:
+        ndim = len(shapes[0])
+        rest = [s[:axis] + s[axis + 1 :] for s in shapes]
+        if not 0 <= axis < ndim or any(len(s) != ndim or r != rest[0] for s, r in zip(shapes, rest)):
+            raise _shape_error(f"concat(axis={axis})", *shapes)
+        parts = [t.values for t in ts]
+    out = np.concatenate(parts, axis=axis)
+    return _emit("concat", ts, out, ("join", axis, shapes))
 
 
 def narrow(t: Tensor, start: int, stop: int) -> Tensor:
@@ -286,23 +317,84 @@ def log_sum_exp(t: Tensor, axis=None) -> Tensor:
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
-    if av.ndim != 1 or av.shape != bv.shape:
+    if av.ndim not in (1, 2) or av.shape != bv.shape:
         raise _shape_error("cosine_similarity", av.shape, bv.shape)
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    dot = float(av @ bv)
-    out = dot / ((na + NORM_EPS) * (nb + NORM_EPS))
-    out = np.asarray(out, dtype=np.result_type(av, bv))
+    na = np.linalg.norm(av, axis=-1)
+    nb = np.linalg.norm(bv, axis=-1)
+    dot = (av * bv).sum(axis=-1)
+    out = np.asarray(dot / ((na + NORM_EPS) * (nb + NORM_EPS)), dtype=np.result_type(av, bv))
     return _emit("cosine_similarity", (a, b), out, (av, bv, na, nb, dot))
 
 
-def pick_row(m: Tensor, i: int) -> Tensor:
+def pick_row(m: Tensor, i) -> Tensor:
     v = m.values
-    if v.ndim != 2:
+    if v.ndim < 2:
         raise _shape_error("pick_row", v.shape)
-    if not 0 <= i < v.shape[0]:
-        raise ValueError(f"pick_row: row {i} out of range for shape {v.shape}")
-    return _emit("pick_row", (m,), v[i].copy(), (int(i),))
+    if isinstance(i, (int, np.integer)):
+        if not 0 <= i < v.shape[0]:
+            raise ValueError(f"pick_row: row {i} out of range for shape {v.shape}")
+        return _emit("pick_row", (m,), v[i].copy(), (int(i),))
+    index = tuple(np.asarray(ix) for ix in (i if isinstance(i, tuple) else (i,)))
+    if len(index) > v.ndim:
+        raise ValueError(f"pick_row: {len(index)} indices for shape {v.shape}")
+    for ix, n in zip(index, v.shape):
+        if ix.dtype.kind not in "iu" or (ix.size and not (ix.min() >= 0 and ix.max() < n)):
+            raise ValueError(f"pick_row: index {ix.tolist()} out of range for shape {v.shape}")
+    return _emit("pick_row", (m,), np.array(v[index]), (index,))
+
+
+def transpose(t: Tensor) -> Tensor:
+    """Matrix transpose; the result is a view of the input's values."""
+    v = t.values
+    if v.ndim != 2:
+        raise _shape_error("transpose", v.shape)
+    return _emit("transpose", (t,), v.T, ())
+
+
+def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """Hidden states of an LSTM run over whole sequences from zero states.
+
+    ``x`` is (T, D), or (B, T, D) for B sequences of equal length run
+    together; the result is (T, H) or (B, T, H), row t holding the state
+    after position t. With ``reverse`` the run starts at position T - 1,
+    so row 0 holds its final state. Gate order and cell equations are
+    those documented in ``seqtag.layers``. The input projection of every
+    position is computed up front in one batched product; only
+    ``h @ w_h`` and the gate arithmetic run step by step. That product
+    takes each position as its own vector-matrix product, the kernel a
+    single cell update uses, so one sequence's states equal those of the
+    stepwise cell bit for bit (one GEMM would round differently).
+    """
+    xv, wx, wh, bv = x.values, w_x.values, w_h.values, b.values
+    hid = wh.shape[0]
+    if (
+        xv.ndim not in (2, 3)
+        or xv.shape[-2] == 0
+        or wx.shape != (xv.shape[-1], 4 * hid)
+        or wh.shape != (hid, 4 * hid)
+        or bv.shape != (4 * hid,)
+    ):
+        raise _shape_error("lstm_sequence", xv.shape, wx.shape, wh.shape, bv.shape)
+    seqs = xv if xv.ndim == 3 else xv[None]
+    n, steps = seqs.shape[:2]
+    proj = np.matmul(seqs[:, :, None, :], wx)[:, :, 0]
+    gates = np.empty_like(proj)  # post-activation i, f, g, o
+    cells = np.empty((n, steps, hid), dtype=proj.dtype)
+    hidden = np.empty_like(cells)
+    h = np.zeros((n, hid), dtype=proj.dtype)
+    c = h
+    cand = slice(2 * hid, 3 * hid)
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        a = proj[:, t] + h @ wh + bv
+        act = gates[:, t]
+        act[...] = _sigmoid(a)
+        act[:, cand] = np.tanh(a[:, cand])
+        c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, cand]
+        h = act[:, 3 * hid :] * np.tanh(c)
+        cells[:, t] = c
+        hidden[:, t] = h
+    out = hidden if xv.ndim == 3 else hidden[0]
+    return _emit("lstm_sequence", (x, w_x, w_h, b), out, (seqs, wx, wh, gates, cells, hidden, reverse))
 
 
 def stop_gradient(t: Tensor) -> Tensor:
@@ -375,17 +467,15 @@ def _bwd_sigmoid(node, g, grads, tensors):
 
 
 def _bwd_concat(node, g, grads, tensors):
-    mode, shapes = node.saved
+    mode, axis, shapes = node.saved
     if mode == "rows":
         for i, nid in enumerate(node.input_ids):
             _acc(grads, tensors, nid, g[i])
         return
-    offset = 0
-    for nid, shape in zip(node.input_ids, shapes):
-        n = 1 if shape == () else shape[0]
-        piece = g[offset : offset + n]
+    sizes = [s[axis] if s else 1 for s in shapes]
+    pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
+    for nid, piece, shape in zip(node.input_ids, pieces, shapes):
         _acc(grads, tensors, nid, piece.reshape(shape))
-        offset += n
 
 
 def _bwd_slice(node, g, grads, tensors):
@@ -411,25 +501,71 @@ def _bwd_log_sum_exp(node, g, grads, tensors):
 
 def _bwd_cosine(node, g, grads, tensors):
     av, bv, na, nb, dot = node.saved
-    ea = na + NORM_EPS
-    eb = nb + NORM_EPS
-    gd = float(g)
-    c = dot / (ea * eb)
-    ga = bv / (ea * eb)
-    if na > 0.0:
-        ga = ga - (c / ea) * (av / na)
-    gb = av / (ea * eb)
-    if nb > 0.0:
-        gb = gb - (c / eb) * (bv / nb)
-    _acc(grads, tensors, node.input_ids[0], gd * ga)
-    _acc(grads, tensors, node.input_ids[1], gd * gb)
+    ea = (na + NORM_EPS)[..., None]
+    eb = (nb + NORM_EPS)[..., None]
+    c = dot[..., None] / (ea * eb)
+    # a zero vector has zero entries, so dividing it by 1 instead of its norm gives 0
+    unit_a = av / np.where(na > 0.0, na, 1.0)[..., None]
+    unit_b = bv / np.where(nb > 0.0, nb, 1.0)[..., None]
+    gd = np.asarray(g)[..., None]
+    _acc(grads, tensors, node.input_ids[0], gd * (bv / (ea * eb) - (c / ea) * unit_a))
+    _acc(grads, tensors, node.input_ids[1], gd * (av / (ea * eb) - (c / eb) * unit_b))
 
 
 def _bwd_pick_row(node, g, grads, tensors):
     (i,) = node.saved
     buf = _grad_buffer(grads, tensors, node.input_ids[0])
-    if buf is not None:
+    if buf is None:
+        return
+    if isinstance(i, int):
         buf[i] += g
+    else:
+        np.add.at(buf, i, g)
+
+
+def _bwd_transpose(node, g, grads, tensors):
+    _acc(grads, tensors, node.input_ids[0], g.T)
+
+
+def _bwd_lstm_sequence(node, g, grads, tensors):
+    """Backpropagation through time, then one GEMM per weight gradient."""
+    seqs, wx, wh, gates, cells, hidden, reverse = node.saved
+    n, steps, dim = seqs.shape
+    hid = wh.shape[0]
+    g = g.reshape(n, steps, hid)
+    act = gates.reshape(n, steps, 4, hid)
+    gi, gf, gg, go = (act[:, :, k] for k in range(4))
+    # states entering each position: the neighbour the run came from, zero at its start
+    h_prev = np.zeros_like(hidden)
+    c_prev = np.zeros_like(cells)
+    if reverse:
+        h_prev[:, :-1], c_prev[:, :-1] = hidden[:, 1:], cells[:, 1:]
+    else:
+        h_prev[:, 1:], c_prev[:, 1:] = hidden[:, :-1], cells[:, :-1]
+    tanh_c = np.tanh(cells)
+    dh_dc = go * (1.0 - tanh_c * tanh_c)
+    # local derivative of c (gates i, f, g) or h (gate o) by each pre-activation
+    local = np.stack(
+        [gg * gi * (1.0 - gi), c_prev * gf * (1.0 - gf), gi * (1.0 - gg * gg), tanh_c * go * (1.0 - go)],
+        axis=2,
+    )
+    d_pre = np.empty_like(local)
+    dh_next = np.zeros((n, hid), dtype=g.dtype)
+    dc_next = dh_next
+    wh_t = wh.T
+    for t in range(steps) if reverse else range(steps - 1, -1, -1):
+        dh = g[:, t] + dh_next
+        dc = dc_next + dh * dh_dc[:, t]
+        np.multiply(local[:, t, :3], dc[:, None], out=d_pre[:, t, :3])
+        np.multiply(local[:, t, 3], dh, out=d_pre[:, t, 3])
+        dc_next = dc * gf[:, t]
+        dh_next = d_pre[:, t].reshape(n, 4 * hid) @ wh_t
+    d_pre = d_pre.reshape(n * steps, 4 * hid)
+    x_id, wx_id, wh_id, b_id = node.input_ids
+    _acc(grads, tensors, x_id, (d_pre @ wx.T).reshape(tensors[x_id].shape))
+    _acc(grads, tensors, wx_id, seqs.reshape(n * steps, dim).T @ d_pre)
+    _acc(grads, tensors, wh_id, h_prev.reshape(n * steps, hid).T @ d_pre)
+    _acc(grads, tensors, b_id, d_pre.sum(axis=0))
 
 
 def _bwd_stop_gradient(node, g, grads, tensors):
@@ -448,6 +584,8 @@ _BACKWARD = {
     "log_sum_exp": _bwd_log_sum_exp,
     "cosine_similarity": _bwd_cosine,
     "pick_row": _bwd_pick_row,
+    "transpose": _bwd_transpose,
+    "lstm_sequence": _bwd_lstm_sequence,
     "stop_gradient": _bwd_stop_gradient,
 }
 

@@ -14,6 +14,13 @@ toward ``x`` for in-vocabulary tokens, summing ``1 - cos(m, x)`` over
 them. The word-embedding side enters through ``stop_gradient``, so the
 pull acts on the character composer only, and tokens mapped to the OOV
 row are skipped entirely.
+
+``compose_words`` composes a list of character sequences in one pass:
+sequences of equal length share one gather of character embeddings and
+one ``lstm_sequence`` node per direction, so a whole batch of word types
+costs a few tape nodes per distinct length. The combiners and the
+auxiliary loss take a sentence at a time, as (T, dim) matrices with one
+token per row.
 """
 
 from __future__ import annotations
@@ -28,14 +35,17 @@ from .autodiff import (
     concat,
     const_like,
     cosine_similarity,
+    lstm_sequence,
     matmul,
     multiply,
+    pick_row,
     reduce_sum,
     sigmoid,
     stop_gradient,
     tanh,
+    transpose,
 )
-from .layers import EmbeddingTable, LstmParams, bilstm_run, embedding_lookup
+from .layers import EmbeddingTable, LstmParams, embedding_lookup
 
 
 @dataclass
@@ -57,21 +67,42 @@ class CharComposerParams:
         return self.w_m.shape[0]
 
 
-def compose_word(char_ids, p: CharComposerParams) -> Tensor:
-    """Build the character-level word vector m for one token."""
-    char_ids = list(char_ids)
-    if not char_ids:
-        raise ValueError("compose_word: empty character sequence")
-    embs = [embedding_lookup(p.char_embeddings, c) for c in char_ids]
-    out = bilstm_run(embs, p.fwd, p.bwd)
-    h_star = concat((out.forward_last, out.backward_first))
-    return tanh(matmul(p.w_m, h_star))
+def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
+    """Character-level word vectors m, one row per character sequence.
+
+    Sequences of equal length form one bucket that runs through the
+    character BiLSTM as a single batch, so no padding or masking is
+    needed; each bucket costs a fixed number of tape nodes however many
+    sequences it holds. Row i of the (N, word_dim) result is the vector
+    of ``char_seqs[i]``.
+    """
+    seqs = [list(s) for s in char_seqs]
+    if not seqs:
+        raise ValueError("compose_words: no character sequences")
+    buckets: dict = {}
+    for i, s in enumerate(seqs):
+        if not s:
+            raise ValueError("compose_words: empty character sequence")
+        buckets.setdefault(len(s), []).append(i)
+    states = []
+    order = []
+    for length, members in sorted(buckets.items()):
+        chars = embedding_lookup(p.char_embeddings, np.array([seqs[i] for i in members]))
+        forward = lstm_sequence(chars, p.fwd.w_x, p.fwd.w_h, p.fwd.b)
+        backward = lstm_sequence(chars, p.bwd.w_x, p.bwd.w_h, p.bwd.b, reverse=True)
+        rows = np.arange(len(members))
+        # final state of each direction: position length - 1 forward, 0 backward
+        states.append(concat((pick_row(forward, (rows, length - 1)), pick_row(backward, (rows, 0))), axis=1))
+        order.extend(members)
+    h_star = pick_row(concat(states, axis=0), np.argsort(order))
+    return tanh(matmul(h_star, transpose(p.w_m)))
 
 
 def combine_concat(x: Tensor, m: Tensor) -> Tensor:
+    """Join x and m feature-wise: vectors, or (T, dim) matrices row by row."""
     if x.shape != m.shape:
         raise ValueError(f"combine_concat: length mismatch {x.shape} vs {m.shape}")
-    return concat((x, m))
+    return concat((x, m), axis=x.values.ndim - 1)
 
 
 @dataclass
@@ -99,39 +130,37 @@ class AttentionParams:
 def combine_attention(x: Tensor, m: Tensor, p: AttentionParams):
     """Gate the two word representations; returns (combined, z).
 
+    x and m are vectors, or (T, dim) matrices with one token per row.
     Every entry of z lies strictly inside (0, 1), so the combination is
     a per-feature convex mix of x and m. z is returned so callers can
     export and inspect it.
     """
-    if x.shape != (p.dim,) or m.shape != (p.dim,):
+    if x.shape != m.shape or x.values.ndim not in (1, 2) or x.shape[-1] != p.dim:
         raise ValueError(
             f"combine_attention: got x {x.shape}, m {m.shape} for gate dim {p.dim}"
         )
-    z = sigmoid(matmul(p.w_z3, tanh(add(matmul(p.w_z1, x), matmul(p.w_z2, m)))))
+    # row-vector form of z = sigmoid(W3 tanh(W1 x + W2 m)), one row per token
+    hidden = tanh(add(matmul(x, transpose(p.w_z1)), matmul(m, transpose(p.w_z2))))
+    z = sigmoid(matmul(hidden, transpose(p.w_z3)))
     one_minus_z = add(const_like(1.0, z), multiply(z, const_like(-1.0, z)))
     combined = add(multiply(z, x), multiply(one_minus_z, m))
     return combined, z
 
 
-def char_aux_loss(m_seq, x_seq, oov_mask) -> Tensor:
+def char_aux_loss(m: Tensor, x: Tensor, oov_mask) -> Tensor:
     """Cosine pull of m toward x, summed over non-OOV positions.
 
-    Each kept position contributes 1 - cos(m_t, x_t). x_t passes through
-    stop_gradient, so minimizing this term never moves word embeddings.
+    m and x are (T, dim) matrices, one token per row. Each kept row
+    contributes 1 - cos(m_t, x_t). x passes through stop_gradient, so
+    minimizing this term never moves word embeddings.
     """
-    m_seq, x_seq, oov_mask = list(m_seq), list(x_seq), list(oov_mask)
-    if not (len(m_seq) == len(x_seq) == len(oov_mask)):
+    oov_mask = np.asarray(oov_mask, dtype=bool)
+    if m.values.ndim != 2 or m.shape != x.shape or oov_mask.shape != m.shape[:1]:
         raise ValueError(
-            f"char_aux_loss: length mismatch {len(m_seq)}/{len(x_seq)}/{len(oov_mask)}"
+            f"char_aux_loss: length mismatch {m.shape}/{x.shape}/{oov_mask.shape}"
         )
-    terms = []
-    for m, x, is_oov in zip(m_seq, x_seq, oov_mask):
-        if is_oov:
-            continue
-        cos = cosine_similarity(m, stop_gradient(x))
-        terms.append(add(const_like(1.0, cos), multiply(cos, const_like(-1.0, cos))))
-    if not terms:
-        anchor = m_seq[0] if m_seq else None
-        dtype = anchor.values.dtype if anchor is not None else np.float64
-        return Tensor(np.zeros((), dtype=dtype), constant=True)
-    return reduce_sum(concat(terms))
+    kept = np.flatnonzero(~oov_mask)
+    if not kept.size:
+        return Tensor(np.zeros((), dtype=m.values.dtype), constant=True)
+    cos = reduce_sum(cosine_similarity(pick_row(m, kept), stop_gradient(pick_row(x, kept))))
+    return add(const_like(float(kept.size), cos), multiply(cos, const_like(-1.0, cos)))

@@ -34,8 +34,15 @@ from .corpus import (
     preprocess_token,
     split_row,
 )
-from .model import ModelConfig, assemble_model, count_parameters, load_model, save_model
-from .training import evaluate, train
+from .model import (
+    ModelConfig,
+    assemble_model,
+    atomic_open,
+    count_parameters,
+    load_model,
+    save_model,
+)
+from .training import TrainingFailed, evaluate, train
 
 
 def read_config_file(path) -> dict:
@@ -84,9 +91,15 @@ def _load_split(path, args):
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_report(out_dir: Path, report):
+    with atomic_open(out_dir / "report.tsv", "w", encoding="utf-8") as fh:
+        fh.write(report.table())
+    _write_json(out_dir / "report.json", report.to_dict())
 
 
 def cmd_train(args) -> int:
@@ -123,12 +136,13 @@ def cmd_train(args) -> int:
 
     try:
         model, report = train(config, train_sents, dev_sents, vocab, pretrained=pretrained)
-    except Exception:
+    except Exception as exc:
+        if isinstance(exc, TrainingFailed):
+            _write_report(out_dir, exc.report)
         (out_dir / "FAILED").write_text("training did not complete; outputs are partial\n")
         raise
     save_model(model, out_dir / "model.bin")
-    (out_dir / "report.tsv").write_text(report.table())
-    _write_json(out_dir / "report.json", report.to_dict())
+    _write_report(out_dir, report)
     best = report.epochs[report.best_epoch - 1]
     print(
         f"trained {config.architecture}/{config.output}: best epoch {report.best_epoch} "

@@ -33,6 +33,7 @@ from .autodiff import (
     narrow,
     pick_row,
     reduce_sum,
+    transpose,
 )
 
 
@@ -112,12 +113,11 @@ def _check_sequence(lat: TagLattice, y) -> list:
     return y
 
 
-def emission_scores(d_seq, w_o: Tensor) -> Tensor:
-    """Stack per-token emission rows W_o @ d_t into one (T, K) tensor."""
-    d_seq = list(d_seq)
-    if not d_seq:
-        raise ValueError("emission_scores: empty sequence")
-    return concat([matmul(w_o, d) for d in d_seq], rows=True)
+def emission_scores(d: Tensor, w_o: Tensor) -> Tensor:
+    """Emission rows W_o @ d_t for a (T, d) matrix of token states, as one (T, K) tensor."""
+    if d.values.ndim != 2 or d.shape[0] == 0:
+        raise ValueError(f"emission_scores: expected a non-empty (T, d) sequence, got {d.shape}")
+    return matmul(d, transpose(w_o))
 
 
 # ---------------------------------------------------------------------------

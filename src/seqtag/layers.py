@@ -1,12 +1,16 @@
-"""Neural building blocks: embeddings, an LSTM cell, bidirectional runs.
+"""Neural building blocks: embeddings, LSTM parameters, bidirectional runs.
 
 The LSTM is the standard forget-gate cell without peepholes. Gates are
-packed into one pre-activation vector in the order input, forget,
-candidate, output:
+packed into one pre-activation vector ``x @ w_x + h_prev @ w_h + b`` in
+the order input, forget, candidate, output:
 
     i = sigmoid(.)   f = sigmoid(.)   g = tanh(.)   o = sigmoid(.)
     c = f * c_prev + i * g
     h = o * tanh(c)
+
+A whole sequence is one ``lstm_sequence`` tape node (see
+``seqtag.autodiff``): ``bilstm_run`` runs it once per direction over a
+(T, D) matrix of inputs and joins the two (T, H) results column-wise.
 
 Weights are initialized Glorot-uniform; the forget-gate bias starts at
 1.0 and all other biases at 0, which keeps early gradients flowing.
@@ -20,18 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    concat,
-    const_like,
-    matmul,
-    multiply,
-    narrow,
-    pick_row,
-    sigmoid,
-    tanh,
-)
+from .autodiff import Tensor, concat, lstm_sequence, matmul, pick_row, tanh, transpose
 
 
 @dataclass
@@ -60,12 +53,15 @@ class EmbeddingTable:
         return self.matrix.shape[1]
 
 
-def embedding_lookup(table: EmbeddingTable, token_id: int) -> Tensor:
-    if not 0 <= token_id < table.vocab_size:
+def embedding_lookup(table: EmbeddingTable, token_ids) -> Tensor:
+    """The row of one id, or the rows of an integer array of ids stacked
+    in the array's shape."""
+    ids = np.asarray(token_ids)
+    if ids.size and not (ids.min() >= 0 and ids.max() < table.vocab_size):
         raise ValueError(
-            f"embedding_lookup: id {token_id} outside [0, {table.vocab_size})"
+            f"embedding_lookup: id {token_ids} outside [0, {table.vocab_size})"
         )
-    return pick_row(table.matrix, token_id)
+    return pick_row(table.matrix, token_ids)
 
 
 @dataclass
@@ -112,61 +108,26 @@ def init_lstm_params(
     return LstmParams(w_x, w_h, Tensor(b), hidden_size)
 
 
-def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
-    """One cell update; returns (h, c)."""
-    h = p.hidden_size
-    if x.shape != (p.input_dim,) or h_prev.shape != (h,) or c_prev.shape != (h,):
-        raise ValueError(
-            f"lstm_step: got x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
-            f"for cell expecting x ({p.input_dim},), state ({h},)"
-        )
-    pre = add(add(matmul(x, p.w_x), matmul(h_prev, p.w_h)), p.b)
-    gate_i = sigmoid(narrow(pre, 0, h))
-    gate_f = sigmoid(narrow(pre, h, 2 * h))
-    gate_g = tanh(narrow(pre, 2 * h, 3 * h))
-    gate_o = sigmoid(narrow(pre, 3 * h, 4 * h))
-    c = add(multiply(gate_f, c_prev), multiply(gate_i, gate_g))
-    new_h = multiply(gate_o, tanh(c))
-    return new_h, c
+def bilstm_run(inputs: Tensor, fwd: LstmParams, bwd: LstmParams) -> Tensor:
+    """Run both directions over a (T, D) sequence from zero initial states.
 
-
-@dataclass
-class BiLstmOutput:
-    per_step: list          # [concat(forward_t, backward_t)] per position
-    forward_last: Tensor    # forward state after the final position
-    backward_first: Tensor  # backward state after scanning back to position 0
-
-
-def bilstm_run(inputs, fwd: LstmParams, bwd: LstmParams) -> BiLstmOutput:
-    """Run both directions from zero initial states and join per position."""
-    inputs = list(inputs)
-    if not inputs:
-        raise ValueError("bilstm_run: empty input sequence")
+    Row t of the (T, 2H) result joins the forward state after position t
+    with the backward state after scanning back to position t.
+    """
+    if inputs.values.ndim != 2 or inputs.shape[0] == 0:
+        raise ValueError(f"bilstm_run: expected a non-empty (T, D) sequence, got {inputs.shape}")
     if fwd.hidden_size != bwd.hidden_size:
         raise ValueError(
             f"bilstm_run: hidden sizes differ ({fwd.hidden_size} vs {bwd.hidden_size})"
         )
-    hsize = fwd.hidden_size
-    zero = const_like(0.0, inputs[0], (hsize,))
-
-    fwd_states = []
-    h, c = zero, zero
-    for x in inputs:
-        h, c = lstm_step(x, h, c, fwd)
-        fwd_states.append(h)
-
-    bwd_states = [None] * len(inputs)
-    h, c = zero, zero
-    for t in range(len(inputs) - 1, -1, -1):
-        h, c = lstm_step(inputs[t], h, c, bwd)
-        bwd_states[t] = h
-
-    per_step = [concat((f, b)) for f, b in zip(fwd_states, bwd_states)]
-    return BiLstmOutput(per_step, fwd_states[-1], bwd_states[0])
+    forward = lstm_sequence(inputs, fwd.w_x, fwd.w_h, fwd.b)
+    backward = lstm_sequence(inputs, bwd.w_x, bwd.w_h, bwd.b, reverse=True)
+    return concat((forward, backward), axis=1)
 
 
 def dense_tanh(h: Tensor, w_d: Tensor) -> Tensor:
-    """Narrow nonlinear layer on top of the recurrent states."""
-    if w_d.values.ndim != 2 or w_d.shape[1] != h.shape[0]:
+    """Narrow nonlinear layer on top of the recurrent states: one state
+    vector, or a (T, n) matrix of them, one row per position."""
+    if w_d.values.ndim != 2 or w_d.shape[1] != h.shape[-1]:
         raise ValueError(f"dense_tanh: weight {w_d.shape} does not apply to {h.shape}")
-    return tanh(matmul(w_d, h))
+    return tanh(matmul(h, transpose(w_d)))

@@ -12,6 +12,12 @@ bidirectional LSTM, narrow tanh layer, output scores):
 
 The output layer is either a per-token softmax or a linear-chain CRF.
 
+A sentence flows through the pipeline as (T, ·) matrices, one token per
+row. ``Model.batch_loss_parts`` is the one loss path: it composes each
+distinct word type of the batch once and lets every occurrence read its
+row; a single sentence's loss is the batch-of-one case, and prediction
+composes the sentence's own types in one call.
+
 Saved models are a single binary container: a short magic, a JSON
 header (format version, configuration, vocabulary, tensor manifest)
 and the raw parameter data as little-endian 32-bit floats.
@@ -20,22 +26,25 @@ and the raw parameter data as little-endian 32-bit floats.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from .autodiff import (
     Tensor,
     add,
-    concat,
     const_like,
     log_sum_exp,
-    matmul,
     multiply,
-    narrow,
     no_tape,
+    pick_row,
     reduce_sum,
+    transpose,
 )
 from .charcomp import (
     AttentionParams,
@@ -43,7 +52,7 @@ from .charcomp import (
     char_aux_loss,
     combine_attention,
     combine_concat,
-    compose_word,
+    compose_words,
 )
 from .corpus import Sentence, Vocabulary, random_embeddings
 from .crf import TagLattice, crf_nll, emission_scores, viterbi_decode
@@ -122,7 +131,7 @@ class ModelConfig:
 
 
 class Model:
-    """Named parameter collection plus per-sentence forward procedures."""
+    """Named parameter collection plus the batch loss and per-sentence prediction."""
 
     def __init__(self, config, vocab, word_emb, word_fwd, word_bwd, w_d, w_o,
                  transitions=None, char=None, attn=None):
@@ -192,54 +201,73 @@ class Model:
     def oov_flags(self, sent: Sentence) -> list:
         return [wid == self.vocab.oov_word_id for wid in sent.word_ids]
 
-    def _token_inputs(self, sent: Sentence):
-        """Per-token inputs to the word-level LSTM, plus x/m/z sequences."""
-        xs = [embedding_lookup(self.word_emb, wid) for wid in sent.word_ids]
+    def _compose(self, sents):
+        """Character vectors for the distinct word types of ``sents``, each
+        composed once, and per sentence the row each of its tokens reads."""
+        if self.char is None:
+            return None, [None] * len(sents)
+        rows: dict = {}
+        token_rows = [
+            np.array([rows.setdefault(tuple(cids), len(rows)) for cids in sent.char_ids])
+            for sent in sents
+        ]
+        return compose_words(list(rows), self.char), token_rows
+
+    def _token_inputs(self, sent: Sentence, m_all, m_rows):
+        """(word-LSTM input, x, m, z) for one sentence, one token per row."""
+        x = embedding_lookup(self.word_emb, np.asarray(sent.word_ids))
         arch = self.config.architecture
         if arch == "word":
-            return xs, xs, None, None
-        ms = [compose_word(cids, self.char) for cids in sent.char_ids]
+            return x, x, None, None
+        m = pick_row(m_all, m_rows)
         if arch == "concat":
-            return [combine_concat(x, m) for x, m in zip(xs, ms)], xs, ms, None
-        combined = []
-        zs = []
-        for x, m in zip(xs, ms):
-            xt, z = combine_attention(x, m, self.attn)
-            combined.append(xt)
-            zs.append(z)
-        return combined, xs, ms, zs
+            return combine_concat(x, m), x, m, None
+        combined, z = combine_attention(x, m, self.attn)
+        return combined, x, m, z
 
-    def _hidden_states(self, inputs):
-        out = bilstm_run(inputs, self.word_fwd, self.word_bwd)
-        return [dense_tanh(h, self.w_d) for h in out.per_step]
+    def _sentence_inputs(self, sent: Sentence):
+        """``_token_inputs`` with the sentence's own word types composed."""
+        m_all, (m_rows,) = self._compose([sent])
+        return self._token_inputs(sent, m_all, m_rows)
 
-    def sentence_lattice(self, sent: Sentence) -> TagLattice:
-        if self.config.output != "crf":
-            raise ValueError("sentence_lattice: model does not use a CRF output")
-        self._require_encoded(sent, need_gold=False)
-        inputs, _, _, _ = self._token_inputs(sent)
-        d_seq = self._hidden_states(inputs)
-        return TagLattice(emission_scores(d_seq, self.w_o), self.transitions)
+    def _emissions(self, inputs) -> Tensor:
+        states = bilstm_run(inputs, self.word_fwd, self.word_bwd)
+        return emission_scores(dense_tanh(states, self.w_d), self.w_o)
+
+    def batch_loss_parts(self, sents):
+        """(summed loss, summed auxiliary term or None) over a batch of sentences.
+
+        The loss is the sum of the per-sentence losses. Each distinct
+        word type's characters are composed once for the whole batch and
+        every occurrence reads that row. The auxiliary term is a float,
+        already included in the loss.
+        """
+        sents = list(sents)
+        if not sents:
+            raise ValueError("batch_loss_parts: empty batch")
+        for sent in sents:
+            self._require_encoded(sent, need_gold=True)
+        m_all, token_rows = self._compose(sents)
+        attention = self.config.architecture == "attention"
+        total = None
+        aux_total = 0.0 if attention else None
+        for sent, m_rows in zip(sents, token_rows):
+            inputs, x, m, _ = self._token_inputs(sent, m_all, m_rows)
+            scores = self._emissions(inputs)
+            if self.config.output == "crf":
+                loss = crf_nll(TagLattice(scores, self.transitions), sent.gold)
+            else:
+                loss = _softmax_nll(scores, sent.gold)
+            if attention:
+                aux = char_aux_loss(m, x, self.oov_flags(sent))
+                aux_total += float(aux.values)
+                loss = add(loss, aux)
+            total = loss if total is None else add(total, loss)
+        return total, aux_total
 
     def sentence_loss_parts(self, sent: Sentence):
         """(total loss, auxiliary term or None) for one sentence."""
-        self._require_encoded(sent, need_gold=True)
-        inputs, xs, ms, _ = self._token_inputs(sent)
-        d_seq = self._hidden_states(inputs)
-        if self.config.output == "crf":
-            lat = TagLattice(emission_scores(d_seq, self.w_o), self.transitions)
-            main = crf_nll(lat, sent.gold)
-        else:
-            logits = [matmul(self.w_o, d) for d in d_seq]
-            lse_total = reduce_sum(concat([log_sum_exp(l) for l in logits]))
-            gold_total = reduce_sum(
-                concat([narrow(l, y, y + 1) for l, y in zip(logits, sent.gold)])
-            )
-            main = add(lse_total, multiply(gold_total, const_like(-1.0, gold_total)))
-        if self.config.architecture != "attention":
-            return main, None
-        aux = char_aux_loss(ms, xs, self.oov_flags(sent))
-        return add(main, aux), aux
+        return self.batch_loss_parts([sent])
 
     def sentence_loss(self, sent: Sentence) -> Tensor:
         total, _ = self.sentence_loss_parts(sent)
@@ -249,12 +277,11 @@ class Model:
         """Label ids for one sentence; never records on a tape."""
         self._require_encoded(sent, need_gold=False)
         with no_tape():
+            scores = self._emissions(self._sentence_inputs(sent)[0])
             if self.config.output == "crf":
-                path, _ = viterbi_decode(self.sentence_lattice(sent))
+                path, _ = viterbi_decode(TagLattice(scores, self.transitions))
                 return path
-            inputs, _, _, _ = self._token_inputs(sent)
-            d_seq = self._hidden_states(inputs)
-            return [int(np.argmax(matmul(self.w_o, d).values)) for d in d_seq]
+            return [int(k) for k in np.argmax(scores.values, axis=1)]
 
     def predict_labels(self, sent: Sentence) -> list:
         return [self.vocab.label_set.label(i) for i in self.predict(sent)]
@@ -268,8 +295,15 @@ class Model:
             )
         self._require_encoded(sent, need_gold=False)
         with no_tape():
-            _, _, _, zs = self._token_inputs(sent)
-        return [z.values.copy() for z in zs]
+            z = self._sentence_inputs(sent)[3]
+        return [row.copy() for row in z.values]
+
+
+def _softmax_nll(scores: Tensor, gold) -> Tensor:
+    """Summed per-token cross-entropy of (T, K) label scores."""
+    log_norm = reduce_sum(log_sum_exp(transpose(scores), axis=0))
+    gold_score = reduce_sum(pick_row(scores, (np.arange(scores.shape[0]), np.asarray(gold))))
+    return add(log_norm, multiply(gold_score, const_like(-1.0, gold_score)))
 
 
 def assemble_model(config: ModelConfig, vocab: Vocabulary,
@@ -346,6 +380,36 @@ class ModelFormatError(ValueError):
     pass
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Write to a temporary file beside ``path`` that replaces it on success.
+
+    If the block raises, the temporary file is removed and whatever was
+    at ``path`` before is left untouched. A file that is replaced keeps
+    its permission bits (not its owner). The data and then the directory
+    entry are synced, so after a crash ``path`` holds either the old or
+    the new content in full.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            if path.exists():
+                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def save_model(model: Model, path):
     header = {
         "format": "seqtag-model",
@@ -358,7 +422,7 @@ def save_model(model: Model, path):
         ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
@@ -375,6 +439,10 @@ def load_model(path) -> Model:
         if len(raw_len) != 8:
             raise ModelFormatError(f"{path}: truncated model file (missing header length)")
         (header_len,) = struct.unpack("<Q", raw_len)
+        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ModelFormatError(
+                f"{path}: header length {header_len} exceeds the file size"
+            )
         blob = fh.read(header_len)
         if len(blob) != header_len:
             raise ModelFormatError(f"{path}: truncated model file (incomplete header)")

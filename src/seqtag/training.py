@@ -1,12 +1,17 @@
 """AdaDelta optimization, the training loop and early stopping.
 
 Batches are formed by sentence count in corpus order (a shuffle flag
-reshuffles per epoch from the run seed); the batch loss is the sum of
-per-sentence losses, and every sentence is processed individually, so
-batching changes nothing but how often the optimizer steps. Training
-stops once the development metric has not improved for ``patience``
-epochs, and the parameters from the best development epoch are what
-the caller gets back.
+reshuffles per epoch from the run seed). The batch loss is the sum of
+the per-sentence losses, built in one pass over the batch: each distinct
+word type's characters are composed once per batch and shared by all of
+its tokens, which changes how much work a step does but not the sum it
+computes. Training stops once the development metric has not improved
+for ``patience`` epochs, and the parameters from the best development
+epoch are what the caller gets back.
+
+Optimizer steps rejected for non-finite gradients are counted per
+epoch. An epoch whose every step was rejected, or whose training loss
+is not finite, ends the run with ``TrainingFailed``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, add, backward
+from .autodiff import Tape, backward
 from .corpus import Vocabulary
 from .metrics import MetricResult, extract_spans, f_beta_binary, span_f1, token_accuracy
 from .model import Model, ModelConfig, assemble_model
@@ -83,6 +88,7 @@ class EpochStats:
     aux_loss: float
     dev_metric: float
     seconds: float
+    rejected_steps: int = 0
 
 
 @dataclass
@@ -105,18 +111,28 @@ class TrainReport:
                     "aux_loss": e.aux_loss,
                     "dev_metric": e.dev_metric,
                     "seconds": e.seconds,
+                    "rejected_steps": e.rejected_steps,
                 }
                 for e in self.epochs
             ],
         }
 
     def table(self) -> str:
-        lines = ["epoch\ttrain_loss\taux_loss\tdev_metric\tseconds"]
+        lines = ["epoch\ttrain_loss\taux_loss\tdev_metric\tseconds\trejected_steps"]
         for e in self.epochs:
             lines.append(
                 f"{e.epoch}\t{e.train_loss!r}\t{e.aux_loss!r}\t{e.dev_metric!r}\t{e.seconds:.3f}"
+                f"\t{e.rejected_steps}"
             )
         return "\n".join(lines) + "\n"
+
+
+class TrainingFailed(ValueError):
+    """Training stopped learning; ``report`` holds the epochs up to the failed one."""
+
+    def __init__(self, message: str, report: TrainReport):
+        super().__init__(message)
+        self.report = report
 
 
 def evaluate(model: Model, sentences, metric: str, positive_label: str | None = None) -> MetricResult:
@@ -198,35 +214,42 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
     epochs_since_best = 0
 
     order = np.arange(len(train_enc))
+    batches = _batches(len(train_enc), config.batch_size)
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
         if config.shuffle:
             shuffle_rng.shuffle(order)
         epoch_loss = 0.0
         epoch_aux = 0.0
-        for batch in _batches(len(train_enc), config.batch_size):
+        rejected = 0
+        for batch in batches:
             tape = Tape()
             with tape:
-                total = None
-                for i in batch:
-                    loss, aux = model.sentence_loss_parts(train_enc[order[i]])
-                    total = loss if total is None else add(total, loss)
-                    if aux is not None:
-                        epoch_aux += float(aux.values)
+                total, aux = model.batch_loss_parts([train_enc[order[i]] for i in batch])
+            if aux is not None:
+                epoch_aux += aux
             backward(total, tape)
-            opt.step()
+            if not opt.step():
+                rejected += 1
             model.zero_grad()
             epoch_loss += float(total.values)
 
-        dev_value = evaluate_metric(
+        failure = None
+        if not np.isfinite(epoch_loss):
+            failure = f"train loss is {epoch_loss}"
+        elif rejected == len(batches):
+            failure = f"all {rejected} optimizer steps were rejected"
+        dev_value = float("nan") if failure else evaluate_metric(
             model, dev_enc, config.dev_metric,
             positive_label=config.positive_label or None,
         )
         report.epochs.append(
             EpochStats(epoch, epoch_loss, epoch_aux, dev_value,
-                       time.perf_counter() - started)
+                       time.perf_counter() - started, rejected)
         )
         report.stopped_epoch = epoch
+        if failure:
+            raise TrainingFailed(f"training failed in epoch {epoch}: {failure}", report)
         if dev_value > best_metric:
             best_metric = dev_value
             best_state = model.state_arrays()

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against.
 
-None of these run in training or tagging: they are exhaustive or
-closed-form oracles (CRF enumeration, per-token softmax and
-cross-entropy, rendering spans back to IOB labels).
+None of these run in training or tagging: they are exhaustive,
+closed-form or stepwise oracles (CRF enumeration, per-token softmax and
+cross-entropy, rendering spans back to IOB labels, one LSTM cell update
+built from tape primitives).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import math
 
 import numpy as np
 
+from seqtag.autodiff import Tensor, add, matmul, multiply, narrow, sigmoid, tanh
 from seqtag.crf import TagLattice
+from seqtag.layers import LstmParams
 
 ENUMERATION_LIMIT = 10**6
 
@@ -98,3 +101,21 @@ def render_labels(spans, length: int) -> list:
         for i in range(span.start + 1, span.end):
             labels[i] = f"I-{span.label}"
     return labels
+
+
+def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
+    """One cell update; returns (h, c)."""
+    h = p.hidden_size
+    if x.shape != (p.input_dim,) or h_prev.shape != (h,) or c_prev.shape != (h,):
+        raise ValueError(
+            f"lstm_step: got x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
+            f"for cell expecting x ({p.input_dim},), state ({h},)"
+        )
+    pre = add(add(matmul(x, p.w_x), matmul(h_prev, p.w_h)), p.b)
+    gate_i = sigmoid(narrow(pre, 0, h))
+    gate_f = sigmoid(narrow(pre, h, 2 * h))
+    gate_g = tanh(narrow(pre, 2 * h, 3 * h))
+    gate_o = sigmoid(narrow(pre, 3 * h, 4 * h))
+    c = add(multiply(gate_f, c_prev), multiply(gate_i, gate_g))
+    new_h = multiply(gate_o, tanh(c))
+    return new_h, c

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from seqtag.autodiff import Tape, add, backward, finite_difference_check, tensor
-from seqtag.charcomp import char_aux_loss, compose_word
+from seqtag.charcomp import char_aux_loss, compose_words
 from seqtag.cli import main
 from seqtag.corpus import Sentence, build_vocab, write_conll
 from seqtag.crf import (
@@ -112,8 +112,8 @@ def test_c03_one_directional_auxiliary_loss():
 
     tape = Tape()
     with tape:
-        ms = [compose_word(cids, model.char) for cids in sent.char_ids]
-        xs = [embedding_lookup(model.word_emb, wid) for wid in sent.word_ids]
+        ms = compose_words(sent.char_ids, model.char)
+        xs = embedding_lookup(model.word_emb, np.array(sent.word_ids))
         aux = char_aux_loss(ms, xs, model.oov_flags(sent))
     grads = backward(aux, tape)
 
@@ -126,11 +126,11 @@ def test_c03_one_directional_auxiliary_loss():
 
     # perturbing the character vector of an OOV token is invisible to the loss
     rng = np.random.default_rng(0)
-    ms_raw = [tensor(rng.normal(size=6)) for _ in range(3)]
-    xs_raw = [tensor(rng.normal(size=6)) for _ in range(3)]
+    ms_raw = tensor(rng.normal(size=(3, 6)))
+    xs_raw = tensor(rng.normal(size=(3, 6)))
     mask = [False, True, False]
     before = float(char_aux_loss(ms_raw, xs_raw, mask).values)
-    ms_raw[1].values += 5.0
+    ms_raw.values[1] += 5.0
     after = float(char_aux_loss(ms_raw, xs_raw, mask).values)
     assert before == after
     print("\n[PASS] C3 auxiliary loss: embeddings blocked, composer live, OOV inert")

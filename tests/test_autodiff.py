@@ -14,6 +14,7 @@ from seqtag.autodiff import (
     cosine_similarity,
     finite_difference_check,
     log_sum_exp,
+    lstm_sequence,
     matmul,
     multiply,
     narrow,
@@ -23,6 +24,7 @@ from seqtag.autodiff import (
     stop_gradient,
     tanh,
     tensor,
+    transpose,
 )
 
 
@@ -244,6 +246,23 @@ def _random_case(kind, rng, i):
         a = t64(rng.normal(size=(rows, cols)))
         row = int(rng.integers(0, rows))
         return lambda: reduce_sum(pick_row(a, row)), [a]
+    if kind == "transpose":
+        a = t64(rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5)))))
+        b = t64(rng.normal(size=(a.shape[0], int(rng.integers(1, 4)))))
+        return lambda: reduce_sum(matmul(transpose(a), b)), [a, b]
+    if kind == "lstm_sequence":
+        dim, hid, steps = (int(rng.integers(1, 4)) for _ in range(3))
+        shape = (steps, dim) if i % 2 else (int(rng.integers(1, 4)), steps, dim)
+        x = t64(rng.normal(size=shape))
+        w_x = t64(rng.normal(size=(dim, 4 * hid)) * 0.7)
+        w_h = t64(rng.normal(size=(hid, 4 * hid)) * 0.7)
+        b = t64(rng.normal(size=4 * hid) * 0.5)
+        weights = t64(rng.normal(size=shape[:-1] + (hid,)))
+        reverse = i % 4 >= 2
+        return (
+            lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse), weights)),
+            [x, w_x, w_h, b],
+        )
     raise AssertionError(kind)
 
 
@@ -252,6 +271,45 @@ def test_primitive_gradients_random(kind):
     rng = np.random.default_rng(1000 + OP_KINDS.index(kind))
     for i in range(100):
         builder, params = _random_case(kind, rng, i)
+        check_grads(builder, params)
+
+
+def _random_array_case(kind, rng, i):
+    """Build (loss builder, params) for one instance of a matrix form of a
+    primitive whose vector form ``_random_case`` covers."""
+    if kind == "concat":
+        axis, fixed = i % 2, int(rng.integers(1, 4))
+        shapes = [(int(rng.integers(1, 4)), fixed)[:: 1 if axis == 0 else -1] for _ in range(3)]
+        parts = [t64(rng.normal(size=shape)) for shape in shapes]
+        weights = t64(rng.normal(size=np.concatenate([p.values for p in parts], axis=axis).shape))
+        return lambda: reduce_sum(multiply(concat(parts, axis=axis), weights)), parts
+    if kind == "cosine_similarity":
+        shape = (int(rng.integers(1, 4)), int(rng.integers(2, 6)))
+        a = t64(rng.normal(size=shape) + 0.5)
+        b = t64(rng.normal(size=shape) - 0.5)
+        weights = t64(rng.normal(size=shape[0]))
+        return lambda: reduce_sum(multiply(cosine_similarity(a, b), weights)), [a, b]
+    if kind == "pick_row":
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        if i % 3 == 0:  # repeated rows accumulate
+            a = t64(rng.normal(size=(rows, cols)))
+            row = rng.integers(0, rows, size=(2, 3))
+        elif i % 3 == 1:
+            a = t64(rng.normal(size=(rows, cols)))
+            row = (rng.integers(0, rows, size=4), rng.integers(0, cols, size=4))
+        else:  # one position of each of several sequences, as the composer reads them
+            a = t64(rng.normal(size=(rows, cols, int(rng.integers(1, 4)))))
+            row = (rng.integers(0, rows, size=4), int(rng.integers(0, cols)))
+        weights = t64(rng.normal(size=a.values[row].shape))
+        return lambda: reduce_sum(multiply(pick_row(a, row), weights)), [a]
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind", ["concat", "cosine_similarity", "pick_row"])
+def test_primitive_gradients_random_array_forms(kind):
+    rng = np.random.default_rng(2000 + OP_KINDS.index(kind))
+    for i in range(100):
+        builder, params = _random_array_case(kind, rng, i)
         check_grads(builder, params)
 
 
@@ -386,6 +444,11 @@ def test_backward_rejects_foreign_loss():
 def test_concat_rejects_matrix_inputs():
     with pytest.raises(ValueError, match="concat"):
         concat([t64(np.zeros((2, 2)))])
+
+
+def test_concat_rows_rejects_axis():
+    with pytest.raises(ValueError, match="concat"):
+        concat([t64(np.zeros(2)), t64(np.zeros(2))], rows=True, axis=0)
 
 
 def test_log_sum_exp_rejects_bad_axis():

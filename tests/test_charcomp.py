@@ -3,16 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtag.autodiff import Tape, backward, finite_difference_check, tensor
+from seqtag.autodiff import (
+    Tape,
+    backward,
+    finite_difference_check,
+    multiply,
+    pick_row,
+    reduce_sum,
+    tensor,
+)
 from seqtag.charcomp import (
     AttentionParams,
     CharComposerParams,
     char_aux_loss,
     combine_attention,
     combine_concat,
-    compose_word,
+    compose_words,
 )
-from seqtag.layers import EmbeddingTable, init_lstm_params, lstm_step
+from seqtag.corpus import Sentence, build_vocab
+from seqtag.layers import EmbeddingTable, init_lstm_params
+from seqtag.model import ModelConfig, assemble_model
+
+from oracles import lstm_step
 
 
 def t64(values):
@@ -27,6 +39,15 @@ def make_composer(rng, word_dim=4, char_dim=3, hidden=3, n_chars=6, zero_proj=Fa
     return CharComposerParams(emb, fwd, bwd, w_m)
 
 
+def compose_one(char_ids, p):
+    """m for a single character sequence, through the batched composer."""
+    return pick_row(compose_words([char_ids], p), 0)
+
+
+def rows(vectors):
+    return t64(np.stack([v.values for v in vectors]))
+
+
 def make_attention(rng, dim=3, zero=False):
     def mat():
         return t64(np.zeros((dim, dim)) if zero else rng.normal(size=(dim, dim)))
@@ -35,20 +56,20 @@ def make_attention(rng, dim=3, zero=False):
 
 
 # ---------------------------------------------------------------------------
-# compose_word
+# composer
 # ---------------------------------------------------------------------------
 
 def test_compose_zero_projection_gives_zero():
     rng = np.random.default_rng(0)
     p = make_composer(rng, zero_proj=True)
-    m = compose_word([1, 2, 3], p)
+    m = compose_one([1, 2, 3], p)
     assert np.array_equal(m.values, np.zeros(4))
 
 
 def test_compose_single_char_matches_reference():
     rng = np.random.default_rng(1)
     p = make_composer(rng)
-    m = compose_word([2], p)
+    m = compose_one([2], p)
     zeros = t64(np.zeros(3))
     x = t64(p.char_embeddings.matrix.values[2])
     hf, _ = lstm_step(x, zeros, zeros, p.fwd)
@@ -60,18 +81,72 @@ def test_compose_single_char_matches_reference():
 def test_compose_is_pure():
     rng = np.random.default_rng(2)
     p = make_composer(rng)
-    a = compose_word([1, 4, 4, 2], p)
-    b = compose_word([1, 4, 4, 2], p)
+    a = compose_one([1, 4, 4, 2], p)
+    b = compose_one([1, 4, 4, 2], p)
     assert np.array_equal(a.values, b.values)
 
 
 def test_compose_bounded_and_rejects_empty():
     rng = np.random.default_rng(3)
     p = make_composer(rng)
-    m = compose_word([0, 1], p)
+    m = compose_one([0, 1], p)
     assert np.all(np.abs(m.values) < 1.0)
     with pytest.raises(ValueError, match="empty"):
-        compose_word([], p)
+        compose_one([], p)
+    with pytest.raises(ValueError, match="no character sequences"):
+        compose_words([], p)
+
+
+def test_batched_composer_matches_one_at_a_time():
+    rng = np.random.default_rng(20)
+    p = make_composer(rng)
+    seqs = [[1, 2, 3], [4], [2, 2], [1, 2, 3], [5, 0, 1, 4, 3], [4], [3, 1]]
+    batched = compose_words(seqs, p).values
+    assert batched.shape == (len(seqs), 4)
+    for row, cids in zip(batched, seqs):
+        assert np.allclose(row, compose_words([cids], p).values[0], rtol=0.0, atol=1e-12)
+
+
+def test_batched_composer_gradient_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    p = make_composer(rng)
+    seqs = [[1, 2], [3], [2, 4], [5, 1, 0]]
+    weights = t64(rng.normal(size=(len(seqs), 4)))
+
+    def builder():
+        return reduce_sum(multiply(compose_words(seqs, p), weights))
+
+    params = [p.char_embeddings.matrix, p.fwd.w_x, p.fwd.w_h, p.fwd.b,
+              p.bwd.w_x, p.bwd.w_h, p.bwd.b, p.w_m]
+    report = finite_difference_check(builder, params, eps=1e-5)
+    assert report.max_rel_error < 1e-6, str(report)
+
+
+def test_repeated_types_add_no_composer_nodes():
+    words = [["ab", "cd", "ab"], ["cd", "efg", "ab"], ["efg"]]
+    sents = [Sentence(w, w, ["O"] * len(w)) for w in words]
+    vocab = build_vocab(sents, min_count=1)
+    model = assemble_model(
+        ModelConfig(architecture="attention", word_dim=4, char_dim=3, word_lstm_hidden=3,
+                    char_lstm_hidden=3, d_size=2, dtype="float64"),
+        vocab,
+    )
+    enc = vocab.encode_corpus(sents)
+
+    def composer_nodes(batch):
+        tape = Tape()
+        with tape:
+            m_all, token_rows = model._compose(batch)
+        return len(tape), m_all, token_rows
+
+    once, m_once, _ = composer_nodes(enc[:2])
+    again, m_again, token_rows = composer_nodes(enc[:2] + enc)
+    assert again == once
+    assert np.array_equal(m_again.values, m_once.values)
+    # every occurrence of a type reads the one row composed for it
+    assert token_rows[0].tolist() == [0, 1, 0]
+    assert token_rows[1].tolist() == [1, 2, 0]
+    assert token_rows[4].tolist() == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +240,7 @@ def test_aux_loss_zero_when_vectors_agree():
     rng = np.random.default_rng(10)
     xs = [t64(rng.normal(size=4)) for _ in range(3)]
     ms = [t64(x.values.copy()) for x in xs]
-    loss = char_aux_loss(ms, xs, [False, False, False])
+    loss = char_aux_loss(rows(ms), rows(xs), [False, False, False])
     assert abs(float(loss.values)) < 1e-6  # epsilon-guarded norms keep cos just under 1
 
 
@@ -173,7 +248,7 @@ def test_aux_loss_zero_when_everything_oov():
     rng = np.random.default_rng(11)
     ms = [t64(rng.normal(size=4)) for _ in range(3)]
     xs = [t64(rng.normal(size=4)) for _ in range(3)]
-    assert float(char_aux_loss(ms, xs, [True, True, True]).values) == 0.0
+    assert float(char_aux_loss(rows(ms), rows(xs), [True, True, True]).values) == 0.0
 
 
 def test_aux_loss_opposed_vector_scores_two():
@@ -181,7 +256,7 @@ def test_aux_loss_opposed_vector_scores_two():
     x = t64(rng.normal(size=4))
     m = t64(-x.values)
     filler = t64(rng.normal(size=4))
-    loss = char_aux_loss([m, filler], [x, filler], [False, True])
+    loss = char_aux_loss(rows([m, filler]), rows([x, filler]), [False, True])
     assert float(loss.values) == pytest.approx(2.0, abs=1e-6)
 
 
@@ -195,10 +270,8 @@ def test_aux_loss_blocks_word_embedding_gradient():
 
     tape = Tape()
     with tape:
-        ms = [compose_word(cids, p) for cids in char_ids]
-        from seqtag.autodiff import pick_row
-
-        xs = [pick_row(word_emb, i) for i in (0, 1, 2)]
+        ms = compose_words(char_ids, p)
+        xs = pick_row(word_emb, np.array([0, 1, 2]))
         loss = char_aux_loss(ms, xs, oov)
     backward(loss, tape)
     assert word_emb.grad is None or not word_emb.grad.any()
@@ -208,18 +281,18 @@ def test_aux_loss_blocks_word_embedding_gradient():
 
 def test_aux_loss_ignores_oov_perturbation():
     rng = np.random.default_rng(14)
-    ms = [t64(rng.normal(size=4)) for _ in range(3)]
-    xs = [t64(rng.normal(size=4)) for _ in range(3)]
+    ms = t64(rng.normal(size=(3, 4)))
+    xs = t64(rng.normal(size=(3, 4)))
     mask = [False, True, False]
     before = float(char_aux_loss(ms, xs, mask).values)
-    ms[1].values += 17.3
+    ms.values[1] += 17.3
     after = float(char_aux_loss(ms, xs, mask).values)
     assert before == after
 
 
 def test_aux_loss_length_mismatch_rejected():
     with pytest.raises(ValueError, match="length mismatch"):
-        char_aux_loss([t64([1.0])], [], [])
+        char_aux_loss(t64([[1.0]]), t64(np.zeros((0, 1))), [])
 
 
 def test_aux_loss_gradient_matches_finite_differences():
@@ -229,10 +302,8 @@ def test_aux_loss_gradient_matches_finite_differences():
     char_ids = [[1, 2], [3, 5, 2]]
 
     def builder():
-        from seqtag.autodiff import pick_row
-
-        ms = [compose_word(cids, p) for cids in char_ids]
-        xs = [pick_row(word_emb, i) for i in (0, 2)]
+        ms = compose_words(char_ids, p)
+        xs = pick_row(word_emb, np.array([0, 2]))
         return char_aux_loss(ms, xs, [False, False])
 
     params = [word_emb, p.char_embeddings.matrix, p.fwd.w_x, p.fwd.w_h, p.fwd.b,

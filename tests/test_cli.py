@@ -211,6 +211,19 @@ def test_tag_short_row_names_file_and_line(trained_dir, tmp_path, capsys):
     assert f"{src}:2: expected at least 2 columns" in err
 
 
+def test_oversized_header_length_is_an_error(trained_dir, data_dir, tmp_path, capsys):
+    raw = (trained_dir / "word" / "model.bin").read_bytes()
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(raw[:4] + struct.pack("<Q", 2**62) + raw[12:])
+    code = main([
+        "evaluate", "--model", str(bad), "--data", str(data_dir / "test.conll"), "--metric", "acc",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(bad) in err and "header length" in err
+
+
 @pytest.mark.parametrize("mutate", [
     lambda h: h.pop("config"),
     lambda h: h.update(config=[]),
@@ -322,3 +335,24 @@ def test_config_parsing_errors(tmp_path):
         config_from_mapping({"depth": "3"})
     with pytest.raises(ValueError, match="boolean"):
         config_from_mapping({"shuffle": "maybe"})
+
+
+def test_train_with_non_finite_loss_fails(data_dir, tmp_path, capsys):
+    words = {w for s in load_conll(data_dir / "train.conll") for w in s.normalized}
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{w} " + " ".join(["nan"] * 6) + "\n" for w in sorted(words)))
+    out = tmp_path / "run"
+    code = main([
+        "train", "--config", str(data_dir / "tiny.cfg"),
+        "--train", str(data_dir / "train.conll"),
+        "--dev", str(data_dir / "dev.conll"),
+        "--out", str(out), "--embeddings", str(vectors),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epoch 1" in err
+    assert (out / "FAILED").exists()
+    assert not (out / "model.bin").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["epochs"][0]["rejected_steps"] > 0
+    assert "rejected_steps" in (out / "report.tsv").read_text().splitlines()[0].split("\t")

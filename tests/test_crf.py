@@ -137,7 +137,7 @@ def test_softmax_gradient_is_probs_minus_onehot():
 # ---------------------------------------------------------------------------
 
 def test_emission_scores_zero_weights():
-    out = emission_scores([t64(np.ones(3)), t64(np.ones(3))], t64(np.zeros((2, 3))))
+    out = emission_scores(t64(np.ones((2, 3))), t64(np.zeros((2, 3))))
     assert np.array_equal(out.values, np.zeros((2, 2)))
 
 
@@ -145,7 +145,7 @@ def test_emission_scores_basis_vectors():
     w_o = np.arange(6.0).reshape(2, 3)
     d = np.zeros(3)
     d[1] = 1.0
-    out = emission_scores([t64(d)], t64(w_o))
+    out = emission_scores(t64(d[None, :]), t64(w_o))
     assert np.array_equal(out.values, w_o[:, 1][None, :])
 
 
@@ -153,7 +153,7 @@ def test_emission_scores_matches_numpy():
     rng = np.random.default_rng(2)
     w = rng.normal(size=(3, 2))
     ds = [rng.normal(size=2) for _ in range(3)]
-    out = emission_scores([t64(d) for d in ds], t64(w))
+    out = emission_scores(t64(np.stack(ds)), t64(w))
     assert np.allclose(out.values, np.stack([w @ d for d in ds]), atol=1e-15)
 
 

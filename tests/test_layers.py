@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from seqtag.autodiff import Tape, add, backward, concat, finite_difference_check, reduce_sum, tensor
+from seqtag.autodiff import (
+    Tape,
+    add,
+    backward,
+    concat,
+    finite_difference_check,
+    lstm_sequence,
+    multiply,
+    reduce_sum,
+    tensor,
+)
 from seqtag.layers import (
     EmbeddingTable,
     LstmParams,
@@ -12,8 +22,9 @@ from seqtag.layers import (
     embedding_lookup,
     glorot_uniform,
     init_lstm_params,
-    lstm_step,
 )
+
+from oracles import lstm_step
 
 
 def t64(values):
@@ -34,6 +45,21 @@ def random_lstm(rng, input_dim, hidden, scale=1.0):
     p.w_x.values *= scale
     p.w_h.values *= scale
     return p
+
+
+def rows(vectors):
+    return t64(np.stack([v.values for v in vectors]))
+
+
+def stepwise_states(xs, p, reverse=False):
+    """Hidden state after each position, from the lstm_step oracle."""
+    zeros = t64(np.zeros(p.hidden_size))
+    h, c = zeros, zeros
+    states = [None] * len(xs)
+    for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
+        h, c = lstm_step(xs[t], h, c, p)
+        states[t] = h.values
+    return np.stack(states)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +167,59 @@ def test_lstm_output_bounded():
 
 
 # ---------------------------------------------------------------------------
+# whole-sequence op
+# ---------------------------------------------------------------------------
+
+SEQUENCE_SHAPES = [(1, None), (5, None), (1, 1), (5, 1), (1, 3), (5, 3)]  # (T, batch or None)
+
+
+def sequence_inputs(rng, length, batch, input_dim=3):
+    shape = (length, input_dim) if batch is None else (batch, length, input_dim)
+    return t64(rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("length,batch", SEQUENCE_SHAPES)
+def test_lstm_sequence_matches_stepwise_oracle(length, batch, reverse):
+    rng = np.random.default_rng(31 + length + 7 * (batch or 0))
+    p = random_lstm(rng, 3, 4)
+    x = sequence_inputs(rng, length, batch)
+    out = lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse)
+    assert out.shape == x.shape[:-1] + (4,)
+    seqs = x.values if batch is not None else x.values[None]
+    got = out.values if batch is not None else out.values[None]
+    for seq, states in zip(seqs, got):
+        want = stepwise_states([t64(v) for v in seq], p, reverse=reverse)
+        if (batch or 1) == 1:
+            assert np.array_equal(states, want)
+        else:  # h @ w_h of several rows at once is a GEMM, which rounds differently
+            assert np.allclose(states, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("length,batch", SEQUENCE_SHAPES)
+def test_lstm_sequence_gradient_all_inputs(length, batch, reverse):
+    rng = np.random.default_rng(47 + length + 7 * (batch or 0))
+    p = random_lstm(rng, 3, 4)
+    x = sequence_inputs(rng, length, batch)
+    weights = t64(rng.normal(size=x.shape[:-1] + (4,)))
+
+    def builder():
+        return reduce_sum(multiply(lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse), weights))
+
+    report = finite_difference_check(builder, [x, p.w_x, p.w_h, p.b], eps=1e-5,
+                                     names=["x", "w_x", "w_h", "b"])
+    assert report.max_rel_error < 1e-6, str(report)
+
+
+def test_lstm_sequence_shape_errors():
+    p = zero_lstm(2, 3)
+    for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((4, 5)), np.zeros((1, 2, 2, 2))):
+        with pytest.raises(ValueError, match="lstm_sequence"):
+            lstm_sequence(t64(bad), p.w_x, p.w_h, p.b)
+
+
+# ---------------------------------------------------------------------------
 # bidirectional runs
 # ---------------------------------------------------------------------------
 
@@ -149,13 +228,13 @@ def test_bilstm_length_one():
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
     x = t64(rng.normal(size=2))
-    out = bilstm_run([x], fwd, bwd)
+    out = bilstm_run(rows([x]), fwd, bwd)
     zeros = t64(np.zeros(3))
     hf, _ = lstm_step(x, zeros, zeros, fwd)
     hb, _ = lstm_step(x, zeros, zeros, bwd)
-    assert np.array_equal(out.per_step[0].values, np.concatenate([hf.values, hb.values]))
-    assert np.array_equal(out.forward_last.values, hf.values)
-    assert np.array_equal(out.backward_first.values, hb.values)
+    assert np.array_equal(out.values[0], np.concatenate([hf.values, hb.values]))
+    assert np.array_equal(out.values[-1, :3], hf.values)
+    assert np.array_equal(out.values[0, 3:], hb.values)
 
 
 def test_bilstm_reversal_symmetry():
@@ -163,14 +242,14 @@ def test_bilstm_reversal_symmetry():
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
     xs = [t64(rng.normal(size=2)) for _ in range(4)]
-    out = bilstm_run(xs, fwd, bwd)
-    rev = bilstm_run(xs[::-1], bwd, fwd)
+    out = bilstm_run(rows(xs), fwd, bwd)
+    rev = bilstm_run(rows(xs[::-1]), bwd, fwd)
     n, h = len(xs), 3
     for t in range(n):
         # forward half of the reversed run equals the backward half of the
         # original at the mirrored position, bit for bit
-        assert np.array_equal(rev.per_step[t].values[:h], out.per_step[n - 1 - t].values[h:])
-    assert np.array_equal(rev.forward_last.values, out.backward_first.values)
+        assert np.array_equal(rev.values[t, :h], out.values[n - 1 - t, h:])
+    assert np.array_equal(rev.values[-1, :h], out.values[0, h:])
 
 
 def test_bilstm_matches_reference_loop():
@@ -178,7 +257,7 @@ def test_bilstm_matches_reference_loop():
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
     xs = [t64(rng.normal(size=2)) for _ in range(3)]
-    out = bilstm_run(xs, fwd, bwd)
+    out = bilstm_run(rows(xs), fwd, bwd)
 
     zeros = t64(np.zeros(3))
     h, c = zeros, zeros
@@ -193,7 +272,7 @@ def test_bilstm_matches_reference_loop():
         bwd_states[t] = h.values
     for t in range(3):
         assert np.array_equal(
-            out.per_step[t].values, np.concatenate([fwd_states[t], bwd_states[t]])
+            out.values[t], np.concatenate([fwd_states[t], bwd_states[t]])
         )
 
 
@@ -201,7 +280,7 @@ def test_bilstm_empty_rejected():
     rng = np.random.default_rng(0)
     p = random_lstm(rng, 2, 3)
     with pytest.raises(ValueError, match="empty"):
-        bilstm_run([], p, p)
+        bilstm_run(t64(np.zeros((0, 2))), p, p)
 
 
 def test_bilstm_per_step_length_1_through_50():
@@ -210,9 +289,9 @@ def test_bilstm_per_step_length_1_through_50():
     bwd = random_lstm(rng, 2, 2)
     for length in range(1, 51):
         xs = [t64(rng.normal(size=2)) for _ in range(length)]
-        out = bilstm_run(xs, fwd, bwd)
-        assert len(out.per_step) == length
-        assert all(s.shape == (4,) for s in out.per_step)
+        out = bilstm_run(rows(xs), fwd, bwd)
+        assert len(out.values) == length
+        assert all(s.shape == (4,) for s in out.values)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +330,8 @@ def test_full_stack_gradient_check():
     ids = [0, 2, 3, 2]
 
     def builder():
-        xs = [embedding_lookup(table, i) for i in ids]
-        out = bilstm_run(xs, fwd, bwd)
-        return reduce_sum(concat([dense_tanh(h, w_d) for h in out.per_step]))
+        out = bilstm_run(embedding_lookup(table, np.array(ids)), fwd, bwd)
+        return reduce_sum(dense_tanh(out, w_d))
 
     params = [table.matrix, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b, w_d]
     report = finite_difference_check(builder, params, eps=1e-5)

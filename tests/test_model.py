@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -231,3 +234,29 @@ def test_load_rejects_trailing_data(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ModelFormatError, match="trailing"):
         load_model(path)
+
+
+def test_failed_save_leaves_existing_file_intact(tmp_path):
+    vocab, _ = tiny_vocab()
+    model = assemble_model(toy_config(dtype="float32"), vocab)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    before = path.read_bytes()
+    # the last tensor cannot be converted, so the save fails after writing the others
+    last = list(model.all_tensors().values())[-1]
+    last.values = np.array([object()])
+    with pytest.raises(TypeError):
+        save_model(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+def test_save_over_existing_file_keeps_its_mode(tmp_path):
+    vocab, _ = tiny_vocab()
+    model = assemble_model(toy_config(dtype="float32"), vocab)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    os.chmod(path, 0o640)
+    save_model(model, path)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
