@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
-The engine is deliberately small: thirteen primitive kinds, picked as
+The engine is deliberately small: fourteen primitive kinds, picked as
 the minimal set the tagging models in this package need, plus a
 gradient blocking marker. Values are dense numpy arrays of zero to three
 dimensions; only ``lstm_sequence`` and ``pick_row`` take or give three.
@@ -16,8 +16,6 @@ Shape rules per primitive kind::
     multiply(a, b)         same rule as add
     tanh(t), sigmoid(t)    elementwise, any shape
     concat(ts)             scalar or vector inputs joined into one vector
-    concat(ts, rows=True)  equal-length vectors stacked into a matrix
-                           (no axis allowed)
     concat(ts, axis=k)     equal-rank inputs joined along axis k; all
                            other dimensions must agree
     narrow(t, i, j)        contiguous vector slice [i, j)     (kind "slice")
@@ -40,6 +38,8 @@ Shape rules per primitive kind::
                            after every position of a whole LSTM run, as
                            one node with a hand-written backward pass
                            through time
+    log_partition(a, b)    (T,K) emissions, (K+2,K+2) transitions -> CRF log Z
+                           as one node; its backward sends the marginals
 
 Recording is scoped by a ``Tape`` used as a context manager; outside any
 tape the same functions run forward-only. The finite-difference checker
@@ -73,6 +73,7 @@ OP_KINDS = (
     "pick_row",
     "transpose",
     "lstm_sequence",
+    "log_partition",
 )
 
 
@@ -247,31 +248,21 @@ def tanh(t: Tensor) -> Tensor:
 
 
 def _sigmoid(x):
+    # exp overflows to inf below about -88 in float32, which gives the right 0; callers
+    # silence that warning once per call, since entering np.errstate costs microseconds
     return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    out = _sigmoid(t.values)
+    with np.errstate(over="ignore"):
+        out = _sigmoid(t.values)
     return _emit("sigmoid", (t,), out, (out,))
 
 
-def concat(ts, rows: bool = False, axis: int | None = None) -> Tensor:
+def concat(ts, axis: int | None = None) -> Tensor:
     ts = tuple(ts)
     if not ts:
         raise ValueError("concat: need at least one input")
-    if rows:
-        if axis is not None:
-            raise ValueError(f"concat: rows=True stacks vectors and takes no axis, got axis={axis}")
-        width = None
-        for t in ts:
-            if t.values.ndim != 1:
-                raise _shape_error("concat(rows)", t.shape)
-            if width is None:
-                width = t.shape[0]
-            elif t.shape[0] != width:
-                raise _shape_error("concat(rows)", (width,), t.shape)
-        out = np.stack([t.values for t in ts])
-        return _emit("concat", ts, out, ("rows", None, None))
     shapes = tuple(t.shape for t in ts)
     if axis is None:
         for t in ts:
@@ -286,7 +277,7 @@ def concat(ts, rows: bool = False, axis: int | None = None) -> Tensor:
             raise _shape_error(f"concat(axis={axis})", *shapes)
         parts = [t.values for t in ts]
     out = np.concatenate(parts, axis=axis)
-    return _emit("concat", ts, out, ("join", axis, shapes))
+    return _emit("concat", ts, out, (axis, shapes))
 
 
 def narrow(t: Tensor, start: int, stop: int) -> Tensor:
@@ -302,17 +293,18 @@ def reduce_sum(t: Tensor) -> Tensor:
     return _emit("sum", (t,), np.asarray(t.values.sum()), ())
 
 
+def _logsumexp(v, axis=None):
+    """Max-shifted log-sum-exp of all of ``v`` (axis None) or of each column (axis 0)."""
+    m = v.max(axis=axis)
+    return m + np.log(np.exp(v - m).sum(axis=axis))
+
+
 def log_sum_exp(t: Tensor, axis=None) -> Tensor:
     v = t.values
-    if axis is None and v.ndim == 1 and v.size:
-        m = v.max()
-        out = np.asarray(float(m + np.log(np.exp(v - m).sum())), dtype=v.dtype)
-    elif axis == 0 and v.ndim == 2 and v.shape[0]:
-        mx = v.max(axis=0)
-        out = np.asarray(mx + np.log(np.exp(v - mx).sum(axis=0)), dtype=v.dtype)
-    else:
+    if not (axis is None and v.ndim == 1 and v.size or axis == 0 and v.ndim == 2 and v.shape[0]):
         raise _shape_error("log_sum_exp", v.shape)
-    return _emit("log_sum_exp", (t,), out, (v, out, axis))
+    out = np.asarray(_logsumexp(v, axis), dtype=v.dtype)
+    return _emit("log_sum_exp", (t,), out, (v, out))
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
@@ -384,17 +376,34 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
     h = np.zeros((n, hid), dtype=proj.dtype)
     c = h
     cand = slice(2 * hid, 3 * hid)
-    for t in range(steps - 1, -1, -1) if reverse else range(steps):
-        a = proj[:, t] + h @ wh + bv
-        act = gates[:, t]
-        act[...] = _sigmoid(a)
-        act[:, cand] = np.tanh(a[:, cand])
-        c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, cand]
-        h = act[:, 3 * hid :] * np.tanh(c)
-        cells[:, t] = c
-        hidden[:, t] = h
+    with np.errstate(over="ignore"):
+        for t in range(steps - 1, -1, -1) if reverse else range(steps):
+            a = proj[:, t] + h @ wh + bv
+            act = gates[:, t]
+            act[...] = _sigmoid(a)
+            act[:, cand] = np.tanh(a[:, cand])
+            c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, cand]
+            h = act[:, 3 * hid :] * np.tanh(c)
+            cells[:, t] = c
+            hidden[:, t] = h
     out = hidden if xv.ndim == 3 else hidden[0]
     return _emit("lstm_sequence", (x, w_x, w_h, b), out, (seqs, wx, wh, gates, cells, hidden, reverse))
+
+
+def log_partition(a: Tensor, b: Tensor) -> Tensor:
+    """CRF log partition by the forward algorithm; scores laid out as in ``seqtag.crf.TagLattice``."""
+    av, bv = a.values, b.values
+    if av.ndim != 2 or av.shape[0] == 0 or bv.shape != (av.shape[1] + 2,) * 2:
+        raise _shape_error("log_partition", av.shape, bv.shape)
+    steps, k = av.shape
+    trans = bv[:k, :k]
+    # alpha[t, j]: log of the summed scores of all prefixes ending in label j at t
+    alpha = np.empty(av.shape, dtype=np.result_type(av, bv))
+    alpha[0] = bv[k, :k] + av[0]
+    for t in range(1, steps):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + av[t]
+    out = np.asarray(_logsumexp(alpha[-1] + bv[:k, k + 1]), dtype=alpha.dtype)
+    return _emit("log_partition", (a, b), out, (av, bv, alpha, out))
 
 
 def stop_gradient(t: Tensor) -> Tensor:
@@ -467,11 +476,7 @@ def _bwd_sigmoid(node, g, grads, tensors):
 
 
 def _bwd_concat(node, g, grads, tensors):
-    mode, axis, shapes = node.saved
-    if mode == "rows":
-        for i, nid in enumerate(node.input_ids):
-            _acc(grads, tensors, nid, g[i])
-        return
+    axis, shapes = node.saved
     sizes = [s[axis] if s else 1 for s in shapes]
     pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
     for nid, piece, shape in zip(node.input_ids, pieces, shapes):
@@ -492,11 +497,8 @@ def _bwd_sum(node, g, grads, tensors):
 
 
 def _bwd_log_sum_exp(node, g, grads, tensors):
-    x, out, axis = node.saved
-    if axis is None:
-        _acc(grads, tensors, node.input_ids[0], np.exp(x - float(out)) * float(g))
-    else:
-        _acc(grads, tensors, node.input_ids[0], np.exp(x - out) * g)
+    x, out = node.saved
+    _acc(grads, tensors, node.input_ids[0], np.exp(x - out) * g)
 
 
 def _bwd_cosine(node, g, grads, tensors):
@@ -568,6 +570,26 @@ def _bwd_lstm_sequence(node, g, grads, tensors):
     _acc(grads, tensors, b_id, d_pre.sum(axis=0))
 
 
+def _bwd_log_partition(node, g, grads, tensors):
+    """One backward recursion, then g times the marginals to each score."""
+    av, bv, alpha, log_z = node.saved
+    steps, k = av.shape
+    trans = bv[:k, :k]
+    # beta[t, i]: log of the summed scores of all suffixes after label i at t
+    beta = np.empty_like(alpha)
+    beta[-1] = bv[:k, k + 1]
+    for t in range(steps - 1, 0, -1):
+        beta[t - 1] = _logsumexp((trans + (av[t] + beta[t])).T, axis=0)
+    unary = np.exp(alpha + beta - log_z) * g
+    pairs = np.exp(alpha[:-1, :, None] + trans + (av[1:] + beta[1:])[:, None, :] - log_z)
+    db = np.zeros_like(bv)
+    db[:k, :k] = pairs.sum(axis=0) * g
+    db[k, :k] = unary[0]
+    db[:k, k + 1] = unary[-1]
+    _acc(grads, tensors, node.input_ids[0], unary)
+    _acc(grads, tensors, node.input_ids[1], db)
+
+
 def _bwd_stop_gradient(node, g, grads, tensors):
     pass
 
@@ -586,6 +608,7 @@ _BACKWARD = {
     "pick_row": _bwd_pick_row,
     "transpose": _bwd_transpose,
     "lstm_sequence": _bwd_lstm_sequence,
+    "log_partition": _bwd_log_partition,
     "stop_gradient": _bwd_stop_gradient,
 }
 

@@ -216,7 +216,9 @@ def load_pretrained_embeddings(
     An optional first line of two integers (count and width) is treated
     as a header. Vocabulary words found in the file take their stored
     row; everything else, including the OOV row, starts uniform in
-    [-scale, scale]. The table is trainable so rows keep adapting.
+    [-scale, scale]. The table is trainable so rows keep adapting. A
+    vocabulary word's value that is not a finite number of ``dtype``
+    (``nan``, ``inf`` or out of range) is an error naming its line.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -246,9 +248,16 @@ def load_pretrained_embeddings(
             if wid is None:
                 continue
             try:
-                matrix[wid] = np.asarray([float(v) for v in fields], dtype=dtype)
+                with np.errstate(over="ignore"):  # a value too large for dtype becomes inf
+                    row = np.asarray([float(v) for v in fields], dtype=dtype)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
+            if not np.isfinite(row).all():
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite value for {word!r} "
+                    f"(nan, inf or beyond the {np.dtype(dtype).name} range)"
+                )
+            matrix[wid] = row
     return EmbeddingTable(Tensor(matrix), oov_row=vocab.oov_word_id, trainable=True)
 
 

@@ -10,9 +10,10 @@ last label into end. Transitions into start and out of end are never
 read by any scoring routine, which is equivalent to holding them at
 minus infinity.
 
-The negative log-likelihood runs the forward algorithm in log space on
-the tape, so its gradient comes from the reverse pass like everything
-else. Decoding is plain numeric Viterbi with ties broken toward the
+The negative log-likelihood is log Z, one tape node whose backward
+pass sends the forward-backward marginals to the scores, minus the
+gold path's score, gathered by one indexed read per score matrix.
+Decoding is plain numeric Viterbi with ties broken toward the
 lowest label index at every backpointer decision; the exhaustive oracle
 in the tests applies the same preference, which for enumeration order
 means keeping the candidate whose reversed sequence compares lowest.
@@ -27,10 +28,9 @@ from .autodiff import (
     add,
     concat,
     const_like,
-    log_sum_exp,
+    log_partition,
     matmul,
     multiply,
-    narrow,
     pick_row,
     reduce_sum,
     transpose,
@@ -142,43 +142,18 @@ def crf_sequence_score(lat: TagLattice, y) -> float:
 
 
 def crf_log_partition(lat: TagLattice) -> Tensor:
-    """Log of the summed exponentiated scores of all label sequences.
-
-    Forward algorithm in log space over tape primitives; rows of the
-    transition matrix are sliced once per sentence and reused.
-    """
-    a, b = lat.emissions, lat.transitions
-    k = lat.num_labels
-    out_rows = []
-    end_parts = []
-    for j in range(k):
-        row = pick_row(b, j)
-        out_rows.append(narrow(row, 0, k))
-        end_parts.append(narrow(row, lat.end_index, lat.end_index + 1))
-    into_end = concat(end_parts)
-
-    alpha = add(narrow(pick_row(b, lat.start_index), 0, k), pick_row(a, 0))
-    for t in range(1, lat.seq_len):
-        shifted = [add(out_rows[j], narrow(alpha, j, j + 1)) for j in range(k)]
-        alpha = add(log_sum_exp(concat(shifted, rows=True), axis=0), pick_row(a, t))
-    return log_sum_exp(add(alpha, into_end))
+    """Log of the summed exponentiated scores of all label sequences."""
+    return log_partition(lat.emissions, lat.transitions)
 
 
 def crf_nll(lat: TagLattice, y) -> Tensor:
     """Negative log-likelihood of the gold sequence; never below zero."""
-    y = _check_sequence(lat, y)
-    a, b = lat.emissions, lat.transitions
-
-    def entry(m, r, c):
-        return narrow(pick_row(m, r), c, c + 1)
-
-    parts = [entry(b, lat.start_index, y[0]), entry(a, 0, y[0])]
-    for t in range(1, lat.seq_len):
-        parts.append(entry(b, y[t - 1], y[t]))
-        parts.append(entry(a, t, y[t]))
-    parts.append(entry(b, y[-1], lat.end_index))
-    gold_score = reduce_sum(concat(parts))
-
+    y = np.asarray(_check_sequence(lat, y), dtype=np.int64)
+    path = np.concatenate(([lat.start_index], y, [lat.end_index]))
+    gold_score = reduce_sum(concat((
+        pick_row(lat.emissions, (np.arange(lat.seq_len), y)),
+        pick_row(lat.transitions, (path[:-1], path[1:])),
+    )))
     log_z = crf_log_partition(lat)
     return add(log_z, multiply(gold_score, const_like(-1.0, gold_score)))
 

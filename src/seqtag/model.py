@@ -20,7 +20,9 @@ composes the sentence's own types in one call.
 
 Saved models are a single binary container: a short magic, a JSON
 header (format version, configuration, vocabulary, tensor manifest)
-and the raw parameter data as little-endian 32-bit floats.
+and the raw parameter data as little-endian floats of the configured
+dtype, so a model reloads to exactly its trained values. Version 1
+files, which stored every model as 32-bit floats, still load.
 """
 
 from __future__ import annotations
@@ -70,7 +72,10 @@ ARCHITECTURES = ("word", "concat", "attention")
 OUTPUTS = ("softmax", "crf")
 
 MODEL_MAGIC = b"SQTG"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+# accepted Python types per declared field type; bool is an int but no int field takes one
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass
@@ -95,6 +100,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {self.architecture!r}")
         if self.output not in OUTPUTS:
@@ -105,6 +114,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if self.epsilon <= 0 or self.learning_rate <= 0:
@@ -410,6 +421,11 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         os.close(dir_fd)
 
 
+def _stored_dtype(config: ModelConfig, version: int = MODEL_FORMAT_VERSION) -> str:
+    """Dtype of the tensor data in a file: float32 in version 1, the model's own after."""
+    return "<f4" if version == 1 or config.dtype == "float32" else "<f8"
+
+
 def save_model(model: Model, path):
     header = {
         "format": "seqtag-model",
@@ -422,12 +438,13 @@ def save_model(model: Model, path):
         ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    stored = _stored_dtype(model.config)
     with atomic_open(path) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name, t in model.all_tensors().items():
-            fh.write(np.ascontiguousarray(t.values, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(t.values, dtype=stored).tobytes())
 
 
 def load_model(path) -> Model:
@@ -453,10 +470,10 @@ def load_model(path) -> Model:
         if not isinstance(header, dict):
             raise ModelFormatError(f"{path}: corrupt header (not a JSON object)")
         version = header.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
+        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
             raise ModelFormatError(
                 f"{path}: unsupported format version {version!r}, "
-                f"expected {MODEL_FORMAT_VERSION}"
+                f"expected 1 or {MODEL_FORMAT_VERSION}"
             )
         for key, kind in (("config", dict), ("vocab", dict), ("tensors", list)):
             if not isinstance(header.get(key), kind):
@@ -481,6 +498,7 @@ def load_model(path) -> Model:
         if {e["name"] for e in manifest} != set(registry):
             raise ModelFormatError(f"{path}: tensor names do not match the configuration")
         dtype = config.np_dtype()
+        stored = np.dtype(_stored_dtype(config, version))
         for entry in manifest:
             name, shape = entry["name"], tuple(entry["shape"])
             target = registry[name]
@@ -488,11 +506,11 @@ def load_model(path) -> Model:
                 raise ModelFormatError(
                     f"{path}: shape mismatch for {name}: file {shape}, model {target.shape}"
                 )
-            nbytes = int(np.prod(shape, dtype=np.int64)) * 4
+            nbytes = int(np.prod(shape, dtype=np.int64)) * stored.itemsize
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise ModelFormatError(f"{path}: truncated model file (tensor {name})")
-            target.values[...] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
+            target.values[...] = np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype)
         if fh.read(1):
             raise ModelFormatError(f"{path}: trailing data after last tensor")
     return model

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from seqtag.autodiff import (
     concat,
     cosine_similarity,
     finite_difference_check,
+    log_partition,
     log_sum_exp,
     lstm_sequence,
     matmul,
@@ -50,6 +52,18 @@ def test_tanh_at_zero():
 def test_sigmoid_at_zero():
     out = sigmoid(t64([0.0]))
     assert np.array_equal(out.values, [0.5])
+
+
+def test_saturated_sigmoid_is_zero_without_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(tensor(np.full(3, -1000.0), dtype=np.float32))
+        x = tensor(np.full((2, 1), -1000.0), dtype=np.float32)
+        w_x = tensor(np.ones((1, 4)), dtype=np.float32)
+        w_h = tensor(np.zeros((1, 4)), dtype=np.float32)
+        states = lstm_sequence(x, w_x, w_h, tensor(np.zeros(4), dtype=np.float32))
+    assert out.dtype == np.float32 and np.array_equal(out.values, np.zeros(3))
+    assert states.dtype == np.float32 and np.array_equal(states.values, np.zeros((2, 1)))
 
 
 def test_log_sum_exp_equal_entries():
@@ -214,13 +228,10 @@ def _random_case(kind, rng, i):
         a = t64(rng.normal(size=shape))
         return lambda: reduce_sum(op(a)), [a]
     if kind == "concat":
-        if i % 2:
-            parts = [t64(rng.normal(size=int(rng.integers(1, 4)))) for _ in range(3)]
-            parts.append(t64(rng.normal()))
-            return lambda: reduce_sum(concat(parts)), parts
-        width = int(rng.integers(1, 4))
-        parts = [t64(rng.normal(size=width)) for _ in range(3)]
-        return lambda: reduce_sum(concat(parts, rows=True)), parts
+        parts = [t64(rng.normal(size=int(rng.integers(1, 4)))) for _ in range(3)]
+        parts.insert(i % 4, t64(rng.normal()))  # the scalar takes each position in turn
+        weights = t64(rng.normal(size=sum(p.size for p in parts)))
+        return lambda: reduce_sum(multiply(concat(parts), weights)), parts
     if kind == "slice":
         n = int(rng.integers(3, 8))
         start = int(rng.integers(0, n - 1))
@@ -263,6 +274,11 @@ def _random_case(kind, rng, i):
             lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse), weights)),
             [x, w_x, w_h, b],
         )
+    if kind == "log_partition":
+        steps, labels = 1 + i % 5, 1 + (i // 5) % 4  # every T in 1-5 with every K in 1-4
+        a = t64(rng.normal(size=(steps, labels)))
+        b = t64(rng.normal(size=(labels + 2, labels + 2)))
+        return lambda: log_partition(a, b), [a, b]
     raise AssertionError(kind)
 
 
@@ -446,9 +462,10 @@ def test_concat_rejects_matrix_inputs():
         concat([t64(np.zeros((2, 2)))])
 
 
-def test_concat_rows_rejects_axis():
-    with pytest.raises(ValueError, match="concat"):
-        concat([t64(np.zeros(2)), t64(np.zeros(2))], rows=True, axis=0)
+def test_log_partition_shape_errors():
+    for a, b in [((2, 3), (4, 4)), ((0, 2), (4, 4)), ((3,), (3, 3))]:
+        with pytest.raises(ValueError, match="log_partition"):
+            log_partition(t64(np.zeros(a)), t64(np.zeros(b)))
 
 
 def test_log_sum_exp_rejects_bad_axis():

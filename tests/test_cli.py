@@ -232,7 +232,12 @@ def test_oversized_header_length_is_an_error(trained_dir, data_dir, tmp_path, ca
     lambda h: h.pop("tensors"),
     lambda h: h["tensors"][0].pop("name"),
     lambda h: h["tensors"][0].update(shape=7),
-], ids=["no-config", "list-config", "no-vocab", "no-words", "no-tensors", "no-name", "int-shape"])
+    lambda h: h["config"].update(word_dim=4.0),
+    lambda h: h["config"].update(d_size=True),
+    lambda h: h["config"].update(seed=1.5),
+    lambda h: h["config"].update(seed=-1),
+], ids=["no-config", "list-config", "no-vocab", "no-words", "no-tensors", "no-name", "int-shape",
+        "float-word-dim", "bool-d-size", "float-seed", "negative-seed"])
 def test_malformed_model_header_is_an_error(trained_dir, data_dir, tmp_path, capsys, mutate):
     raw = (trained_dir / "word" / "model.bin").read_bytes()
     (n,) = struct.unpack("<Q", raw[4:12])
@@ -338,15 +343,14 @@ def test_config_parsing_errors(tmp_path):
 
 
 def test_train_with_non_finite_loss_fails(data_dir, tmp_path, capsys):
-    words = {w for s in load_conll(data_dir / "train.conll") for w in s.normalized}
-    vectors = tmp_path / "vectors.txt"
-    vectors.write_text("".join(f"{w} " + " ".join(["nan"] * 6) + "\n" for w in sorted(words)))
+    config = tmp_path / "huge-step.cfg"
+    config.write_text(TINY_CONFIG + "learning_rate = 1e300\n")
     out = tmp_path / "run"
     code = main([
-        "train", "--config", str(data_dir / "tiny.cfg"),
+        "train", "--config", str(config),
         "--train", str(data_dir / "train.conll"),
         "--dev", str(data_dir / "dev.conll"),
-        "--out", str(out), "--embeddings", str(vectors),
+        "--out", str(out),
     ])
     assert code == 1
     err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,16 @@ def test_pretrained_malformed_value_names_line(tmp_path):
     path.write_text("dog 0.1 oops\n")
     with pytest.raises(ValueError, match=r"vec\.txt:1"):
         load_pretrained_embeddings(path, _tiny_vocab(), dim=2)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+def test_pretrained_non_finite_value_names_line(tmp_path, value):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"cat 0.3 0.4\ndog 0.1 {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"vec\.txt:2: non-finite"):
+            load_pretrained_embeddings(path, _tiny_vocab(), dim=2)
 
 
 # ---------------------------------------------------------------------------

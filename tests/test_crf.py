@@ -253,6 +253,18 @@ def test_nll_gradient_matches_finite_differences():
     assert report.max_rel_error < 1e-4, str(report)
 
 
+def test_nll_adds_a_fixed_number_of_tape_nodes():
+    rng = np.random.default_rng(13)
+    counts = set()
+    for t_len, k in [(1, 1), (1, 4), (5, 1), (7, 3), (20, 9), (30, 45)]:
+        lat = random_lattice(rng, t_len, k)
+        tape = Tape()
+        with tape:
+            crf_nll(lat, rng.integers(0, k, size=t_len))
+        counts.add(len(tape))
+    assert len(counts) == 1, counts
+
+
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import json
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -188,6 +190,41 @@ def test_save_load_roundtrip_bitexact(tmp_path):
         assert np.array_equal(t.values, again.all_tensors()[name].values), name
 
 
+def test_float64_save_load_roundtrip_is_exact(tmp_path):
+    vocab, _ = tiny_vocab()
+    model = assemble_model(toy_config(architecture="attention", output="crf"), vocab)
+    rng = np.random.default_rng(5)
+    for t in model.all_tensors().values():
+        t.values[...] = rng.normal(size=t.shape)  # not representable in float32
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    again = load_model(path)
+    for name, t in model.all_tensors().items():
+        assert again.all_tensors()[name].dtype == np.float64
+        assert np.array_equal(t.values, again.all_tensors()[name].values), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_version_1_file_loads_as_float32_data(tmp_path, dtype):
+    vocab, _ = tiny_vocab()
+    model = assemble_model(toy_config(dtype=dtype), vocab)
+    header = {
+        "format": "seqtag-model",
+        "format_version": 1,
+        "config": model.config.to_dict(),
+        "vocab": model.vocab.to_dict(),
+        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in model.all_tensors().items()],
+    }
+    blob = json.dumps(header).encode("utf-8")
+    data = b"".join(t.values.astype("<f4").tobytes() for t in model.all_tensors().values())
+    path = tmp_path / "model.bin"
+    path.write_bytes(b"SQTG" + struct.pack("<Q", len(blob)) + blob + data)
+    again = load_model(path)
+    for name, t in model.all_tensors().items():
+        expected = t.values.astype(np.float32).astype(dtype)
+        assert np.array_equal(again.all_tensors()[name].values, expected), name
+
+
 def test_save_is_byte_deterministic(tmp_path):
     vocab, _ = tiny_vocab()
     model = assemble_model(toy_config(dtype="float32"), vocab)
@@ -220,7 +257,7 @@ def test_load_rejects_version_mismatch(tmp_path):
     model = assemble_model(toy_config(dtype="float32"), vocab)
     path = tmp_path / "model.bin"
     save_model(model, path)
-    data = path.read_bytes().replace(b'"format_version":1', b'"format_version":9', 1)
+    data = path.read_bytes().replace(b'"format_version":2', b'"format_version":9', 1)
     path.write_bytes(data)
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
