@@ -2,10 +2,10 @@
 
 The engine is deliberately small: fourteen primitive kinds, picked as
 the minimal set the tagging models in this package need, plus a
-gradient blocking marker. Values are dense numpy arrays of zero to three
-dimensions; only ``lstm_sequence`` and ``pick_row`` take or give three.
-float32 is the training precision; float64 is the verification
-precision (finite-difference checks are unreliable in float32).
+gradient blocking marker. Values are dense numpy arrays of zero to two
+dimensions. float32 is the training precision; float64 is the
+verification precision (finite-difference checks are unreliable in
+float32).
 
 Shape rules per primitive kind::
 
@@ -26,18 +26,18 @@ Shape rules per primitive kind::
     cosine_similarity(a,b) vectors -> scalar, or (n,d) matrices -> (n,)
                            row by row; each norm is guarded with +1e-8
                            so zero vectors stay finite
-    pick_row(m, i)         m[i] of a matrix or 3-D value, copied: i is
-                           an int (one row), an integer array (rows
-                           gathered into shape i.shape + m.shape[1:]) or
-                           a tuple of those indexing the leading axes;
-                           repeated indices accumulate gradient
+    pick_row(m, i)         m[i] of a matrix, copied: i is an int (one
+                           row), an integer array (rows gathered into
+                           shape i.shape + (n,)) or a pair of them
+                           indexing rows and columns; repeated indices
+                           accumulate gradient
     transpose(m)           (m,n) -> (n,m)
-    lstm_sequence(x, w_x, w_h, b, reverse)
-                           (T,D) -> (T,H), or (B,T,D) -> (B,T,H) for B
-                           equal-length sequences: the hidden state
-                           after every position of a whole LSTM run, as
-                           one node with a hand-written backward pass
-                           through time
+    lstm_sequence(x, w_x, w_h, b, reverse, lengths)
+                           (N,D) -> (N,H) for one sequence, or several of
+                           the given lengths stored back to back: the
+                           hidden state after every position of whole
+                           LSTM runs, as one node with a hand-written
+                           backward pass through time
     log_partition(a, b)    (T,K) emissions, (K+2,K+2) transitions -> CRF log Z
                            as one node; its backward sends the marginals
 
@@ -51,6 +51,7 @@ backward pass computes.
 
 from __future__ import annotations
 
+import operator
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -320,7 +321,7 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
 
 def pick_row(m: Tensor, i) -> Tensor:
     v = m.values
-    if v.ndim < 2:
+    if v.ndim != 2:
         raise _shape_error("pick_row", v.shape)
     if isinstance(i, (int, np.integer)):
         if not 0 <= i < v.shape[0]:
@@ -343,51 +344,97 @@ def transpose(t: Tensor) -> Tensor:
     return _emit("transpose", (t,), v.T, ())
 
 
-def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """Hidden states of an LSTM run over whole sequences from zero states.
+def _run_layout(n_rows: int, lengths, reverse: bool):
+    """How an LSTM run walks sequences stored back to back as rows of one matrix.
 
-    ``x`` is (T, D), or (B, T, D) for B sequences of equal length run
-    together; the result is (T, H) or (B, T, H), row t holding the state
-    after position t. With ``reverse`` the run starts at position T - 1,
-    so row 0 holds its final state. Gate order and cell equations are
-    those documented in ``seqtag.layers``. The input projection of every
-    position is computed up front in one batched product; only
-    ``h @ w_h`` and the gate arithmetic run step by step. That product
+    Returns (steps, perm). ``steps`` lists, in run order, (rows, count):
+    the slice of the state buffers that step updates and how many
+    sequences it advances. ``perm`` is None when the buffers are laid
+    out like the input, else the input row each buffer row holds.
+
+    Sequences of one length keep the input's layout: step t is rows
+    t, t + L, t + 2L, ..., a strided slice, so nothing is sorted or
+    copied. Ragged sequences are packed step-major with the longest
+    first, so step t is a contiguous block of the sequences still
+    running and no padded position exists.
+    """
+    lens = [n_rows] if lengths is None else [operator.index(v) for v in lengths]
+    if not lens or min(lens) < 1 or sum(lens) != n_rows:
+        raise ValueError(f"lstm_sequence: lengths {lens} do not split {n_rows} rows")
+    longest = max(lens)
+    if min(lens) == longest:
+        order = range(longest - 1, -1, -1) if reverse else range(longest)
+        return [(slice(t, None, longest), len(lens)) for t in order], None
+    lens = np.array(lens)
+    rank = np.argsort(-lens, kind="stable")
+    ranked = lens[rank]
+    running = ranked > np.arange(longest)[:, None]  # (step, sequence), a prefix per row
+    step, seq = np.nonzero(running)
+    position = ranked[seq] - 1 - step if reverse else step
+    perm = (np.cumsum(lens) - lens)[rank][seq] + position
+    counts = running.sum(axis=1).tolist()
+    ends = np.cumsum(counts).tolist()
+    return [(slice(e - k, e), k) for e, k in zip(ends, counts)], perm
+
+
+def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False,
+                  lengths=None) -> Tensor:
+    """Hidden states of LSTM runs over whole sequences from zero states.
+
+    ``x`` is (N, D): one sequence, or with ``lengths`` several stored
+    back to back (``lengths`` sums to N). The result is (N, H), row for
+    row with ``x``: the state after that position of its own sequence.
+    With ``reverse`` each run starts at its sequence's last position.
+    Gate order and cell equations are those documented in
+    ``seqtag.layers``. All runs advance together, one ``h @ w_h``
+    product per step over the sequences still running (see
+    ``_run_layout``). For sequences of one length the input projection
     takes each position as its own vector-matrix product, the kernel a
     single cell update uses, so one sequence's states equal those of the
-    stepwise cell bit for bit (one GEMM would round differently).
+    stepwise cell bit for bit; ragged runs project in one GEMM.
     """
     xv, wx, wh, bv = x.values, w_x.values, w_h.values, b.values
     hid = wh.shape[0]
     if (
-        xv.ndim not in (2, 3)
-        or xv.shape[-2] == 0
-        or wx.shape != (xv.shape[-1], 4 * hid)
+        xv.ndim != 2
+        or xv.shape[0] == 0
+        or wx.shape != (xv.shape[1], 4 * hid)
         or wh.shape != (hid, 4 * hid)
         or bv.shape != (4 * hid,)
     ):
         raise _shape_error("lstm_sequence", xv.shape, wx.shape, wh.shape, bv.shape)
-    seqs = xv if xv.ndim == 3 else xv[None]
-    n, steps = seqs.shape[:2]
-    proj = np.matmul(seqs[:, :, None, :], wx)[:, :, 0]
-    gates = np.empty_like(proj)  # post-activation i, f, g, o
-    cells = np.empty((n, steps, hid), dtype=proj.dtype)
+    steps, perm = _run_layout(xv.shape[0], lengths, reverse)
+    if perm is None:
+        xs = xv
+        gates = np.matmul(xv[:, None, :], wx)[:, 0]
+    else:
+        xs = xv[perm]
+        gates = xs @ wx
+    # the projections turn into the post-activation gates i, f, g, o step by step
+    cells = np.empty((xv.shape[0], hid), dtype=gates.dtype)
     hidden = np.empty_like(cells)
-    h = np.zeros((n, hid), dtype=proj.dtype)
+    h = np.zeros((steps[0][1], hid), dtype=gates.dtype)
     c = h
     cand = slice(2 * hid, 3 * hid)
     with np.errstate(over="ignore"):
-        for t in range(steps - 1, -1, -1) if reverse else range(steps):
-            a = proj[:, t] + h @ wh + bv
-            act = gates[:, t]
+        for rows, k in steps:
+            if k != len(h):
+                h, c = h[:k], c[:k]
+            a = h @ wh
+            a += gates[rows]
+            a += bv
+            act = gates[rows]
             act[...] = _sigmoid(a)
             act[:, cand] = np.tanh(a[:, cand])
             c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, cand]
             h = act[:, 3 * hid :] * np.tanh(c)
-            cells[:, t] = c
-            hidden[:, t] = h
-    out = hidden if xv.ndim == 3 else hidden[0]
-    return _emit("lstm_sequence", (x, w_x, w_h, b), out, (seqs, wx, wh, gates, cells, hidden, reverse))
+            cells[rows] = c
+            hidden[rows] = h
+    out = hidden
+    if perm is not None:
+        out = np.empty_like(hidden)
+        out[perm] = hidden
+    return _emit("lstm_sequence", (x, w_x, w_h, b), out, (xs, wx, wh, gates, cells, hidden, steps, perm))
 
 
 def log_partition(a: Tensor, b: Tensor) -> Tensor:
@@ -531,42 +578,47 @@ def _bwd_transpose(node, g, grads, tensors):
 
 def _bwd_lstm_sequence(node, g, grads, tensors):
     """Backpropagation through time, then one GEMM per weight gradient."""
-    seqs, wx, wh, gates, cells, hidden, reverse = node.saved
-    n, steps, dim = seqs.shape
+    xs, wx, wh, gates, cells, hidden, steps, perm = node.saved
     hid = wh.shape[0]
-    g = g.reshape(n, steps, hid)
-    act = gates.reshape(n, steps, 4, hid)
-    gi, gf, gg, go = (act[:, :, k] for k in range(4))
-    # states entering each position: the neighbour the run came from, zero at its start
+    if perm is not None:
+        g = g[perm]
+    # states entering each step: a prefix of the previous step's, zero at the start
     h_prev = np.zeros_like(hidden)
     c_prev = np.zeros_like(cells)
-    if reverse:
-        h_prev[:, :-1], c_prev[:, :-1] = hidden[:, 1:], cells[:, 1:]
-    else:
-        h_prev[:, 1:], c_prev[:, 1:] = hidden[:, :-1], cells[:, :-1]
+    for (prev, _), (rows, k) in zip(steps, steps[1:]):
+        h_prev[rows] = hidden[prev][:k]
+        c_prev[rows] = cells[prev][:k]
+    gi, gf, gg, go = (gates[:, j * hid : (j + 1) * hid] for j in range(4))
     tanh_c = np.tanh(cells)
     dh_dc = go * (1.0 - tanh_c * tanh_c)
-    # local derivative of c (gates i, f, g) or h (gate o) by each pre-activation
-    local = np.stack(
-        [gg * gi * (1.0 - gi), c_prev * gf * (1.0 - gf), gi * (1.0 - gg * gg), tanh_c * go * (1.0 - go)],
-        axis=2,
-    )
-    d_pre = np.empty_like(local)
-    dh_next = np.zeros((n, hid), dtype=g.dtype)
-    dc_next = dh_next
+    # local derivative of c (gates i, f, g) or h (gate o) by each pre-activation,
+    # scaled in place by dc or dh once the recursion reaches its step
+    d_pre = np.empty_like(gates)
+    local = d_pre.reshape(-1, 4, hid)
+    np.multiply(gg * gi, 1.0 - gi, out=local[:, 0])
+    np.multiply(c_prev * gf, 1.0 - gf, out=local[:, 1])
+    np.multiply(gi, 1.0 - gg * gg, out=local[:, 2])
+    np.multiply(tanh_c * go, 1.0 - go, out=local[:, 3])
+    dh_next = np.zeros((steps[0][1], hid), dtype=g.dtype)
+    dc_next = np.zeros_like(dh_next)
     wh_t = wh.T
-    for t in range(steps) if reverse else range(steps - 1, -1, -1):
-        dh = g[:, t] + dh_next
-        dc = dc_next + dh * dh_dc[:, t]
-        np.multiply(local[:, t, :3], dc[:, None], out=d_pre[:, t, :3])
-        np.multiply(local[:, t, 3], dh, out=d_pre[:, t, 3])
-        dc_next = dc * gf[:, t]
-        dh_next = d_pre[:, t].reshape(n, 4 * hid) @ wh_t
-    d_pre = d_pre.reshape(n * steps, 4 * hid)
+    for rows, k in reversed(steps):
+        dh = g[rows] + dh_next[:k]
+        dc = dc_next[:k] + dh * dh_dc[rows]
+        d = local[rows]
+        d[:, :3] *= dc[:, None]
+        d[:, 3] *= dh
+        np.multiply(dc, gf[rows], out=dc_next[:k])
+        np.matmul(d_pre[rows], wh_t, out=dh_next[:k])
     x_id, wx_id, wh_id, b_id = node.input_ids
-    _acc(grads, tensors, x_id, (d_pre @ wx.T).reshape(tensors[x_id].shape))
-    _acc(grads, tensors, wx_id, seqs.reshape(n * steps, dim).T @ d_pre)
-    _acc(grads, tensors, wh_id, h_prev.reshape(n * steps, hid).T @ d_pre)
+    buf = _grad_buffer(grads, tensors, x_id)
+    if buf is not None:
+        if perm is None:
+            buf += d_pre @ wx.T
+        else:
+            buf[perm] += d_pre @ wx.T
+    _acc(grads, tensors, wx_id, xs.T @ d_pre)
+    _acc(grads, tensors, wh_id, h_prev.T @ d_pre)
     _acc(grads, tensors, b_id, d_pre.sum(axis=0))
 
 

@@ -19,8 +19,8 @@ row are skipped entirely.
 sequences of equal length share one gather of character embeddings and
 one ``lstm_sequence`` node per direction, so a whole batch of word types
 costs a few tape nodes per distinct length. The combiners and the
-auxiliary loss take a sentence at a time, as (T, dim) matrices with one
-token per row.
+auxiliary loss take (N, dim) matrices with one token per row, a whole
+batch of sentences at once.
 """
 
 from __future__ import annotations
@@ -70,11 +70,12 @@ class CharComposerParams:
 def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
     """Character-level word vectors m, one row per character sequence.
 
-    Sequences of equal length form one bucket that runs through the
-    character BiLSTM as a single batch, so no padding or masking is
-    needed; each bucket costs a fixed number of tape nodes however many
-    sequences it holds. Row i of the (N, word_dim) result is the vector
-    of ``char_seqs[i]``.
+    Sequences of equal length form one bucket whose characters run
+    through the character BiLSTM as one (n * length, char_dim) matrix of
+    equal-length runs, which ``lstm_sequence`` takes without sorting or
+    copying; each bucket costs a fixed number of tape nodes however many
+    sequences it holds. Row i of the (len(char_seqs), word_dim) result
+    is the vector of ``char_seqs[i]``.
     """
     seqs = [list(s) for s in char_seqs]
     if not seqs:
@@ -87,19 +88,21 @@ def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
     states = []
     order = []
     for length, members in sorted(buckets.items()):
-        chars = embedding_lookup(p.char_embeddings, np.array([seqs[i] for i in members]))
-        forward = lstm_sequence(chars, p.fwd.w_x, p.fwd.w_h, p.fwd.b)
-        backward = lstm_sequence(chars, p.bwd.w_x, p.bwd.w_h, p.bwd.b, reverse=True)
-        rows = np.arange(len(members))
-        # final state of each direction: position length - 1 forward, 0 backward
-        states.append(concat((pick_row(forward, (rows, length - 1)), pick_row(backward, (rows, 0))), axis=1))
+        # the bucket's sequences back to back, length rows each
+        chars = embedding_lookup(p.char_embeddings, np.concatenate([seqs[i] for i in members]))
+        lengths = [length] * len(members)
+        forward = lstm_sequence(chars, p.fwd.w_x, p.fwd.w_h, p.fwd.b, lengths=lengths)
+        backward = lstm_sequence(chars, p.bwd.w_x, p.bwd.w_h, p.bwd.b, reverse=True, lengths=lengths)
+        first = np.arange(len(members)) * length
+        # final state of each direction: its sequence's last row forward, first backward
+        states.append(concat((pick_row(forward, first + length - 1), pick_row(backward, first)), axis=1))
         order.extend(members)
     h_star = pick_row(concat(states, axis=0), np.argsort(order))
     return tanh(matmul(h_star, transpose(p.w_m)))
 
 
 def combine_concat(x: Tensor, m: Tensor) -> Tensor:
-    """Join x and m feature-wise: vectors, or (T, dim) matrices row by row."""
+    """Join x and m feature-wise: vectors, or (N, dim) matrices row by row."""
     if x.shape != m.shape:
         raise ValueError(f"combine_concat: length mismatch {x.shape} vs {m.shape}")
     return concat((x, m), axis=x.values.ndim - 1)
@@ -130,7 +133,7 @@ class AttentionParams:
 def combine_attention(x: Tensor, m: Tensor, p: AttentionParams):
     """Gate the two word representations; returns (combined, z).
 
-    x and m are vectors, or (T, dim) matrices with one token per row.
+    x and m are vectors, or (N, dim) matrices with one token per row.
     Every entry of z lies strictly inside (0, 1), so the combination is
     a per-feature convex mix of x and m. z is returned so callers can
     export and inspect it.
@@ -150,7 +153,7 @@ def combine_attention(x: Tensor, m: Tensor, p: AttentionParams):
 def char_aux_loss(m: Tensor, x: Tensor, oov_mask) -> Tensor:
     """Cosine pull of m toward x, summed over non-OOV positions.
 
-    m and x are (T, dim) matrices, one token per row. Each kept row
+    m and x are (N, dim) matrices, one token per row. Each kept row
     contributes 1 - cos(m_t, x_t). x passes through stop_gradient, so
     minimizing this term never moves word embeddings.
     """

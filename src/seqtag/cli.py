@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -162,8 +163,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tag(args) -> int:
     model = load_model(args.model)
-    out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
-    try:
+    # a file is replaced only once every sentence is tagged
+    with atomic_open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         block: list = []
 
         def flush():
@@ -190,9 +191,6 @@ def cmd_tag(args) -> int:
                     continue
                 block.append((lineno, line))
         flush()
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -200,7 +198,7 @@ def cmd_inspect_gates(args) -> int:
     model = load_model(args.model)
     sentences = model.vocab.encode_corpus(_load_split(args.input, args))
     dim = model.config.word_dim
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_open(args.out, "w", encoding="utf-8") as fh:
         header = ["token", "oov", "mean_z"] + [f"z{i}" for i in range(dim)]
         fh.write("\t".join(header) + "\n")
         for sent in sentences:

@@ -8,9 +8,10 @@ the order input, forget, candidate, output:
     c = f * c_prev + i * g
     h = o * tanh(c)
 
-A whole sequence is one ``lstm_sequence`` tape node (see
-``seqtag.autodiff``): ``bilstm_run`` runs it once per direction over a
-(T, D) matrix of inputs and joins the two (T, H) results column-wise.
+All runs of one direction are one ``lstm_sequence`` tape node (see
+``seqtag.autodiff``): ``bilstm_run`` runs it once per direction over an
+(N, D) matrix holding one sequence, or a batch of them back to back, and
+joins the two (N, H) results column-wise.
 
 Weights are initialized Glorot-uniform; the forget-gate bias starts at
 1.0 and all other biases at 0, which keeps early gradients flowing.
@@ -108,26 +109,28 @@ def init_lstm_params(
     return LstmParams(w_x, w_h, Tensor(b), hidden_size)
 
 
-def bilstm_run(inputs: Tensor, fwd: LstmParams, bwd: LstmParams) -> Tensor:
-    """Run both directions over a (T, D) sequence from zero initial states.
+def bilstm_run(inputs: Tensor, fwd: LstmParams, bwd: LstmParams, lengths=None) -> Tensor:
+    """Run both directions over sequences from zero initial states.
 
-    Row t of the (T, 2H) result joins the forward state after position t
-    with the backward state after scanning back to position t.
+    ``inputs`` is (N, D): one sequence, or with ``lengths`` several
+    stored back to back, each run on its own. Row i of the (N, 2H)
+    result joins the forward state after position i of its sequence
+    with the backward state after scanning back to it.
     """
     if inputs.values.ndim != 2 or inputs.shape[0] == 0:
-        raise ValueError(f"bilstm_run: expected a non-empty (T, D) sequence, got {inputs.shape}")
+        raise ValueError(f"bilstm_run: expected a non-empty (N, D) matrix, got {inputs.shape}")
     if fwd.hidden_size != bwd.hidden_size:
         raise ValueError(
             f"bilstm_run: hidden sizes differ ({fwd.hidden_size} vs {bwd.hidden_size})"
         )
-    forward = lstm_sequence(inputs, fwd.w_x, fwd.w_h, fwd.b)
-    backward = lstm_sequence(inputs, bwd.w_x, bwd.w_h, bwd.b, reverse=True)
+    forward = lstm_sequence(inputs, fwd.w_x, fwd.w_h, fwd.b, lengths=lengths)
+    backward = lstm_sequence(inputs, bwd.w_x, bwd.w_h, bwd.b, reverse=True, lengths=lengths)
     return concat((forward, backward), axis=1)
 
 
 def dense_tanh(h: Tensor, w_d: Tensor) -> Tensor:
     """Narrow nonlinear layer on top of the recurrent states: one state
-    vector, or a (T, n) matrix of them, one row per position."""
+    vector, or an (N, n) matrix of them, one row per token."""
     if w_d.values.ndim != 2 or w_d.shape[1] != h.shape[-1]:
         raise ValueError(f"dense_tanh: weight {w_d.shape} does not apply to {h.shape}")
     return tanh(matmul(h, transpose(w_d)))

@@ -12,22 +12,26 @@ bidirectional LSTM, narrow tanh layer, output scores):
 
 The output layer is either a per-token softmax or a linear-chain CRF.
 
-A sentence flows through the pipeline as (T, ·) matrices, one token per
-row. ``Model.batch_loss_parts`` is the one loss path: it composes each
-distinct word type of the batch once and lets every occurrence read its
-row; a single sentence's loss is the batch-of-one case, and prediction
-composes the sentence's own types in one call.
+Sentences flow through the pipeline as one (N, ·) matrix, one token per
+row, with a batch's sentences back to back. ``Model.batch_loss_parts``
+is the one loss path: it composes each distinct word type of the batch
+once, lets every occurrence read its row, and runs the word BiLSTM once
+per direction over all the batch's sentences; a single sentence's loss
+is the batch-of-one case, and so are prediction and gate inspection.
 
 Saved models are a single binary container: a short magic, a JSON
 header (format version, configuration, vocabulary, tensor manifest)
 and the raw parameter data as little-endian floats of the configured
 dtype, so a model reloads to exactly its trained values. Version 1
-files, which stored every model as 32-bit floats, still load.
+files, which stored every model as 32-bit floats, still load. Loading
+checks that the file holds as much parameter data as its configuration
+implies before it allocates any of it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import struct
@@ -40,6 +44,7 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
+    concat,
     const_like,
     log_sum_exp,
     multiply,
@@ -118,8 +123,8 @@ class ModelConfig:
             raise ValueError("seed must not be negative")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        if self.epsilon <= 0 or self.learning_rate <= 0:
-            raise ValueError("epsilon and learning_rate must be positive")
+        if not (0 < self.epsilon < math.inf and 0 < self.learning_rate < math.inf):
+            raise ValueError("epsilon and learning_rate must be positive and finite")
         if self.dev_metric not in ("acc", "span-f1", "f0.5"):
             raise ValueError(f"dev_metric must be acc, span-f1 or f0.5, got {self.dev_metric!r}")
         if self.dtype not in ("float32", "float64"):
@@ -215,8 +220,6 @@ class Model:
     def _compose(self, sents):
         """Character vectors for the distinct word types of ``sents``, each
         composed once, and per sentence the row each of its tokens reads."""
-        if self.char is None:
-            return None, [None] * len(sents)
         rows: dict = {}
         token_rows = [
             np.array([rows.setdefault(tuple(cids), len(rows)) for cids in sent.char_ids])
@@ -224,57 +227,54 @@ class Model:
         ]
         return compose_words(list(rows), self.char), token_rows
 
-    def _token_inputs(self, sent: Sentence, m_all, m_rows):
-        """(word-LSTM input, x, m, z) for one sentence, one token per row."""
-        x = embedding_lookup(self.word_emb, np.asarray(sent.word_ids))
+    def _token_inputs(self, sents):
+        """(word-LSTM input, x, m, z) for sentences stacked one token per row."""
+        x = embedding_lookup(self.word_emb, np.concatenate([sent.word_ids for sent in sents]))
         arch = self.config.architecture
         if arch == "word":
             return x, x, None, None
-        m = pick_row(m_all, m_rows)
+        m_all, token_rows = self._compose(sents)
+        m = pick_row(m_all, np.concatenate(token_rows))
         if arch == "concat":
             return combine_concat(x, m), x, m, None
         combined, z = combine_attention(x, m, self.attn)
         return combined, x, m, z
 
-    def _sentence_inputs(self, sent: Sentence):
-        """``_token_inputs`` with the sentence's own word types composed."""
-        m_all, (m_rows,) = self._compose([sent])
-        return self._token_inputs(sent, m_all, m_rows)
-
-    def _emissions(self, inputs) -> Tensor:
-        states = bilstm_run(inputs, self.word_fwd, self.word_bwd)
+    def _emissions(self, inputs, lengths) -> Tensor:
+        states = bilstm_run(inputs, self.word_fwd, self.word_bwd, lengths)
         return emission_scores(dense_tanh(states, self.w_d), self.w_o)
 
     def batch_loss_parts(self, sents):
         """(summed loss, summed auxiliary term or None) over a batch of sentences.
 
-        The loss is the sum of the per-sentence losses. Each distinct
-        word type's characters are composed once for the whole batch and
-        every occurrence reads that row. The auxiliary term is a float,
-        already included in the loss.
+        The loss is the sum of the per-sentence losses. The batch runs
+        through the word level as one token matrix: one lookup, one
+        composer pass, one BiLSTM run per direction over the sentences
+        back to back, one hidden and output layer; only the CRF loss is
+        taken per sentence, from its rows of the scores. The auxiliary
+        term is a float, already included in the loss.
         """
         sents = list(sents)
         if not sents:
             raise ValueError("batch_loss_parts: empty batch")
         for sent in sents:
             self._require_encoded(sent, need_gold=True)
-        m_all, token_rows = self._compose(sents)
-        attention = self.config.architecture == "attention"
-        total = None
-        aux_total = 0.0 if attention else None
-        for sent, m_rows in zip(sents, token_rows):
-            inputs, x, m, _ = self._token_inputs(sent, m_all, m_rows)
-            scores = self._emissions(inputs)
-            if self.config.output == "crf":
-                loss = crf_nll(TagLattice(scores, self.transitions), sent.gold)
-            else:
-                loss = _softmax_nll(scores, sent.gold)
-            if attention:
-                aux = char_aux_loss(m, x, self.oov_flags(sent))
-                aux_total += float(aux.values)
-                loss = add(loss, aux)
-            total = loss if total is None else add(total, loss)
-        return total, aux_total
+        lengths = [len(sent.word_ids) for sent in sents]
+        inputs, x, m, _ = self._token_inputs(sents)
+        scores = self._emissions(inputs, lengths)
+        if self.config.output == "crf":
+            ends = np.cumsum(lengths)
+            losses = [
+                crf_nll(TagLattice(pick_row(scores, np.arange(end - n, end)), self.transitions), sent.gold)
+                for sent, n, end in zip(sents, lengths, ends)
+            ]
+            total = reduce_sum(concat(losses))
+        else:
+            total = _softmax_nll(scores, np.concatenate([sent.gold for sent in sents]))
+        if self.config.architecture != "attention":
+            return total, None
+        aux = char_aux_loss(m, x, [flag for sent in sents for flag in self.oov_flags(sent)])
+        return add(total, aux), float(aux.values)
 
     def sentence_loss_parts(self, sent: Sentence):
         """(total loss, auxiliary term or None) for one sentence."""
@@ -288,7 +288,7 @@ class Model:
         """Label ids for one sentence; never records on a tape."""
         self._require_encoded(sent, need_gold=False)
         with no_tape():
-            scores = self._emissions(self._sentence_inputs(sent)[0])
+            scores = self._emissions(self._token_inputs([sent])[0], None)
             if self.config.output == "crf":
                 path, _ = viterbi_decode(TagLattice(scores, self.transitions))
                 return path
@@ -306,7 +306,7 @@ class Model:
             )
         self._require_encoded(sent, need_gold=False)
         with no_tape():
-            z = self._sentence_inputs(sent)[3]
+            z = self._token_inputs([sent])[3]
         return [row.copy() for row in z.values]
 
 
@@ -373,6 +373,25 @@ def assemble_model(config: ModelConfig, vocab: Vocabulary,
 
     return Model(config, vocab, word_emb, word_fwd, word_bwd, w_d, w_o,
                  transitions=transitions, char=char, attn=attn)
+
+
+def _stored_scalars(config: ModelConfig, vocab: Vocabulary) -> int:
+    """Entries of every tensor ``assemble_model`` would build, counted without building them."""
+    def lstm(inputs, hidden):
+        return 4 * hidden * (inputs + hidden + 1)
+
+    words, labels = config.word_dim, len(vocab.label_set)
+    total = vocab.n_words * words
+    total += 2 * lstm(2 * words if config.architecture == "concat" else words, config.word_lstm_hidden)
+    total += config.d_size * (2 * config.word_lstm_hidden + labels)
+    if config.output == "crf":
+        total += (labels + 2) ** 2
+    if config.architecture != "word":
+        total += vocab.n_chars * config.char_dim + 2 * lstm(config.char_dim, config.char_lstm_hidden)
+        total += words * 2 * config.char_lstm_hidden
+    if config.architecture == "attention":
+        total += 3 * words * words
+    return total
 
 
 def count_parameters(model: Model):
@@ -493,12 +512,20 @@ def load_model(path) -> Model:
                 and isinstance(entry.get("shape"), list)
             ):
                 raise ModelFormatError(f"{path}: bad tensor manifest entry {entry!r}")
+        stored = np.dtype(_stored_dtype(config, version))
+        # checked before assembly, so a forged size cannot allocate more than the file holds
+        needed = _stored_scalars(config, vocab) * stored.itemsize
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if needed > held:
+            raise ModelFormatError(
+                f"{path}: truncated model file (the configuration needs {needed} bytes "
+                f"of tensor data, the file holds {held})"
+            )
         model = assemble_model(config, vocab)
         registry = model.all_tensors()
         if {e["name"] for e in manifest} != set(registry):
             raise ModelFormatError(f"{path}: tensor names do not match the configuration")
         dtype = config.np_dtype()
-        stored = np.dtype(_stored_dtype(config, version))
         for entry in manifest:
             name, shape = entry["name"], tuple(entry["shape"])
             target = registry[name]

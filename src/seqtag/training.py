@@ -2,12 +2,15 @@
 
 Batches are formed by sentence count in corpus order (a shuffle flag
 reshuffles per epoch from the run seed). The batch loss is the sum of
-the per-sentence losses, built in one pass over the batch: each distinct
-word type's characters are composed once per batch and shared by all of
-its tokens, which changes how much work a step does but not the sum it
-computes. Training stops once the development metric has not improved
-for ``patience`` epochs, and the parameters from the best development
-epoch are what the caller gets back.
+the per-sentence losses, built in one pass over the batch
+(``Model.batch_loss_parts``): each distinct word type's characters are
+composed once per batch and shared by all of its tokens, and the word
+BiLSTM runs once per direction over all the batch's sentences, which
+changes how much work a step does but not the sum it computes.
+Development decoding still predicts one sentence at a time. Training
+stops once the development metric has not improved for ``patience``
+epochs, and the parameters from the best development epoch are what the
+caller gets back.
 
 Optimizer steps rejected for non-finite gradients are counted per
 epoch. An epoch whose every step was rejected, or whose training loss
@@ -17,6 +20,7 @@ is not finite, ends the run with ``TrainingFailed``.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,8 +49,10 @@ class AdaDelta:
                  learning_rate: float = 1.0):
         if not 0.0 <= rho < 1.0:
             raise ValueError("AdaDelta: rho must lie in [0, 1)")
-        if epsilon <= 0:
-            raise ValueError("AdaDelta: epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValueError("AdaDelta: epsilon must be positive and finite")
+        if not math.isfinite(learning_rate):
+            raise ValueError("AdaDelta: learning_rate must be finite")
         self.params = dict(params)
         self.rho = rho
         self.epsilon = epsilon
@@ -72,12 +78,26 @@ class AdaDelta:
                 continue
             eg2 = self._sq_grad[name]
             ed2 = self._sq_step[name]
+            # the docstring's expressions, each evaluated into one of two scratch
+            # arrays: for a large embedding table a temporary per operation would
+            # be the largest allocation of a training step
+            step = np.multiply(1.0 - rho, g)
+            step *= g
             eg2 *= rho
-            eg2 += (1.0 - rho) * g * g
-            step = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
+            eg2 += step
+            np.add(ed2, eps, out=step)
+            np.sqrt(step, out=step)
+            np.negative(step, out=step)
+            denom = np.add(eg2, eps)
+            np.sqrt(denom, out=denom)
+            step /= denom
+            step *= g
+            np.multiply(1.0 - rho, step, out=denom)
+            denom *= step
             ed2 *= rho
-            ed2 += (1.0 - rho) * step * step
-            p.values += lr * step
+            ed2 += denom
+            step *= lr
+            p.values += step
         return True
 
 
@@ -229,6 +249,7 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
             if aux is not None:
                 epoch_aux += aux
             backward(total, tape)
+            del tape  # frees the recorded values before the optimizer step's scratch arrays
             if not opt.step():
                 rejected += 1
             model.zero_grad()

@@ -263,15 +263,16 @@ def _random_case(kind, rng, i):
         return lambda: reduce_sum(matmul(transpose(a), b)), [a, b]
     if kind == "lstm_sequence":
         dim, hid, steps = (int(rng.integers(1, 4)) for _ in range(3))
-        shape = (steps, dim) if i % 2 else (int(rng.integers(1, 4)), steps, dim)
-        x = t64(rng.normal(size=shape))
+        batch = None if i % 2 else int(rng.integers(1, 4))  # equal-length runs back to back
+        lengths = None if batch is None else [steps] * batch
+        x = t64(rng.normal(size=((batch or 1) * steps, dim)))
         w_x = t64(rng.normal(size=(dim, 4 * hid)) * 0.7)
         w_h = t64(rng.normal(size=(hid, 4 * hid)) * 0.7)
         b = t64(rng.normal(size=4 * hid) * 0.5)
-        weights = t64(rng.normal(size=shape[:-1] + (hid,)))
+        weights = t64(rng.normal(size=(x.shape[0], hid)))
         reverse = i % 4 >= 2
         return (
-            lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse), weights)),
+            lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights)),
             [x, w_x, w_h, b],
         )
     if kind == "log_partition":
@@ -313,15 +314,29 @@ def _random_array_case(kind, rng, i):
         elif i % 3 == 1:
             a = t64(rng.normal(size=(rows, cols)))
             row = (rng.integers(0, rows, size=4), rng.integers(0, cols, size=4))
-        else:  # one position of each of several sequences, as the composer reads them
-            a = t64(rng.normal(size=(rows, cols, int(rng.integers(1, 4)))))
+        else:  # one column of several rows
+            a = t64(rng.normal(size=(rows, cols)))
             row = (rng.integers(0, rows, size=4), int(rng.integers(0, cols)))
         weights = t64(rng.normal(size=a.values[row].shape))
         return lambda: reduce_sum(multiply(pick_row(a, row), weights)), [a]
+    if kind == "lstm_sequence":  # ragged: sequences of different lengths back to back
+        dim, hid = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        lengths = rng.integers(1, 5, size=int(rng.integers(2, 5)))
+        lengths[i % len(lengths)] = 1 + (i % 2) * 4  # a length-1 or the longest run, in turn
+        x = t64(rng.normal(size=(int(lengths.sum()), dim)))
+        w_x = t64(rng.normal(size=(dim, 4 * hid)) * 0.7)
+        w_h = t64(rng.normal(size=(hid, 4 * hid)) * 0.7)
+        b = t64(rng.normal(size=4 * hid) * 0.5)
+        weights = t64(rng.normal(size=(x.shape[0], hid)))
+        reverse = i % 4 >= 2
+        return (
+            lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights)),
+            [x, w_x, w_h, b],
+        )
     raise AssertionError(kind)
 
 
-@pytest.mark.parametrize("kind", ["concat", "cosine_similarity", "pick_row"])
+@pytest.mark.parametrize("kind", ["concat", "cosine_similarity", "pick_row", "lstm_sequence"])
 def test_primitive_gradients_random_array_forms(kind):
     rng = np.random.default_rng(2000 + OP_KINDS.index(kind))
     for i in range(100):
@@ -436,6 +451,12 @@ def test_slice_range_error():
 def test_pick_row_range_error():
     with pytest.raises(ValueError, match="pick_row"):
         pick_row(t64(np.zeros((2, 2))), 2)
+
+
+def test_pick_row_takes_only_matrices():
+    for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="pick_row"):
+            pick_row(t64(bad), 0)
 
 
 def test_backward_rejects_non_scalar():

@@ -211,6 +211,34 @@ def test_tag_short_row_names_file_and_line(trained_dir, tmp_path, capsys):
     assert f"{src}:2: expected at least 2 columns" in err
 
 
+def test_tag_failure_keeps_existing_out_file(trained_dir, tmp_path, capsys):
+    src = tmp_path / "in.conll"
+    src.write_text("alphaan X\nbetaeb Y\n\ngammaic\n\n")  # the second sentence's row is short
+    out = tmp_path / "tagged.conll"
+    out.write_bytes(b"earlier output\n")
+    code = main([
+        "tag", "--model", str(trained_dir / "word" / "model.bin"), "--input", str(src),
+        "--token-column", "1", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.conll", "tagged.conll"]
+
+
+def test_inspect_gates_failure_keeps_existing_out_file(trained_dir, data_dir, tmp_path, capsys):
+    out = tmp_path / "gates.tsv"
+    out.write_bytes(b"earlier gates\n")
+    code = main([
+        "inspect-gates", "--model", str(trained_dir / "word" / "model.bin"),
+        "--input", str(data_dir / "test.conll"), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_bytes() == b"earlier gates\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["gates.tsv"]
+
+
 def test_oversized_header_length_is_an_error(trained_dir, data_dir, tmp_path, capsys):
     raw = (trained_dir / "word" / "model.bin").read_bytes()
     bad = tmp_path / "model.bin"
@@ -253,6 +281,23 @@ def test_malformed_model_header_is_an_error(trained_dir, data_dir, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert str(bad) in err
+
+
+def test_header_config_larger_than_the_file_is_an_error(trained_dir, data_dir, tmp_path, capsys):
+    raw = (trained_dir / "word" / "model.bin").read_bytes()
+    (n,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12:12 + n])
+    header["config"]["word_dim"] = 10**15
+    blob = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob + raw[12 + n:])
+    code = main([
+        "evaluate", "--model", str(bad), "--data", str(data_dir / "test.conll"), "--metric", "acc",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(bad) in err and "bytes of tensor data" in err
 
 
 def test_inspect_gates_output(trained_dir, data_dir, tmp_path):
@@ -360,3 +405,19 @@ def test_train_with_non_finite_loss_fails(data_dir, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["epochs"][0]["rejected_steps"] > 0
     assert "rejected_steps" in (out / "report.tsv").read_text().splitlines()[0].split("\t")
+
+
+def test_train_with_nan_learning_rate_fails_before_training(data_dir, tmp_path, capsys):
+    config = tmp_path / "nan-step.cfg"
+    config.write_text(TINY_CONFIG + "learning_rate = nan\n")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--config", str(config),
+        "--train", str(data_dir / "train.conll"),
+        "--dev", str(data_dir / "dev.conll"),
+        "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "learning_rate" in err
+    assert not out.exists()

@@ -174,8 +174,9 @@ SEQUENCE_SHAPES = [(1, None), (5, None), (1, 1), (5, 1), (1, 3), (5, 3)]  # (T, 
 
 
 def sequence_inputs(rng, length, batch, input_dim=3):
-    shape = (length, input_dim) if batch is None else (batch, length, input_dim)
-    return t64(rng.normal(size=shape))
+    """(inputs, lengths): one sequence, or ``batch`` of them back to back."""
+    x = t64(rng.normal(size=((batch or 1) * length, input_dim)))
+    return x, None if batch is None else [length] * batch
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -183,12 +184,10 @@ def sequence_inputs(rng, length, batch, input_dim=3):
 def test_lstm_sequence_matches_stepwise_oracle(length, batch, reverse):
     rng = np.random.default_rng(31 + length + 7 * (batch or 0))
     p = random_lstm(rng, 3, 4)
-    x = sequence_inputs(rng, length, batch)
-    out = lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse)
-    assert out.shape == x.shape[:-1] + (4,)
-    seqs = x.values if batch is not None else x.values[None]
-    got = out.values if batch is not None else out.values[None]
-    for seq, states in zip(seqs, got):
+    x, lengths = sequence_inputs(rng, length, batch)
+    out = lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse, lengths=lengths)
+    assert out.shape == (x.shape[0], 4)
+    for seq, states in zip(x.values.reshape(-1, length, 3), out.values.reshape(-1, length, 4)):
         want = stepwise_states([t64(v) for v in seq], p, reverse=reverse)
         if (batch or 1) == 1:
             assert np.array_equal(states, want)
@@ -201,11 +200,12 @@ def test_lstm_sequence_matches_stepwise_oracle(length, batch, reverse):
 def test_lstm_sequence_gradient_all_inputs(length, batch, reverse):
     rng = np.random.default_rng(47 + length + 7 * (batch or 0))
     p = random_lstm(rng, 3, 4)
-    x = sequence_inputs(rng, length, batch)
-    weights = t64(rng.normal(size=x.shape[:-1] + (4,)))
+    x, lengths = sequence_inputs(rng, length, batch)
+    weights = t64(rng.normal(size=(x.shape[0], 4)))
 
     def builder():
-        return reduce_sum(multiply(lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse), weights))
+        states = lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse, lengths=lengths)
+        return reduce_sum(multiply(states, weights))
 
     report = finite_difference_check(builder, [x, p.w_x, p.w_h, p.b], eps=1e-5,
                                      names=["x", "w_x", "w_h", "b"])
@@ -217,6 +217,51 @@ def test_lstm_sequence_shape_errors():
     for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((4, 5)), np.zeros((1, 2, 2, 2))):
         with pytest.raises(ValueError, match="lstm_sequence"):
             lstm_sequence(t64(bad), p.w_x, p.w_h, p.b)
+
+
+def test_lstm_sequence_takes_matrices_and_lengths_that_split_them():
+    p = zero_lstm(2, 3)
+    with pytest.raises(ValueError, match="lstm_sequence"):
+        lstm_sequence(t64(np.zeros((2, 3, 2))), p.w_x, p.w_h, p.b)
+    for lengths in ([], [2, 3], [4, 0], [5, -1]):
+        with pytest.raises(ValueError, match="lstm_sequence: lengths"):
+            lstm_sequence(t64(np.zeros((4, 2))), p.w_x, p.w_h, p.b, lengths=lengths)
+    with pytest.raises(TypeError, match="integer"):
+        lstm_sequence(t64(np.zeros((4, 2))), p.w_x, p.w_h, p.b, lengths=[2.0, 2.0])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_ragged_lstm_sequence_matches_one_run_per_sequence(reverse):
+    rng = np.random.default_rng(53 + reverse)
+    for trial in range(20):
+        p = random_lstm(rng, 3, 4)
+        lengths = [int(n) for n in rng.integers(1, 9, size=int(rng.integers(2, 8)))]
+        lengths[trial % len(lengths)] = 1
+        x = t64(rng.normal(size=(sum(lengths), 3)))
+        weights = rng.normal(size=(sum(lengths), 4))
+        params = [x, p.w_x, p.w_h, p.b]
+
+        def run(inputs, lens, rows):
+            tape = Tape()
+            with tape:
+                out = lstm_sequence(inputs, p.w_x, p.w_h, p.b, reverse=reverse, lengths=lens)
+                loss = reduce_sum(multiply(out, t64(weights[rows])))
+            grads = backward(loss, tape)
+            return out.values, [grads[t.node_id] for t in (inputs, *params[1:])]
+
+        states, grads = run(x, lengths, slice(None))
+        want_weights = [np.zeros_like(t.values) for t in params[1:]]
+        start = 0
+        for n in lengths:
+            rows = slice(start, start + n)
+            alone, alone_grads = run(t64(x.values[rows]), None, rows)
+            assert np.allclose(states[rows], alone, rtol=0.0, atol=1e-12)
+            assert np.allclose(grads[0][rows], alone_grads[0], rtol=0.0, atol=1e-12)
+            for acc, g in zip(want_weights, alone_grads[1:]):
+                acc += g
+            start += n
+        for got, want in zip(grads[1:], want_weights):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqtag.autodiff import Tape, backward
 from seqtag.corpus import Sentence, build_vocab, random_embeddings
 from seqtag.model import (
     Model,
     ModelConfig,
     ModelFormatError,
+    _stored_scalars,
     assemble_model,
     count_parameters,
     load_model,
@@ -108,6 +112,17 @@ def test_config_validation():
         ModelConfig.from_dict({"worddim": 3})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("epsilon", float("nan")),
+    ("epsilon", float("inf")),
+])
+def test_config_rejects_non_finite_optimizer_settings(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ModelConfig(**{field: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # prediction plumbing
 # ---------------------------------------------------------------------------
@@ -124,6 +139,55 @@ def test_predict_and_loss_run_for_every_configuration():
             pred = model.predict(enc[0])
             assert len(pred) == len(enc[0])
             assert all(0 <= p < len(vocab.label_set) for p in pred)
+
+
+def batch_sentences():
+    words = [["aa", "bb", "cc", "aa"], ["dd"], ["bb", "aa", "zz"], ["cc", "dd", "aa", "bb", "cc"]]
+    labels = [["O", "B-X", "I-X", "O"], ["B-X"], ["O", "O", "B-X"], ["O", "B-X", "I-X", "O", "O"]]
+    return [Sentence(w, w, lab) for w, lab in zip(words, labels)]
+
+
+@pytest.mark.parametrize("output", ["softmax", "crf"])
+@pytest.mark.parametrize("arch", ["word", "concat", "attention"])
+def test_batch_loss_is_the_sum_of_sentence_losses(arch, output):
+    vocab, _ = tiny_vocab()
+    enc = vocab.encode_corpus(batch_sentences())
+    model = assemble_model(toy_config(architecture=arch, output=output), vocab)
+    params = model.named_parameters()
+
+    def value_and_grads(sents):
+        tape = Tape()
+        with tape:
+            loss, aux = model.batch_loss_parts(sents)
+        backward(loss, tape)
+        grads = {n: np.zeros_like(p.values) if p.grad is None else p.grad for n, p in params.items()}
+        model.zero_grad()
+        return float(loss.values), aux, grads
+
+    total, aux, grads = value_and_grads(enc)
+    parts = [value_and_grads([sent]) for sent in enc]
+    assert total == pytest.approx(sum(p[0] for p in parts), rel=0.0, abs=1e-12)
+    if arch == "attention":
+        assert aux == pytest.approx(sum(p[1] for p in parts), rel=0.0, abs=1e-12)
+    else:
+        assert aux is None
+    for name in params:
+        want = sum(p[2][name] for p in parts)
+        assert np.allclose(grads[name], want, rtol=0.0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("arch", ["word", "concat", "attention"])
+def test_word_bilstm_is_two_nodes_per_batch(arch):
+    vocab, _ = tiny_vocab()
+    enc = vocab.encode_corpus(batch_sentences())
+    model = assemble_model(toy_config(architecture=arch), vocab)
+    for size in (1, 2, 4, 12):
+        tape = Tape()
+        with tape:
+            model.batch_loss_parts((enc * 3)[:size])
+        word_weights = {model.word_fwd.w_x.node_id, model.word_bwd.w_x.node_id}
+        runs = [n for n in tape.nodes if n.op == "lstm_sequence" and n.input_ids[1] in word_weights]
+        assert len(runs) == 2, size
 
 
 def test_gates_require_attention_model():
@@ -161,6 +225,15 @@ def test_count_matches_independent_walker():
         )
         assert total == walker
         assert total - noemb == vocab.n_words * 6  # the word-embedding block
+
+
+def test_stored_scalars_match_assembled_models():
+    vocab, _ = tiny_vocab()
+    for arch in ("word", "concat", "attention"):
+        for output in ("softmax", "crf"):
+            config = toy_config(architecture=arch, output=output)
+            model = assemble_model(config, vocab)
+            assert _stored_scalars(config, vocab) == sum(t.size for t in model.all_tensors().values())
 
 
 def test_count_skips_frozen_embeddings():
@@ -297,3 +370,28 @@ def test_save_over_existing_file_keeps_its_mode(tmp_path):
     save_model(model, path)
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+@pytest.fixture(scope="module")
+def saved_model_bytes(tmp_path_factory):
+    vocab, _ = tiny_vocab()
+    path = tmp_path_factory.mktemp("mutations") / "model.bin"
+    save_model(assemble_model(toy_config(architecture="attention", dtype="float32"), vocab), path)
+    return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_byte_mutations_raise_only_model_format_error(saved_model_bytes, tmp_path_factory, data):
+    raw = bytearray(saved_model_bytes)
+    (header_len,) = struct.unpack("<Q", raw[4:12])
+    # half of the positions fall in the magic, length and JSON header, a few percent of the file
+    position = st.one_of(st.integers(0, 12 + header_len - 1), st.integers(0, len(raw) - 1))
+    for _ in range(data.draw(st.integers(1, 4))):
+        raw[data.draw(position)] = data.draw(st.integers(0, 255))
+    path = tmp_path_factory.getbasetemp() / "mutated.bin"
+    path.write_bytes(bytes(raw))
+    try:
+        load_model(path)
+    except ModelFormatError:
+        pass

@@ -71,6 +71,26 @@ def test_adadelta_first_step_hand_value():
     assert p.values[0] == pytest.approx(-4.47e-3, abs=2e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adadelta_matches_the_documented_update(dtype):
+    rng = np.random.default_rng(5)
+    for rho, eps, lr in ((0.95, 1e-6, 1.0), (0.9, 1e-3, 0.5), (0.0, 1e-8, 2.0)):
+        values = rng.normal(size=(6, 4)).astype(dtype)
+        p = tensor(values.copy())
+        opt = AdaDelta({"p": p}, rho=rho, epsilon=eps, learning_rate=lr)
+        eg2, ed2 = np.zeros_like(values), np.zeros_like(values)
+        for _ in range(10):
+            g = (rng.normal(size=values.shape) * rng.choice([1e-3, 1.0, 1e3])).astype(dtype)
+            p.grad = g.copy()
+            assert opt.step()
+            eg2 = rho * eg2 + (1.0 - rho) * g * g
+            step = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
+            ed2 = rho * ed2 + (1.0 - rho) * step * step
+            values = values + lr * step
+            assert p.values.dtype == dtype
+            assert np.array_equal(p.values, values)
+
+
 def test_adadelta_equal_gradients_update_identically():
     p = tensor(np.array([3.0, 3.0]))
     q = tensor(np.array([5.0]))
@@ -101,6 +121,15 @@ def test_adadelta_validates_hyperparameters():
         AdaDelta({"p": p}, rho=1.0)
     with pytest.raises(ValueError, match="epsilon"):
         AdaDelta({"p": p}, epsilon=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_adadelta_rejects_non_finite_settings(value):
+    p = tensor(np.array([1.0]))
+    with pytest.raises(ValueError, match="epsilon"):
+        AdaDelta({"p": p}, epsilon=value)
+    with pytest.raises(ValueError, match="learning_rate"):
+        AdaDelta({"p": p}, learning_rate=value)
 
 
 # ---------------------------------------------------------------------------
