@@ -139,6 +139,7 @@ class Tape:
         self.nodes: list[Node] = []
         self._tensors: list[Tensor] = []
         self._produced: list[bool] = []
+        self._consumed = False
 
     def __len__(self):
         return len(self.nodes)
@@ -670,20 +671,25 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
 
     Returns the gradient for every reached node keyed by node id.
     Non-constant leaf tensors (parameters) also get the result
-    accumulated into their ``grad`` slot.
+    accumulated into their ``grad`` slot. The tape is consumed: each
+    node's saved arrays are released as soon as the pass leaves it, so
+    a second call on the same tape raises ``ValueError``.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     nid = loss.node_id
     if nid is None or nid >= len(tape._tensors) or tape._tensors[nid] is not loss:
         raise ValueError("backward: loss is not recorded on this tape")
+    if tape._consumed:
+        raise ValueError("backward: this tape was already backpropagated")
+    tape._consumed = True
     grads: list = [None] * len(tape._tensors)
     grads[nid] = np.ones_like(loss.values)
     for node in reversed(tape.nodes):
         g = grads[node.out_id]
-        if g is None:
-            continue
-        _BACKWARD[node.op](node, g, grads, tape._tensors)
+        if g is not None:
+            _BACKWARD[node.op](node, g, grads, tape._tensors)
+        node.saved = None
     result = {}
     for i, g in enumerate(grads):
         if g is None:

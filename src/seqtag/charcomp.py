@@ -15,12 +15,10 @@ them. The word-embedding side enters through ``stop_gradient``, so the
 pull acts on the character composer only, and tokens mapped to the OOV
 row are skipped entirely.
 
-``compose_words`` composes a list of character sequences in one pass:
-sequences of equal length share one gather of character embeddings and
-one ``lstm_sequence`` node per direction, so a whole batch of word types
-costs a few tape nodes per distinct length. The combiners and the
-auxiliary loss take (N, dim) matrices with one token per row, a whole
-batch of sentences at once.
+``compose_words`` composes a list of character sequences with one ragged
+``lstm_sequence`` node per direction, whatever their lengths. The
+combiners and the auxiliary loss take (N, dim) matrices with one token
+per row, a whole batch of sentences at once.
 """
 
 from __future__ import annotations
@@ -70,34 +68,24 @@ class CharComposerParams:
 def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
     """Character-level word vectors m, one row per character sequence.
 
-    Sequences of equal length form one bucket whose characters run
-    through the character BiLSTM as one (n * length, char_dim) matrix of
-    equal-length runs, which ``lstm_sequence`` takes without sorting or
-    copying; each bucket costs a fixed number of tape nodes however many
-    sequences it holds. Row i of the (len(char_seqs), word_dim) result
-    is the vector of ``char_seqs[i]``.
+    All sequences' characters, stored back to back, run through the
+    character BiLSTM as one ragged ``lstm_sequence`` per direction; a
+    word's final states are its last row forward and its first row
+    backward, so a call costs nine tape nodes whatever its lengths. Row
+    i of the (len(char_seqs), word_dim) result is the vector of
+    ``char_seqs[i]``.
     """
     seqs = [list(s) for s in char_seqs]
     if not seqs:
         raise ValueError("compose_words: no character sequences")
-    buckets: dict = {}
-    for i, s in enumerate(seqs):
-        if not s:
-            raise ValueError("compose_words: empty character sequence")
-        buckets.setdefault(len(s), []).append(i)
-    states = []
-    order = []
-    for length, members in sorted(buckets.items()):
-        # the bucket's sequences back to back, length rows each
-        chars = embedding_lookup(p.char_embeddings, np.concatenate([seqs[i] for i in members]))
-        lengths = [length] * len(members)
-        forward = lstm_sequence(chars, p.fwd.w_x, p.fwd.w_h, p.fwd.b, lengths=lengths)
-        backward = lstm_sequence(chars, p.bwd.w_x, p.bwd.w_h, p.bwd.b, reverse=True, lengths=lengths)
-        first = np.arange(len(members)) * length
-        # final state of each direction: its sequence's last row forward, first backward
-        states.append(concat((pick_row(forward, first + length - 1), pick_row(backward, first)), axis=1))
-        order.extend(members)
-    h_star = pick_row(concat(states, axis=0), np.argsort(order))
+    lengths = np.array([len(s) for s in seqs])
+    if not lengths.all():
+        raise ValueError("compose_words: empty character sequence")
+    ends = np.cumsum(lengths)
+    chars = embedding_lookup(p.char_embeddings, np.concatenate(seqs))
+    forward = lstm_sequence(chars, p.fwd.w_x, p.fwd.w_h, p.fwd.b, lengths=lengths)
+    backward = lstm_sequence(chars, p.bwd.w_x, p.bwd.w_h, p.bwd.b, reverse=True, lengths=lengths)
+    h_star = concat((pick_row(forward, ends - 1), pick_row(backward, ends - lengths)), axis=1)
     return tanh(matmul(h_star, transpose(p.w_m)))
 
 

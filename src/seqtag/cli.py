@@ -63,6 +63,13 @@ def read_config_file(path) -> dict:
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
+# per declared field type: how a config string is read, and what an error says was expected
+_COERCIONS = {
+    "int": (int, "an int"),
+    "float": (float, "a float"),
+    "bool": (lambda value: _BOOL_STRINGS[str(value).lower()], "a boolean"),
+    "str": (str, "a string"),
+}
 
 
 def config_from_mapping(raw: dict) -> ModelConfig:
@@ -72,18 +79,11 @@ def config_from_mapping(raw: dict) -> ModelConfig:
     for key, value in raw.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        kind = types[key]
-        if kind == "int":
-            coerced[key] = int(value)
-        elif kind == "float":
-            coerced[key] = float(value)
-        elif kind == "bool":
-            try:
-                coerced[key] = _BOOL_STRINGS[str(value).lower()]
-            except KeyError:
-                raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}") from None
-        else:
-            coerced[key] = str(value)
+        parse, expected = _COERCIONS[types[key]]
+        try:
+            coerced[key] = parse(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"config key {key!r}: expected {expected}, got {value!r}") from None
     return ModelConfig.from_dict(coerced)
 
 
@@ -196,7 +196,7 @@ def cmd_tag(args) -> int:
 
 def cmd_inspect_gates(args) -> int:
     model = load_model(args.model)
-    sentences = model.vocab.encode_corpus(_load_split(args.input, args))
+    sentences = model.vocab.encode_corpus(load_conll(args.input, args.token_column, label_column=None))
     dim = model.config.word_dim
     with atomic_open(args.out, "w", encoding="utf-8") as fh:
         header = ["token", "oov", "mean_z"] + [f"z{i}" for i in range(dim)]
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    _add_column_args(p)
+    p.add_argument("--token-column", type=int, default=0)
     p.set_defaults(func=cmd_inspect_gates)
 
     p = sub.add_parser("count-params", help="print parameter counts")

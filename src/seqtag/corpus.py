@@ -58,7 +58,8 @@ def split_row(line: str, path, lineno: int, token_column: int, label_column: int
     """Whitespace-split one data row.
 
     Columns may be negative (counted from the right). A row too short
-    for the requested columns is rejected with its line number.
+    for the requested columns, or whose label column is its token
+    column, is rejected with its line number.
     """
     cols = line.split()
     needed = token_column + 1 if token_column >= 0 else -token_column
@@ -66,6 +67,8 @@ def split_row(line: str, path, lineno: int, token_column: int, label_column: int
         needed = max(needed, label_column + 1 if label_column >= 0 else -label_column)
     if len(cols) < needed:
         raise ValueError(f"{path}:{lineno}: expected at least {needed} columns, got {len(cols)}")
+    if label_column is not None and token_column % len(cols) == label_column % len(cols):
+        raise ValueError(f"{path}:{lineno}: the label column is the token column ({len(cols)} columns)")
     return cols
 
 
@@ -74,7 +77,8 @@ def load_conll(path, token_column: int = 0, label_column: int | None = -1):
 
     Blank lines separate sentences. ``label_column`` may be negative
     (counted from the right) or None for unlabeled input. A row too
-    short for the requested columns is rejected with its line number.
+    short for the requested columns, or one whose label column resolves
+    to its token column, is rejected with its line number.
     """
     sentences = []
     tokens: list = []

@@ -468,6 +468,18 @@ def test_backward_rejects_non_scalar():
         backward(y, tape)
 
 
+def test_backward_consumes_the_tape():
+    x = t64([1.0, 2.0])
+    tape = Tape()
+    with tape:
+        loss = reduce_sum(tanh(x))
+    backward(loss, tape)
+    assert [n.op for n in tape.nodes] == ["tanh", "sum"]
+    assert all(n.saved is None for n in tape.nodes)
+    with pytest.raises(ValueError, match="already backpropagated"):
+        backward(loss, tape)
+
+
 def test_backward_rejects_foreign_loss():
     x = t64([1.0])
     tape = Tape()

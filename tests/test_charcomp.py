@@ -149,6 +149,19 @@ def test_repeated_types_add_no_composer_nodes():
     assert token_rows[4].tolist() == [2]
 
 
+@pytest.mark.parametrize("n_lengths", [1, 3, 8])
+def test_composer_is_one_run_per_direction_whatever_the_lengths(n_lengths):
+    rng = np.random.default_rng(22)
+    p = make_composer(rng)
+    seqs = [rng.integers(0, 6, size=1 + i % n_lengths).tolist() for i in range(12)]
+    assert len({len(s) for s in seqs}) == n_lengths
+    tape = Tape()
+    with tape:
+        compose_words(seqs, p)
+    assert [n.op for n in tape.nodes].count("lstm_sequence") == 2
+    assert len(tape) == 9
+
+
 # ---------------------------------------------------------------------------
 # combiners
 # ---------------------------------------------------------------------------

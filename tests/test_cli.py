@@ -323,6 +323,21 @@ def test_inspect_gates_output(trained_dir, data_dir, tmp_path):
         assert np.all(zs > 0.0) and np.all(zs < 1.0)
 
 
+def test_inspect_gates_reads_one_column_input(trained_dir, data_dir, tmp_path):
+    tokens = tmp_path / "tokens.conll"
+    tokens.write_text("".join(
+        "".join(f"{w}\n" for w in s.surface) + "\n" for s in load_conll(data_dir / "test.conll")
+    ))
+    out = tmp_path / "gates.tsv"
+    code = main([
+        "inspect-gates", "--model", str(trained_dir / "attn" / "model.bin"),
+        "--input", str(tokens), "--out", str(out),
+    ])
+    assert code == 0
+    n_tokens = sum(1 for line in tokens.read_text().splitlines() if line)
+    assert len(out.read_text().splitlines()) == 1 + n_tokens
+
+
 def test_inspect_gates_rejects_word_model(trained_dir, data_dir, tmp_path, capsys):
     code = main([
         "inspect-gates", "--model", str(trained_dir / "word" / "model.bin"),
@@ -385,6 +400,36 @@ def test_config_parsing_errors(tmp_path):
         config_from_mapping({"depth": "3"})
     with pytest.raises(ValueError, match="boolean"):
         config_from_mapping({"shuffle": "maybe"})
+
+
+def test_train_rejects_one_column_rows(data_dir, tmp_path, capsys):
+    train_file = tmp_path / "tokens.conll"
+    train_file.write_text("the\ncat\n\n")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--config", str(data_dir / "tiny.cfg"),
+        "--train", str(train_file), "--dev", str(data_dir / "dev.conll"), "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{train_file}:1" in err
+    assert not (out / "model.bin").exists()
+
+
+def test_config_value_errors_name_the_key(data_dir, tmp_path, capsys):
+    bad_int = tmp_path / "bad-int.cfg"
+    bad_int.write_text(TINY_CONFIG + "word_dim = abc\n")
+    code = main([
+        "train", "--config", str(bad_int), "--train", str(data_dir / "train.conll"),
+        "--dev", str(data_dir / "dev.conll"), "--out", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: config key 'word_dim': expected an int, got 'abc'\n"
+    bad_float = tmp_path / "bad-float.cfg"
+    bad_float.write_text(TINY_CONFIG + "learning_rate = fast\n")
+    code = main(["count-params", "--config", str(bad_float), "--vocab-from", str(data_dir / "train.conll")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: config key 'learning_rate': expected a float, got 'fast'\n"
 
 
 def test_train_with_non_finite_loss_fails(data_dir, tmp_path, capsys):

@@ -78,6 +78,14 @@ def test_load_ragged_row_names_line(tmp_path):
         load_conll(path, token_column=0, label_column=1)
 
 
+def test_load_rejects_a_row_whose_label_is_its_token(tmp_path):
+    path = tmp_path / "one.conll"
+    path.write_text("ok LAB\nlonely\n")
+    with pytest.raises(ValueError, match=r"one\.conll:2: the label column is the token column"):
+        load_conll(path)
+    assert load_conll(path, label_column=None)[0].surface == ["ok", "lonely"]
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "d.conll"
     path.write_text("")
