@@ -52,4 +52,4 @@ from .model import (
     load_model,
     save_model,
 )
-from .training import AdaDelta, TrainReport, evaluate_metric, train, train_multi_seed
+from .training import AdaDelta, TrainReport, evaluate_metric, train

@@ -38,7 +38,10 @@ Shape rules per primitive kind::
                            hidden state after every position of whole
                            LSTM runs, as one node with a hand-written
                            backward pass through time
-    log_partition(a, b)    (T,K) emissions, (K+2,K+2) transitions -> CRF log Z
+    log_partition(a, b, lengths)
+                           (N,K) emissions of one sentence, or several of
+                           the given lengths stored back to back, and
+                           (K+2,K+2) transitions -> their summed CRF log Z,
                            as one node; its backward sends the marginals
 
 Recording is scoped by a ``Tape`` used as a context manager; outside any
@@ -296,9 +299,12 @@ def reduce_sum(t: Tensor) -> Tensor:
 
 
 def _logsumexp(v, axis=None):
-    """Max-shifted log-sum-exp of all of ``v`` (axis None) or of each column (axis 0)."""
-    m = v.max(axis=axis)
-    return m + np.log(np.exp(v - m).sum(axis=axis))
+    """Max-shifted log-sum-exp of all of ``v`` (axis None) or along one axis.
+
+    Entries may be -inf, as long as each reduction has a finite one.
+    """
+    m = v.max(axis=axis, keepdims=True)
+    return np.squeeze(m + np.log(np.exp(v - m).sum(axis=axis, keepdims=True)), axis=axis)
 
 
 def log_sum_exp(t: Tensor, axis=None) -> Tensor:
@@ -345,8 +351,8 @@ def transpose(t: Tensor) -> Tensor:
     return _emit("transpose", (t,), v.T, ())
 
 
-def _run_layout(n_rows: int, lengths, reverse: bool):
-    """How an LSTM run walks sequences stored back to back as rows of one matrix.
+def _run_layout(n_rows: int, lengths, reverse: bool, op: str = "lstm_sequence"):
+    """How a recurrence walks sequences stored back to back as rows of one matrix.
 
     Returns (steps, perm). ``steps`` lists, in run order, (rows, count):
     the slice of the state buffers that step updates and how many
@@ -361,7 +367,7 @@ def _run_layout(n_rows: int, lengths, reverse: bool):
     """
     lens = [n_rows] if lengths is None else [operator.index(v) for v in lengths]
     if not lens or min(lens) < 1 or sum(lens) != n_rows:
-        raise ValueError(f"lstm_sequence: lengths {lens} do not split {n_rows} rows")
+        raise ValueError(f"{op}: lengths {lens} do not split {n_rows} rows")
     longest = max(lens)
     if min(lens) == longest:
         order = range(longest - 1, -1, -1) if reverse else range(longest)
@@ -438,20 +444,81 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
     return _emit("lstm_sequence", (x, w_x, w_h, b), out, (xs, wx, wh, gates, cells, hidden, steps, perm))
 
 
-def log_partition(a: Tensor, b: Tensor) -> Tensor:
-    """CRF log partition by the forward algorithm; scores laid out as in ``seqtag.crf.TagLattice``."""
+# A forward step whose row scale falls below this is redone in log space for
+# that row: no scale that float64 cannot hold to full precision reaches log.
+MIN_SCALE = 1e-250
+
+
+def log_partition(a: Tensor, b: Tensor, lengths=None) -> Tensor:
+    """Summed CRF log partition of one or several sentences, as one node.
+
+    ``a`` is (N, K): the emission scores of one sentence, or with
+    ``lengths`` of several stored back to back; ``b`` holds the shared
+    transitions laid out as in ``seqtag.crf.TagLattice``.
+
+    The scaled forward algorithm (Rabiner 1989) runs over all sentences
+    at once in ``_run_layout``'s step-major packing, longest first, in
+    float64 whatever the input dtype. With ``exp(transitions - max)`` and
+    ``exp(emissions - row max)`` taken once, a step is one (k, K) @ (K, K)
+    product whose rows are then divided by their sums, the scales; log Z
+    is the sum of the logs of the scales and of the shifts, plus each
+    sentence's move to the end state, taken in log space. A row whose
+    scale falls below ``MIN_SCALE`` is redone in log space for that step.
+    The result is exact to rounding as long as no label that matters
+    later is less likely than the best one at its position by a factor
+    float64 cannot hold (about exp(-700)).
+    """
     av, bv = a.values, b.values
     if av.ndim != 2 or av.shape[0] == 0 or bv.shape != (av.shape[1] + 2,) * 2:
         raise _shape_error("log_partition", av.shape, bv.shape)
-    steps, k = av.shape
-    trans = bv[:k, :k]
-    # alpha[t, j]: log of the summed scores of all prefixes ending in label j at t
-    alpha = np.empty(av.shape, dtype=np.result_type(av, bv))
-    alpha[0] = bv[k, :k] + av[0]
-    for t in range(1, steps):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + av[t]
-    out = np.asarray(_logsumexp(alpha[-1] + bv[:k, k + 1]), dtype=alpha.dtype)
-    return _emit("log_partition", (a, b), out, (av, bv, alpha, out))
+    steps, perm = _run_layout(av.shape[0], lengths, False, "log_partition")
+    k = av.shape[1]
+    em = np.asarray(av if perm is None else av[perm], dtype=np.float64)
+    b64 = np.asarray(bv, dtype=np.float64)
+    trans, start, end = b64[:k, :k], b64[k, :k], b64[:k, k + 1]
+    top = trans.max()
+    trans_exp = np.exp(trans - top)
+    row_max = em.max(axis=1)
+    em_exp = np.exp(em - row_max[:, None])
+    # per packed row: the forward vector divided by its sum, that sum (the
+    # scale), the log of everything divided out, and whether log space was used
+    alpha = np.empty_like(em)
+    scale = np.empty(len(em))
+    log_scale = np.empty(len(em))
+    redo = np.zeros(len(em), dtype=bool)
+    end_log_scale = np.empty(steps[0][1])  # per sentence, longest first
+    prev = None
+    with np.errstate(divide="ignore"):
+        for t, (rows, n) in enumerate(steps):
+            if prev is None:
+                shift = start.max()
+                hat = np.exp(start - shift) * em_exp[rows]
+            else:
+                shift = top
+                hat = (prev[:n] @ trans_exp) * em_exp[rows]
+            sums = hat.sum(axis=1)
+            low = sums < MIN_SCALE
+            np.maximum(sums, MIN_SCALE, out=sums)
+            hat /= sums[:, None]
+            logs = shift + row_max[rows] + np.log(sums)
+            if low.any():
+                if prev is None:
+                    log_hat = start + em[rows][low]
+                else:
+                    log_hat = _logsumexp(np.log(prev[:n][low])[:, None, :] + trans.T, axis=-1)
+                    log_hat += em[rows][low]
+                logs[low] = _logsumexp(log_hat, axis=-1)
+                hat[low] = np.exp(log_hat - logs[low][:, None])
+                redo[rows] = low
+            alpha[rows], scale[rows], log_scale[rows] = hat, sums, logs
+            # sentences whose last step this is: the rows past those still running
+            done = steps[t + 1][1] if t + 1 < len(steps) else 0
+            if done < n:
+                end_log_scale[done:n] = _logsumexp(np.log(hat[done:]) + end, axis=-1)
+            prev = hat
+    out = np.asarray(log_scale.sum() + end_log_scale.sum(), dtype=np.result_type(av, bv))
+    saved = (em, b64, trans_exp, em_exp, alpha, scale, log_scale, redo, end_log_scale, steps, perm)
+    return _emit("log_partition", (a, b), out, saved)
 
 
 def stop_gradient(t: Tensor) -> Tensor:
@@ -624,22 +691,57 @@ def _bwd_lstm_sequence(node, g, grads, tensors):
 
 
 def _bwd_log_partition(node, g, grads, tensors):
-    """One backward recursion, then g times the marginals to each score."""
-    av, bv, alpha, log_z = node.saved
-    steps, k = av.shape
-    trans = bv[:k, :k]
-    # beta[t, i]: log of the summed scores of all suffixes after label i at t
+    """The scaled backward recursion, then g times the marginals to each score.
+
+    ``beta`` is scaled by the forward pass's factors, so ``alpha * beta``
+    is each position's label marginal. With ``w`` the next step's
+    ``beta * exp(emissions - row max) / scale``, a step is ``w @ T.T``
+    and the transition gradient is ``T * sum(alpha.T @ w)``, for
+    ``T = exp(transitions - max)``. Rows the forward pass redid in log
+    space are redone in log space here too.
+    """
+    em, b64, trans_exp, em_exp, alpha, scale, log_scale, redo, end_log_scale, steps, perm = node.saved
+    k = em.shape[1]
+    trans, end = b64[:k, :k], b64[:k, k + 1]
     beta = np.empty_like(alpha)
-    beta[-1] = bv[:k, k + 1]
-    for t in range(steps - 1, 0, -1):
-        beta[t - 1] = _logsumexp((trans + (av[t] + beta[t])).T, axis=0)
-    unary = np.exp(alpha + beta - log_z) * g
-    pairs = np.exp(alpha[:-1, :, None] + trans + (av[1:] + beta[1:])[:, None, :] - log_z)
-    db = np.zeros_like(bv)
-    db[:k, :k] = pairs.sum(axis=0) * g
-    db[k, :k] = unary[0]
-    db[:k, k + 1] = unary[-1]
-    _acc(grads, tensors, node.input_ids[0], unary)
+    pairs = np.zeros((k, k))  # sum of alpha_{t-1}.T @ w_t over the scaled rows
+    d_trans = np.zeros((k, k))  # pair marginals of the rows redone in log space
+    d_end = np.zeros(k)
+    carried = None  # beta of the previous position, for the sentences still running
+    # w may overflow in a row redone in log space; that row's w is then discarded
+    with np.errstate(divide="ignore", over="ignore"):
+        for t in range(len(steps) - 1, -1, -1):
+            rows, n = steps[t]
+            done = steps[t + 1][1] if t + 1 < len(steps) else 0
+            b_t = np.empty((n, k))
+            b_t[:done] = carried
+            b_t[done:] = np.exp(end - end_log_scale[done:n, None])
+            d_end += (alpha[rows][done:] * b_t[done:]).sum(axis=0)
+            beta[rows] = b_t
+            if t == 0:
+                break
+            a_prev = alpha[steps[t - 1][0]][:n]
+            low = redo[rows]
+            w = b_t * em_exp[rows]
+            w /= scale[rows][:, None]
+            w[low] = 0.0
+            pairs += a_prev.T @ w
+            carried = w @ trans_exp.T
+            if low.any():
+                log_w = np.log(b_t[low]) + em[rows][low] - log_scale[rows][low][:, None]
+                log_pair = np.log(a_prev[low])[:, :, None] + trans + log_w[:, None, :]
+                d_trans += np.exp(log_pair).sum(axis=0)
+                carried[low] = np.exp(_logsumexp(trans + log_w[:, None, :], axis=-1))
+    unary = alpha * beta
+    unary *= g
+    d_em = unary if perm is None else np.empty_like(unary)
+    if perm is not None:
+        d_em[perm] = unary
+    db = np.zeros_like(b64)
+    db[:k, :k] = (pairs * trans_exp + d_trans) * g
+    db[k, :k] = unary[steps[0][0]].sum(axis=0)
+    db[:k, k + 1] = d_end * g
+    _acc(grads, tensors, node.input_ids[0], d_em)
     _acc(grads, tensors, node.input_ids[1], db)
 
 

@@ -12,7 +12,10 @@ minus infinity.
 
 The negative log-likelihood is log Z, one tape node whose backward
 pass sends the forward-backward marginals to the scores, minus the
-gold path's score, gathered by one indexed read per score matrix.
+gold path's score, gathered by one indexed read per score matrix. A
+lattice may hold the emission rows of several sentences back to back;
+``crf_nll`` with their ``lengths`` then gives the summed loss of all of
+them from the same fixed handful of nodes.
 Decoding is plain numeric Viterbi with ties broken toward the
 lowest label index at every backpointer decision; the exhaustive oracle
 in the tests applies the same preference, which for enumeration order
@@ -146,15 +149,26 @@ def crf_log_partition(lat: TagLattice) -> Tensor:
     return log_partition(lat.emissions, lat.transitions)
 
 
-def crf_nll(lat: TagLattice, y) -> Tensor:
-    """Negative log-likelihood of the gold sequence; never below zero."""
+def crf_nll(lat: TagLattice, y, lengths=None) -> Tensor:
+    """Negative log-likelihood of the gold sequence; never below zero.
+
+    With ``lengths`` the lattice's rows are several sentences back to
+    back, ``y`` holds their gold labels in the same order, and the
+    result is the sum of the sentences' losses.
+    """
     y = np.asarray(_check_sequence(lat, y), dtype=np.int64)
-    path = np.concatenate(([lat.start_index], y, [lat.end_index]))
+    log_z = log_partition(lat.emissions, lat.transitions, lengths)  # also checks lengths
+    lens = np.array([lat.seq_len] if lengths is None else lengths)
+    ends = np.cumsum(lens)
+    # each token's transition comes from the label before it, or from start at a
+    # sentence's first token; each sentence's last label then moves to end
+    before = np.roll(y, 1)
+    before[ends - lens] = lat.start_index
     gold_score = reduce_sum(concat((
         pick_row(lat.emissions, (np.arange(lat.seq_len), y)),
-        pick_row(lat.transitions, (path[:-1], path[1:])),
+        pick_row(lat.transitions, (np.concatenate((before, y[ends - 1])),
+                                   np.concatenate((y, np.full(len(ends), lat.end_index))))),
     )))
-    log_z = crf_log_partition(lat)
     return add(log_z, multiply(gold_score, const_like(-1.0, gold_score)))
 
 

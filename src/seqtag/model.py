@@ -44,7 +44,6 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
-    concat,
     const_like,
     log_sum_exp,
     multiply,
@@ -250,9 +249,9 @@ class Model:
         The loss is the sum of the per-sentence losses. The batch runs
         through the word level as one token matrix: one lookup, one
         composer pass, one BiLSTM run per direction over the sentences
-        back to back, one hidden and output layer; only the CRF loss is
-        taken per sentence, from its rows of the scores. The auxiliary
-        term is a float, already included in the loss.
+        back to back, one hidden and output layer, and one CRF loss over
+        all the sentences' score rows. The auxiliary term is a float,
+        already included in the loss.
         """
         sents = list(sents)
         if not sents:
@@ -262,15 +261,11 @@ class Model:
         lengths = [len(sent.word_ids) for sent in sents]
         inputs, x, m, _ = self._token_inputs(sents)
         scores = self._emissions(inputs, lengths)
+        gold = np.concatenate([sent.gold for sent in sents])
         if self.config.output == "crf":
-            ends = np.cumsum(lengths)
-            losses = [
-                crf_nll(TagLattice(pick_row(scores, np.arange(end - n, end)), self.transitions), sent.gold)
-                for sent, n, end in zip(sents, lengths, ends)
-            ]
-            total = reduce_sum(concat(losses))
+            total = crf_nll(TagLattice(scores, self.transitions), gold, lengths)
         else:
-            total = _softmax_nll(scores, np.concatenate([sent.gold for sent in sents]))
+            total = _softmax_nll(scores, gold)
         if self.config.architecture != "attention":
             return total, None
         aux = char_aux_loss(m, x, [flag for sent in sents for flag in self.oov_flags(sent)])

@@ -4,17 +4,20 @@ Batches are formed by sentence count in corpus order (a shuffle flag
 reshuffles per epoch from the run seed). The batch loss is the sum of
 the per-sentence losses, built in one pass over the batch
 (``Model.batch_loss_parts``): each distinct word type's characters are
-composed once per batch and shared by all of its tokens, and the word
-BiLSTM runs once per direction over all the batch's sentences, which
-changes how much work a step does but not the sum it computes.
+composed once per batch and shared by all of its tokens, the word
+BiLSTM runs once per direction over all the batch's sentences, and the
+CRF loss is one node over all of them, which changes how much work a
+step does but not the sum it computes. The AdaDelta step then touches
+only the parameter rows the batch reached (see ``AdaDelta``), with the
+same result as updating every row.
 Development decoding still predicts one sentence at a time. Training
 stops once the development metric has not improved for ``patience``
 epochs, and the parameters from the best development epoch are what the
 caller gets back.
 
-Optimizer steps rejected for non-finite gradients are counted per
-epoch. An epoch whose every step was rejected, or whose training loss
-is not finite, ends the run with ``TrainingFailed``.
+Optimizer steps rejected for non-finite gradients or updates are
+counted per epoch. An epoch whose every step was rejected, or whose
+training loss is not finite, ends the run with ``TrainingFailed``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,18 @@ class AdaDelta:
         step = -sqrt(Ed2 + eps) / sqrt(Eg2 + eps) * g
         Ed2 <- rho * Ed2 + (1 - rho) * step^2
         theta <- theta + lr * step
+
+    A step updates only the rows of a parameter whose gradient has a
+    nonzero entry (a vector is one row): a batch touches a few hundred
+    rows of a large embedding table. This is exact up to rounding. For a
+    row whose gradient is zero the update multiplies Eg2 and Ed2 by rho
+    and leaves theta unchanged bit for bit, since its step is zero. So
+    each row records the parameter's step count at its last update, and
+    a row skipped for k steps has both accumulators multiplied by rho**k
+    when it is next touched. No catch-up is ever owed to theta, so the
+    parameters can be copied or saved at any time. A row touched on
+    consecutive steps is multiplied by rho**0 == 1, which leaves a
+    dense gradient's update bit-identical to the formulas above.
     """
 
     def __init__(self, params: dict, rho: float = 0.95, epsilon: float = 1e-6,
@@ -59,46 +74,79 @@ class AdaDelta:
         self.learning_rate = learning_rate
         self._sq_grad = {n: np.zeros_like(p.values) for n, p in self.params.items()}
         self._sq_step = {n: np.zeros_like(p.values) for n, p in self.params.items()}
+        # per parameter: the steps that carried its gradient, and per row that
+        # count at the row's last update
+        self._steps = dict.fromkeys(self.params, 0)
+        self._updated = {n: np.zeros(len(_rows(p.values)), dtype=np.int64)
+                         for n, p in self.params.items()}
 
     def step(self) -> bool:
         """Apply one update from the accumulated gradients.
 
-        A non-finite gradient anywhere rejects the whole step (nothing
-        is mutated) and logs the incident. Parameters without a gradient
-        are left alone.
+        Every touched row's new values and accumulators are computed
+        into scratch arrays first. A non-finite gradient, or an update
+        that would store a non-finite number, rejects the whole step:
+        nothing is mutated and the incident is logged. Parameters
+        without a gradient are left alone.
         """
-        for name, p in self.params.items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                log.warning("adadelta: non-finite gradient for %s, step rejected", name)
-                return False
         rho, eps, lr = self.rho, self.epsilon, self.learning_rate
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            eg2 = self._sq_grad[name]
-            ed2 = self._sq_step[name]
-            # the docstring's expressions, each evaluated into one of two scratch
-            # arrays: for a large embedding table a temporary per operation would
-            # be the largest allocation of a training step
-            step = np.multiply(1.0 - rho, g)
-            step *= g
-            eg2 *= rho
-            eg2 += step
-            np.add(ed2, eps, out=step)
-            np.sqrt(step, out=step)
-            np.negative(step, out=step)
-            denom = np.add(eg2, eps)
-            np.sqrt(denom, out=denom)
-            step /= denom
-            step *= g
-            np.multiply(1.0 - rho, step, out=denom)
-            denom *= step
-            ed2 *= rho
-            ed2 += denom
-            step *= lr
-            p.values += step
+        updates = []
+        # overflow and invalid arithmetic show up as non-finite results, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p in self.params.items():
+                if p.grad is None:
+                    continue
+                grad = _rows(p.grad)
+                rows = np.flatnonzero(grad.any(axis=1))
+                if len(rows) == len(grad):
+                    rows = slice(None)  # every row: views instead of gathered copies
+                g = grad[rows]
+                if not np.isfinite(g).all():
+                    log.warning("adadelta: non-finite gradient for %s, step rejected", name)
+                    return False
+                count = self._steps[name] + 1
+                missed = count - 1 - self._updated[name][rows]
+                eg2 = _rows(self._sq_grad[name])[rows]
+                ed2 = _rows(self._sq_step[name])[rows]
+                if missed.any():
+                    decay = np.power(rho, missed)[:, None].astype(g.dtype)
+                    eg2 = eg2 * decay
+                    ed2 = ed2 * decay
+                # the docstring's expressions, each evaluated into a new array or one
+                # of two scratch arrays: eg2 and ed2 may still be views of the stored rows
+                step = np.multiply(1.0 - rho, g)
+                step *= g
+                eg2 = eg2 * rho
+                eg2 += step
+                np.add(ed2, eps, out=step)
+                np.sqrt(step, out=step)
+                np.negative(step, out=step)
+                denom = np.add(eg2, eps)
+                np.sqrt(denom, out=denom)
+                step /= denom
+                step *= g
+                np.multiply(1.0 - rho, step, out=denom)
+                denom *= step
+                ed2 = ed2 * rho
+                ed2 += denom
+                step *= lr
+                theta = _rows(p.values)[rows] + step
+                if not (np.isfinite(theta).all() and np.isfinite(eg2).all() and np.isfinite(ed2).all()):
+                    log.warning("adadelta: non-finite update for %s, step rejected", name)
+                    return False
+                updates.append((name, rows, count, theta, eg2, ed2))
+        for name, rows, count, theta, eg2, ed2 in updates:
+            _rows(self.params[name].values)[rows] = theta
+            _rows(self._sq_grad[name])[rows] = eg2
+            _rows(self._sq_step[name])[rows] = ed2
+            self._updated[name][rows] = count
+            self._steps[name] = count
         return True
+
+
+def _rows(a):
+    """A parameter-shaped array as a matrix of rows, sharing its memory: a vector is one row."""
+    return a if a.ndim == 2 else a.reshape(1, -1)
 
 
 @dataclass
@@ -181,34 +229,6 @@ def _batches(n: int, batch_size: int):
     return [list(range(i, min(i + batch_size, n))) for i in range(0, n, batch_size)]
 
 
-def train_multi_seed(config: ModelConfig, train_sentences, dev_sentences,
-                     vocab: Vocabulary, seeds, pretrained=None):
-    """Re-run training once per seed; returns (runs, summary).
-
-    ``runs`` is a list of (seed, model, report); ``summary`` holds the
-    mean and spread of the best dev metrics, which is how multi-seed
-    results should be reported instead of cherry-picking one run.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("train_multi_seed: need at least one seed")
-    runs = []
-    for seed in seeds:
-        cfg = ModelConfig.from_dict({**config.to_dict(), "seed": int(seed)})
-        model, report = train(cfg, train_sentences, dev_sentences, vocab,
-                              pretrained=pretrained)
-        runs.append((int(seed), model, report))
-    best = np.array([report.best_dev_metric() for _, _, report in runs])
-    summary = {
-        "seeds": seeds,
-        "dev_mean": float(best.mean()),
-        "dev_std": float(best.std()),
-        "dev_min": float(best.min()),
-        "dev_max": float(best.max()),
-    }
-    return runs, summary
-
-
 def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary,
           pretrained=None):
     """Fit a model and return (best model, per-epoch report)."""
@@ -249,7 +269,7 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
             if aux is not None:
                 epoch_aux += aux
             backward(total, tape)
-            del tape  # frees the recorded values before the optimizer step's scratch arrays
+            del tape  # frees the recorded values before the optimizer step
             if not opt.step():
                 rejected += 1
             model.zero_grad()

@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 None of these run in training or tagging: they are exhaustive,
-closed-form or stepwise oracles (CRF enumeration, per-token softmax and
-cross-entropy, rendering spans back to IOB labels, one LSTM cell update
-built from tape primitives).
+closed-form or stepwise oracles (CRF enumeration, the CRF forward-backward
+recursion in log space, per-token softmax and cross-entropy, rendering
+spans back to IOB labels, one LSTM cell update built from tape
+primitives, the dense AdaDelta update).
 """
 
 from __future__ import annotations
@@ -86,6 +87,42 @@ def brute_force_oracle(lat: TagLattice):
     return log_z, list(best_seq)
 
 
+def _logsumexp(v, axis=None):
+    m = v.max(axis=axis)
+    return m + np.log(np.exp(v - m).sum(axis=axis))
+
+
+def crf_log_space(emissions, transitions):
+    """(log Z, d log Z / d emissions, d log Z / d transitions) of one lattice.
+
+    The per-sentence forward-backward recursion in log space, in float64:
+    one K x K log-sum-exp per position and direction, with no scaling to
+    underflow. ``transitions`` is laid out as in ``TagLattice``.
+    """
+    a = np.asarray(emissions, dtype=np.float64)
+    b = np.asarray(transitions, dtype=np.float64)
+    steps, k = a.shape
+    trans = b[:k, :k]
+    # alpha[t, j] / beta[t, i]: log of the summed scores of all prefixes
+    # ending in label j at t / of all suffixes after label i at t
+    alpha = np.empty_like(a)
+    alpha[0] = b[k, :k] + a[0]
+    for t in range(1, steps):
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + a[t]
+    log_z = float(_logsumexp(alpha[-1] + b[:k, k + 1]))
+    beta = np.empty_like(a)
+    beta[-1] = b[:k, k + 1]
+    for t in range(steps - 1, 0, -1):
+        beta[t - 1] = _logsumexp((trans + (a[t] + beta[t])).T, axis=0)
+    unary = np.exp(alpha + beta - log_z)
+    pairs = np.exp(alpha[:-1, :, None] + trans + (a[1:] + beta[1:])[:, None, :] - log_z)
+    d_trans = np.zeros_like(b)
+    d_trans[:k, :k] = pairs.sum(axis=0)
+    d_trans[k, :k] = unary[0]
+    d_trans[:k, k + 1] = unary[-1]
+    return log_z, unary, d_trans
+
+
 def render_labels(spans, length: int) -> list:
     """Inverse of extract_spans for well-formed, non-overlapping spans."""
     labels = ["O"] * length
@@ -119,3 +156,12 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
     c = add(multiply(gate_f, c_prev), multiply(gate_i, gate_g))
     new_h = multiply(gate_o, tanh(c))
     return new_h, c
+
+
+def adadelta_dense_step(values, sq_grad, sq_step, g, rho, eps, lr):
+    """One AdaDelta update of every entry by the documented formulas; returns
+    the new (values, Eg2, Ed2) and leaves its arguments alone."""
+    sq_grad = rho * sq_grad + (1.0 - rho) * g * g
+    step = -np.sqrt(sq_step + eps) / np.sqrt(sq_grad + eps) * g
+    sq_step = rho * sq_step + (1.0 - rho) * step * step
+    return values + lr * step, sq_grad, sq_step

@@ -333,10 +333,17 @@ def _random_array_case(kind, rng, i):
             lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights)),
             [x, w_x, w_h, b],
         )
+    if kind == "log_partition":  # ragged: 2-4 sentences of 1-6 tokens back to back
+        labels = 1 + i % 4
+        lengths = rng.integers(1, 7, size=2 + i % 3)
+        lengths[i % len(lengths)] = 1 + (i % 2) * 5  # a length-1 or the longest sentence, in turn
+        a = t64(rng.normal(size=(int(lengths.sum()), labels)))
+        b = t64(rng.normal(size=(labels + 2, labels + 2)))
+        return lambda: log_partition(a, b, lengths), [a, b]
     raise AssertionError(kind)
 
 
-@pytest.mark.parametrize("kind", ["concat", "cosine_similarity", "pick_row", "lstm_sequence"])
+@pytest.mark.parametrize("kind", ["concat", "cosine_similarity", "pick_row", "lstm_sequence", "log_partition"])
 def test_primitive_gradients_random_array_forms(kind):
     rng = np.random.default_rng(2000 + OP_KINDS.index(kind))
     for i in range(100):
@@ -499,6 +506,9 @@ def test_log_partition_shape_errors():
     for a, b in [((2, 3), (4, 4)), ((0, 2), (4, 4)), ((3,), (3, 3))]:
         with pytest.raises(ValueError, match="log_partition"):
             log_partition(t64(np.zeros(a)), t64(np.zeros(b)))
+    for lengths in ([], [2, 3], [4, 0], [5, -1]):
+        with pytest.raises(ValueError, match="log_partition: lengths"):
+            log_partition(t64(np.zeros((4, 2))), t64(np.zeros((4, 4))), lengths)
 
 
 def test_log_sum_exp_rejects_bad_axis():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqtag.autodiff import Tape, backward, finite_difference_check, log_sum_exp, narrow, reduce_sum, tensor
+from seqtag.autodiff import Tape, backward, finite_difference_check, log_partition, log_sum_exp, narrow, reduce_sum, tensor
 from seqtag.crf import (
     LabelSet,
     TagLattice,
@@ -14,7 +14,7 @@ from seqtag.crf import (
     viterbi_decode,
 )
 
-from oracles import brute_force_oracle, crossentropy_loss, softmax_predict
+from oracles import brute_force_oracle, crf_log_space, crossentropy_loss, softmax_predict
 
 
 def t64(values):
@@ -263,6 +263,102 @@ def test_nll_adds_a_fixed_number_of_tape_nodes():
             crf_nll(lat, rng.integers(0, k, size=t_len))
         counts.add(len(tape))
     assert len(counts) == 1, counts
+
+
+def _value_and_grads(lat, y, lengths=None):
+    tape = Tape()
+    with tape:
+        loss = crf_nll(lat, y, lengths)
+    backward(loss, tape)
+    return float(loss.values), lat.emissions.grad, lat.transitions.grad
+
+
+def test_batched_nll_is_the_sum_of_sentence_nlls():
+    rng = np.random.default_rng(14)
+    for trial in range(20):
+        k = int(rng.integers(1, 6))
+        lengths = [int(n) for n in rng.integers(1, 9, size=int(rng.integers(1, 7)))]
+        em = rng.normal(size=(sum(lengths), k))
+        tr = rng.normal(size=(k + 2, k + 2))
+        y = rng.integers(0, k, size=sum(lengths))
+        total, d_em, d_tr = _value_and_grads(TagLattice(em, tr), y, lengths)
+        want, want_em, want_tr = 0.0, np.zeros_like(em), np.zeros_like(tr)
+        for end, n in zip(np.cumsum(lengths), lengths):
+            lat = TagLattice(em[end - n:end], tr)
+            value, g_em, g_tr = _value_and_grads(lat, y[end - n:end])
+            want += value
+            want_em[end - n:end] = g_em
+            want_tr += g_tr
+        assert total == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert np.allclose(d_em, want_em, rtol=0.0, atol=1e-12)
+        assert np.allclose(d_tr, want_tr, rtol=0.0, atol=1e-12)
+
+
+def test_batched_nll_adds_a_fixed_number_of_tape_nodes():
+    rng = np.random.default_rng(15)
+    counts = set()
+    for lengths in ([1], [3, 1], [7, 7, 7], [20, 2, 9, 1, 14]):
+        lat = random_lattice(rng, sum(lengths), 4)
+        tape = Tape()
+        with tape:
+            crf_nll(lat, rng.integers(0, 4, size=sum(lengths)), lengths)
+        counts.add(len(tape))
+    assert len(counts) == 1, counts
+
+
+def _log_space_sum(em, tr, lengths):
+    """Summed log Z and its gradients, one oracle call per sentence."""
+    log_z, d_em, d_tr = 0.0, np.zeros(em.shape), np.zeros(tr.shape)
+    for end, n in zip(np.cumsum(lengths), lengths):
+        value, unary, pairs = crf_log_space(em[end - n:end], tr)
+        log_z += value
+        d_em[end - n:end] = unary
+        d_tr += pairs
+    return log_z, d_em, d_tr
+
+
+def _log_partition_and_grads(em, tr, lengths):
+    a, b = tensor(em), tensor(tr)
+    tape = Tape()
+    with tape:
+        log_z = log_partition(a, b, lengths)
+    backward(log_z, tape)
+    return float(log_z.values), a.grad, b.grad
+
+
+def test_log_partition_float32_scores_spread_across_100_stay_exact():
+    rng = np.random.default_rng(16)
+    for trial in range(40):
+        k = int(rng.integers(1, 10))
+        lengths = [int(n) for n in rng.integers(1, 12, size=int(rng.integers(1, 6)))]
+        em = rng.uniform(-100.0, 100.0, size=(sum(lengths), k)).astype(np.float32)
+        tr = rng.uniform(-100.0, 100.0, size=(k + 2, k + 2)).astype(np.float32)
+        log_z, d_em, d_tr = _log_partition_and_grads(em, tr, lengths)
+        want, want_em, want_tr = _log_space_sum(em, tr, lengths)
+        assert np.isfinite(log_z) and np.isfinite(d_em).all() and np.isfinite(d_tr).all()
+        assert d_em.dtype == d_tr.dtype == np.float32
+        assert log_z == pytest.approx(want, rel=1e-6)
+        assert np.allclose(d_em, want_em, rtol=0.0, atol=1e-5)
+        assert np.allclose(d_tr, want_tr, rtol=0.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_partition_redoes_an_underflowing_step_in_log_space(dtype):
+    # the second sentence starts in label 0 (label 1 is exp(-700) as likely), and
+    # every way on from label 0 scores 800 below the best transition, every way on
+    # from label 1 another 50: the scaled sum of its second step is exp(-750),
+    # zero in float64, so that step must be recomputed in log space
+    tr = np.zeros((4, 4))
+    tr[:2, :2] = [[-800.0, -800.0], [-50.0, 0.0]]
+    tr[2, :2] = [0.0, -700.0]
+    em = np.array([[0.3, -1.0], [2.0, 0.5], [1.5, 0.0], [0.0, 0.0], [0.0, -50.0]])
+    lengths = [3, 2]
+    log_z, d_em, d_tr = _log_partition_and_grads(em.astype(dtype), tr.astype(dtype), lengths)
+    want, want_em, want_tr = _log_space_sum(em, tr, lengths)
+    tol = 1e-12 if dtype == np.float64 else 1e-6
+    assert log_z == pytest.approx(want, rel=tol)
+    assert np.allclose(d_em, want_em, rtol=0.0, atol=tol)
+    assert np.allclose(d_tr, want_tr, rtol=0.0, atol=tol)
 
 
 # ---------------------------------------------------------------------------

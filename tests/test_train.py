@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqtag.training as train_mod
 from seqtag.autodiff import tensor
 from seqtag.corpus import build_vocab
 from seqtag.model import ModelConfig
 from seqtag.synthdata import make_suffix_corpus
-from seqtag.training import AdaDelta, evaluate_metric, train, train_multi_seed
+from seqtag.training import AdaDelta, evaluate_metric, train
+
+from oracles import adadelta_dense_step
 
 
 def t32(values):
@@ -115,6 +119,58 @@ def test_adadelta_rejects_non_finite_gradient(caplog):
     assert "non-finite" in caplog.text
 
 
+def test_adadelta_rejects_a_non_finite_update(caplog):
+    p = t32([1.0, -2.0, 3.0])
+    p.grad = np.ones(3, dtype=np.float32)
+    opt = AdaDelta({"p": p}, learning_rate=1e300)
+    with caplog.at_level(logging.WARNING):
+        assert not opt.step()
+    assert np.array_equal(p.values, [1.0, -2.0, 3.0])
+    assert not opt._sq_grad["p"].any() and not opt._sq_step["p"].any()
+    assert "non-finite update" in caplog.text
+
+
+def _current(opt, name, acc):
+    """An accumulator as the dense update would hold it: rows the lazy update
+    skipped get the decay of the steps they missed."""
+    missed = opt._steps[name] - opt._updated[name]
+    return acc.reshape(len(missed), -1) * (opt.rho ** missed)[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       rho=st.sampled_from([0.0, 0.5, 0.95]), eps=st.sampled_from([1e-6, 1e-3]),
+       lr=st.sampled_from([1.0, 0.3]), rows=st.integers(1, 6), cols=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_lazy_adadelta_matches_the_dense_update(data, dtype, rho, eps, lr, rows, cols, seed):
+    """Random rows of a matrix and a whole vector get zero gradients, or none."""
+    rng = np.random.default_rng(seed)
+    shapes = {"m": (rows, cols), "v": (cols,)}
+    params = {n: tensor(rng.normal(size=shape).astype(dtype)) for n, shape in shapes.items()}
+    opt = AdaDelta(params, rho=rho, epsilon=eps, learning_rate=lr)
+    dense = {n: (p.values.copy(), np.zeros_like(p.values), np.zeros_like(p.values))
+             for n, p in params.items()}
+    tol = dict(rtol=1e-4, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-12)
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        live = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows), label="live rows")
+        g = (rng.normal(size=(rows, cols)) * np.array(live)[:, None]).astype(dtype)
+        grads = {"m": g, "v": data.draw(st.sampled_from([None, "zero", "dense"]), label="vector")}
+        if grads["v"] is not None:
+            scale = 0.0 if grads["v"] == "zero" else 1.0
+            grads["v"] = (rng.normal(size=cols) * scale).astype(dtype)
+        for n, p in params.items():
+            p.grad = None if grads[n] is None else grads[n].copy()
+        assert opt.step()
+        for n, p in params.items():
+            if grads[n] is not None:
+                dense[n] = adadelta_dense_step(*dense[n], grads[n], rho, eps, lr)
+            values, sq_grad, sq_step = dense[n]
+            assert p.values.dtype == dtype
+            np.testing.assert_allclose(p.values, values, **tol)
+            np.testing.assert_allclose(_current(opt, n, opt._sq_grad[n]), sq_grad.reshape(len(opt._updated[n]), -1), **tol)
+            np.testing.assert_allclose(_current(opt, n, opt._sq_step[n]), sq_step.reshape(len(opt._updated[n]), -1), **tol)
+
+
 def test_adadelta_validates_hyperparameters():
     p = tensor(np.array([1.0]))
     with pytest.raises(ValueError, match="rho"):
@@ -198,6 +254,32 @@ def test_attention_overfits_training_set(suffix_models, suffix_task):
     assert entry["report"].stopped_epoch <= 50
     train_acc = evaluate_metric(entry["model"], suffix_task["train"], "acc")
     assert train_acc >= 0.99
+
+
+def train_multi_seed(config, train_sentences, dev_sentences, vocab, seeds, pretrained=None):
+    """Re-run training once per seed; returns (runs, summary).
+
+    ``runs`` is a list of (seed, model, report); ``summary`` holds the
+    mean and spread of the best dev metrics, which is how multi-seed
+    results should be reported instead of cherry-picking one run.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("train_multi_seed: need at least one seed")
+    runs = []
+    for seed in seeds:
+        cfg = ModelConfig.from_dict({**config.to_dict(), "seed": int(seed)})
+        model, report = train(cfg, train_sentences, dev_sentences, vocab, pretrained=pretrained)
+        runs.append((int(seed), model, report))
+    best = np.array([report.best_dev_metric() for _, _, report in runs])
+    summary = {
+        "seeds": seeds,
+        "dev_mean": float(best.mean()),
+        "dev_std": float(best.std()),
+        "dev_min": float(best.min()),
+        "dev_max": float(best.max()),
+    }
+    return runs, summary
 
 
 def test_multi_seed_driver():
