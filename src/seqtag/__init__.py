@@ -6,7 +6,6 @@ from .autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_difference_check,
     lstm_sequence,
     stop_gradient,
 )

@@ -26,10 +26,10 @@ Shape rules per primitive kind::
     cosine_similarity(a,b) vectors -> scalar, or (n,d) matrices -> (n,)
                            row by row; each norm is guarded with +1e-8
                            so zero vectors stay finite
-    pick_row(m, i)         m[i] of a matrix, copied: i is an int (one
-                           row), an integer array (rows gathered into
-                           shape i.shape + (n,)) or a pair of them
-                           indexing rows and columns; repeated indices
+    pick_row(m, i)         m[i] of a matrix, copied: i is an int or an
+                           integer array (rows gathered into shape
+                           i.shape + (n,)) or a pair of them indexing
+                           rows and columns; repeated indices
                            accumulate gradient
     transpose(m)           (m,n) -> (n,m)
     lstm_sequence(x, w_x, w_h, b, reverse, lengths)
@@ -46,10 +46,10 @@ Shape rules per primitive kind::
 
 Recording is scoped by a ``Tape`` used as a context manager; outside any
 tape the same functions run forward-only. The finite-difference checker
-relies on that for its many loss evaluations, and additionally freezes
-every ``stop_gradient`` input at its baseline value while perturbing, so
-that the numeric derivative measures exactly the quantity the analytic
-backward pass computes.
+in the test suite relies on that for its many loss evaluations, and
+swaps ``_stop_gradient_values`` to freeze every ``stop_gradient`` input
+at its baseline value while perturbing, so that the numeric derivative
+measures exactly the quantity the analytic backward pass computes.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from __future__ import annotations
 import operator
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,9 +102,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.values.dtype
-
-    def item(self) -> float:
-        return float(self.values)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype})"
@@ -330,10 +326,6 @@ def pick_row(m: Tensor, i) -> Tensor:
     v = m.values
     if v.ndim != 2:
         raise _shape_error("pick_row", v.shape)
-    if isinstance(i, (int, np.integer)):
-        if not 0 <= i < v.shape[0]:
-            raise ValueError(f"pick_row: row {i} out of range for shape {v.shape}")
-        return _emit("pick_row", (m,), v[i].copy(), (int(i),))
     index = tuple(np.asarray(ix) for ix in (i if isinstance(i, tuple) else (i,)))
     if len(index) > v.ndim:
         raise ValueError(f"pick_row: {len(index)} indices for shape {v.shape}")
@@ -356,26 +348,18 @@ def _run_layout(n_rows: int, lengths, reverse: bool, op: str = "lstm_sequence"):
 
     Returns (steps, perm). ``steps`` lists, in run order, (rows, count):
     the slice of the state buffers that step updates and how many
-    sequences it advances. ``perm`` is None when the buffers are laid
-    out like the input, else the input row each buffer row holds.
-
-    Sequences of one length keep the input's layout: step t is rows
-    t, t + L, t + 2L, ..., a strided slice, so nothing is sorted or
-    copied. Ragged sequences are packed step-major with the longest
+    sequences it advances. ``perm`` gives the input row each buffer row
+    holds. The buffers are packed step-major with the longest sequence
     first, so step t is a contiguous block of the sequences still
     running and no padded position exists.
     """
     lens = [n_rows] if lengths is None else [operator.index(v) for v in lengths]
     if not lens or min(lens) < 1 or sum(lens) != n_rows:
         raise ValueError(f"{op}: lengths {lens} do not split {n_rows} rows")
-    longest = max(lens)
-    if min(lens) == longest:
-        order = range(longest - 1, -1, -1) if reverse else range(longest)
-        return [(slice(t, None, longest), len(lens)) for t in order], None
     lens = np.array(lens)
     rank = np.argsort(-lens, kind="stable")
     ranked = lens[rank]
-    running = ranked > np.arange(longest)[:, None]  # (step, sequence), a prefix per row
+    running = ranked > np.arange(ranked[0])[:, None]  # (step, sequence), a prefix per row
     step, seq = np.nonzero(running)
     position = ranked[seq] - 1 - step if reverse else step
     perm = (np.cumsum(lens) - lens)[rank][seq] + position
@@ -395,10 +379,11 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
     Gate order and cell equations are those documented in
     ``seqtag.layers``. All runs advance together, one ``h @ w_h``
     product per step over the sequences still running (see
-    ``_run_layout``). For sequences of one length the input projection
-    takes each position as its own vector-matrix product, the kernel a
-    single cell update uses, so one sequence's states equal those of the
-    stepwise cell bit for bit; ragged runs project in one GEMM.
+    ``_run_layout``). For a single sequence the input projection takes
+    each position as its own vector-matrix product, the kernel a single
+    cell update uses, so its states equal those of the stepwise cell bit
+    for bit; several sequences project in one GEMM, which is several
+    times faster at training shapes.
     """
     xv, wx, wh, bv = x.values, w_x.values, w_h.values, b.values
     hid = wh.shape[0]
@@ -411,12 +396,8 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
     ):
         raise _shape_error("lstm_sequence", xv.shape, wx.shape, wh.shape, bv.shape)
     steps, perm = _run_layout(xv.shape[0], lengths, reverse)
-    if perm is None:
-        xs = xv
-        gates = np.matmul(xv[:, None, :], wx)[:, 0]
-    else:
-        xs = xv[perm]
-        gates = xs @ wx
+    xs = xv[perm]
+    gates = np.matmul(xs[:, None, :], wx)[:, 0] if steps[0][1] == 1 else xs @ wx
     # the projections turn into the post-activation gates i, f, g, o step by step
     cells = np.empty((xv.shape[0], hid), dtype=gates.dtype)
     hidden = np.empty_like(cells)
@@ -437,10 +418,8 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
             h = act[:, 3 * hid :] * np.tanh(c)
             cells[rows] = c
             hidden[rows] = h
-    out = hidden
-    if perm is not None:
-        out = np.empty_like(hidden)
-        out[perm] = hidden
+    out = np.empty_like(hidden)
+    out[perm] = hidden
     return _emit("lstm_sequence", (x, w_x, w_h, b), out, (xs, wx, wh, gates, cells, hidden, steps, perm))
 
 
@@ -473,7 +452,7 @@ def log_partition(a: Tensor, b: Tensor, lengths=None) -> Tensor:
         raise _shape_error("log_partition", av.shape, bv.shape)
     steps, perm = _run_layout(av.shape[0], lengths, False, "log_partition")
     k = av.shape[1]
-    em = np.asarray(av if perm is None else av[perm], dtype=np.float64)
+    em = np.asarray(av[perm], dtype=np.float64)
     b64 = np.asarray(bv, dtype=np.float64)
     trans, start, end = b64[:k, :k], b64[k, :k], b64[:k, k + 1]
     top = trans.max()
@@ -521,9 +500,14 @@ def log_partition(a: Tensor, b: Tensor, lengths=None) -> Tensor:
     return _emit("log_partition", (a, b), out, saved)
 
 
+def _stop_gradient_values(values):
+    """The values ``stop_gradient`` passes on; a test may swap this hook to freeze them."""
+    return values
+
+
 def stop_gradient(t: Tensor) -> Tensor:
     """Identity forward; the backward pass sends nothing through here."""
-    return _emit("stop_gradient", (t,), _sg_value(t.values), ())
+    return _emit("stop_gradient", (t,), _stop_gradient_values(t.values), ())
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +590,7 @@ def _bwd_slice(node, g, grads, tensors):
 
 
 def _bwd_sum(node, g, grads, tensors):
-    buf = _grad_buffer(grads, tensors, node.input_ids[0])
-    if buf is not None:
-        buf += g
+    _acc(grads, tensors, node.input_ids[0], g)
 
 
 def _bwd_log_sum_exp(node, g, grads, tensors):
@@ -632,11 +614,7 @@ def _bwd_cosine(node, g, grads, tensors):
 def _bwd_pick_row(node, g, grads, tensors):
     (i,) = node.saved
     buf = _grad_buffer(grads, tensors, node.input_ids[0])
-    if buf is None:
-        return
-    if isinstance(i, int):
-        buf[i] += g
-    else:
+    if buf is not None:
         np.add.at(buf, i, g)
 
 
@@ -648,8 +626,7 @@ def _bwd_lstm_sequence(node, g, grads, tensors):
     """Backpropagation through time, then one GEMM per weight gradient."""
     xs, wx, wh, gates, cells, hidden, steps, perm = node.saved
     hid = wh.shape[0]
-    if perm is not None:
-        g = g[perm]
+    g = g[perm]
     # states entering each step: a prefix of the previous step's, zero at the start
     h_prev = np.zeros_like(hidden)
     c_prev = np.zeros_like(cells)
@@ -681,10 +658,7 @@ def _bwd_lstm_sequence(node, g, grads, tensors):
     x_id, wx_id, wh_id, b_id = node.input_ids
     buf = _grad_buffer(grads, tensors, x_id)
     if buf is not None:
-        if perm is None:
-            buf += d_pre @ wx.T
-        else:
-            buf[perm] += d_pre @ wx.T
+        buf[perm] += d_pre @ wx.T
     _acc(grads, tensors, wx_id, xs.T @ d_pre)
     _acc(grads, tensors, wh_id, h_prev.T @ d_pre)
     _acc(grads, tensors, b_id, d_pre.sum(axis=0))
@@ -734,9 +708,8 @@ def _bwd_log_partition(node, g, grads, tensors):
                 carried[low] = np.exp(_logsumexp(trans + log_w[:, None, :], axis=-1))
     unary = alpha * beta
     unary *= g
-    d_em = unary if perm is None else np.empty_like(unary)
-    if perm is not None:
-        d_em[perm] = unary
+    d_em = np.empty_like(unary)
+    d_em[perm] = unary
     db = np.zeros_like(b64)
     db[:k, :k] = (pairs * trans_exp + d_trans) * g
     db[k, :k] = unary[steps[0][0]].sum(axis=0)
@@ -801,179 +774,3 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
         if not tape._produced[i] and not t.constant:
             t.grad = g if t.grad is None else t.grad + g
     return result
-
-
-# ---------------------------------------------------------------------------
-# stop_gradient freezing for numeric checks
-# ---------------------------------------------------------------------------
-
-def _sg_state():
-    st = getattr(_TLS, "sg", None)
-    if st is None:
-        st = {"mode": None, "store": None, "index": 0}
-        _TLS.sg = st
-    return st
-
-
-def _sg_value(vals):
-    st = _sg_state()
-    mode = st["mode"]
-    if mode is None:
-        return vals
-    if mode == "record":
-        st["store"].append(vals.copy())
-        return vals
-    store = st["store"]
-    if st["index"] >= len(store):
-        raise ValueError(
-            "stop_gradient: call count grew between evaluations; "
-            "the loss builder is not deterministic"
-        )
-    frozen = store[st["index"]]
-    st["index"] += 1
-    if frozen.shape != vals.shape:
-        raise ValueError("stop_gradient: input shape changed between evaluations")
-    return frozen
-
-
-@contextmanager
-def sg_recording(store: list):
-    st = _sg_state()
-    prev = dict(st)
-    st.update(mode="record", store=store, index=0)
-    try:
-        yield
-    finally:
-        st.update(prev)
-
-
-@contextmanager
-def sg_replaying(store: list):
-    st = _sg_state()
-    prev = dict(st)
-    st.update(mode="replay", store=store, index=0)
-    try:
-        yield
-        if st["index"] != len(store):
-            raise ValueError(
-                "stop_gradient: call count shrank between evaluations; "
-                "the loss builder is not deterministic"
-            )
-    finally:
-        st.update(prev)
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_error: float
-    worst_index: int = -1
-    analytic: float = 0.0
-    numeric: float = 0.0
-
-
-@dataclass
-class GradCheckReport:
-    entries: list[GradCheckEntry] = field(default_factory=list)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((e.max_rel_error for e in self.entries), default=0.0)
-
-    def __str__(self):
-        lines = [
-            f"{e.name}: max rel err {e.max_rel_error:.3e} "
-            f"(analytic {e.analytic:.6e}, numeric {e.numeric:.6e})"
-            for e in self.entries
-        ]
-        lines.append(f"overall: {self.max_rel_error:.3e}")
-        return "\n".join(lines)
-
-
-def _eval_scalar(loss_builder) -> float:
-    out = loss_builder()
-    if not isinstance(out, Tensor) or out.values.size != 1:
-        raise ValueError("finite_difference_check: loss builder must return a scalar Tensor")
-    return float(out.values)
-
-
-def finite_difference_check(loss_builder, params, eps: float = 1e-5, names=None) -> GradCheckReport:
-    """Compare analytic gradients against central differences.
-
-    ``loss_builder`` must deterministically rebuild the scalar loss from
-    the current parameter values; determinism is verified by evaluating
-    the baseline twice and requiring bit-identical results. Inputs of
-    ``stop_gradient`` are frozen at their baseline values for the whole
-    check, so parameters whose only influence passes through the marker
-    show a numeric derivative of exactly zero, matching the analytic
-    contract. Relative error uses ``|a - n| / max(|a|, |n|, 1)``.
-    """
-    if eps <= 0:
-        raise ValueError("finite_difference_check: eps must be positive")
-    params = list(params)
-    if names is None:
-        names = [f"param{i}" for i in range(len(params))]
-
-    store: list = []
-    with sg_recording(store):
-        base = _eval_scalar(loss_builder)
-    with sg_replaying(store):
-        again = _eval_scalar(loss_builder)
-    if base != again:
-        raise ValueError(
-            f"finite_difference_check: loss builder is not deterministic "
-            f"({base!r} vs {again!r})"
-        )
-
-    saved_grads = [p.grad for p in params]
-    for p in params:
-        p.grad = None
-    tape = Tape()
-    with tape, sg_replaying(store):
-        loss = loss_builder()
-    grad_map = backward(loss, tape)
-    analytic = []
-    for p in params:
-        nid = p.node_id
-        if (
-            nid is not None
-            and nid < len(tape._tensors)
-            and tape._tensors[nid] is p
-            and nid in grad_map
-        ):
-            analytic.append(grad_map[nid].copy())
-        else:
-            analytic.append(np.zeros_like(p.values))
-    for p, g in zip(params, saved_grads):
-        p.grad = g
-
-    report = GradCheckReport()
-    for p, name, a in zip(params, names, analytic):
-        flat = p.values.reshape(-1)
-        if not np.shares_memory(flat, p.values):
-            raise ValueError("finite_difference_check: parameter values must be contiguous")
-        a_flat = a.reshape(-1)
-        entry = GradCheckEntry(name=name, max_rel_error=0.0)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            with sg_replaying(store):
-                f_plus = _eval_scalar(loss_builder)
-            flat[i] = orig - eps
-            with sg_replaying(store):
-                f_minus = _eval_scalar(loss_builder)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a_i = float(a_flat[i])
-            rel = abs(a_i - numeric) / max(abs(a_i), abs(numeric), 1.0)
-            if rel > entry.max_rel_error:
-                entry.max_rel_error = rel
-                entry.worst_index = i
-                entry.analytic = a_i
-                entry.numeric = numeric
-        report.entries.append(entry)
-    return report

@@ -35,14 +35,7 @@ from .corpus import (
     preprocess_token,
     split_row,
 )
-from .model import (
-    ModelConfig,
-    assemble_model,
-    atomic_open,
-    count_parameters,
-    load_model,
-    save_model,
-)
+from .model import ModelConfig, _stored_scalars, atomic_open, load_model, save_model
 from .training import TrainingFailed, evaluate, train
 
 
@@ -126,6 +119,7 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "FAILED").unlink(missing_ok=True)  # left by an earlier run into this directory
     manifest = {
         "version": __version__,
         "config": config.to_dict(),
@@ -214,10 +208,10 @@ def cmd_inspect_gates(args) -> int:
 def cmd_count_params(args) -> int:
     config = config_from_mapping(read_config_file(args.config))
     vocab = build_vocab(_load_split(args.vocab_from, args))
-    model = assemble_model(config, vocab)
-    total, noemb = count_parameters(model)
+    # counted from the configuration, so a model too large to build still gets its numbers
+    total = _stored_scalars(config, vocab)
     print("total\tnoemb")
-    print(f"{total}\t{noemb}")
+    print(f"{total}\t{total - vocab.n_words * config.word_dim}")
     return 0
 
 
@@ -291,7 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

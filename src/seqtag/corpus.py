@@ -108,16 +108,6 @@ def load_conll(path, token_column: int = 0, label_column: int | None = -1):
     return sentences
 
 
-def write_conll(path, sentences, predictions=None):
-    """Write token/label pairs, one sentence per blank-separated block."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, sent in enumerate(sentences):
-            labels = predictions[i] if predictions is not None else sent.labels
-            for tok, lab in zip(sent.surface, labels):
-                fh.write(f"{tok}\t{lab}\n")
-            fh.write("\n")
-
-
 class Vocabulary:
     """Bidirectional word/char id maps with OOV entries at index 0."""
 

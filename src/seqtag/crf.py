@@ -67,9 +67,6 @@ class LabelSet:
     def __contains__(self, label):
         return label in self._index
 
-    def __iter__(self):
-        return iter(self.labels)
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):

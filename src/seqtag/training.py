@@ -84,7 +84,7 @@ class AdaDelta:
         """Apply one update from the accumulated gradients.
 
         Every touched row's new values and accumulators are computed
-        into scratch arrays first. A non-finite gradient, or an update
+        beside the stored ones first. A non-finite gradient, or an update
         that would store a non-finite number, rejects the whole step:
         nothing is mutated and the incident is logged. Parameters
         without a gradient are left alone.
@@ -105,32 +105,14 @@ class AdaDelta:
                     log.warning("adadelta: non-finite gradient for %s, step rejected", name)
                     return False
                 count = self._steps[name] + 1
-                missed = count - 1 - self._updated[name][rows]
-                eg2 = _rows(self._sq_grad[name])[rows]
-                ed2 = _rows(self._sq_step[name])[rows]
-                if missed.any():
-                    decay = np.power(rho, missed)[:, None].astype(g.dtype)
-                    eg2 = eg2 * decay
-                    ed2 = ed2 * decay
-                # the docstring's expressions, each evaluated into a new array or one
-                # of two scratch arrays: eg2 and ed2 may still be views of the stored rows
-                step = np.multiply(1.0 - rho, g)
-                step *= g
-                eg2 = eg2 * rho
-                eg2 += step
-                np.add(ed2, eps, out=step)
-                np.sqrt(step, out=step)
-                np.negative(step, out=step)
-                denom = np.add(eg2, eps)
-                np.sqrt(denom, out=denom)
-                step /= denom
-                step *= g
-                np.multiply(1.0 - rho, step, out=denom)
-                denom *= step
-                ed2 = ed2 * rho
-                ed2 += denom
-                step *= lr
-                theta = _rows(p.values)[rows] + step
+                # a row skipped for k steps decays by rho**k first; rho**0 == 1 is exact
+                decay = np.power(rho, count - 1 - self._updated[name][rows])[:, None].astype(g.dtype)
+                eg2 = _rows(self._sq_grad[name])[rows] * decay
+                ed2 = _rows(self._sq_step[name])[rows] * decay
+                eg2 = rho * eg2 + (1.0 - rho) * g * g
+                step = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
+                ed2 = rho * ed2 + (1.0 - rho) * step * step
+                theta = _rows(p.values)[rows] + lr * step
                 if not (np.isfinite(theta).all() and np.isfinite(eg2).all() and np.isfinite(ed2).all()):
                     log.warning("adadelta: non-finite update for %s, step rejected", name)
                     return False

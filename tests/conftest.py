@@ -6,8 +6,9 @@ import pytest
 
 from seqtag.corpus import build_vocab
 from seqtag.model import ModelConfig
-from seqtag.synthdata import make_suffix_corpus
 from seqtag.training import train
+
+from synthdata import make_suffix_corpus
 
 
 SUFFIX_CONFIG = dict(

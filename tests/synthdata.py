@@ -1,4 +1,4 @@
-"""Synthetic suffix-classification corpus for desk-scale experiments.
+"""Synthetic suffix-classification corpus for desk-scale experiments, and a CoNLL writer.
 
 Every word is a random stem plus one of a fixed set of two-character
 suffixes, and the token label is fully determined by the suffix. The
@@ -17,14 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Sentence, preprocess_token
+from seqtag.corpus import Sentence, preprocess_token
 
 DEFAULT_SUFFIXES = ("an", "eb", "ic", "od", "us", "yl", "em", "ot")
 _STEM_LETTERS = "bcdfghjklmnpqrstvwz"
-
-
-def _label_for(suffix_index: int) -> str:
-    return f"C{suffix_index}"
 
 
 def _make_sentences(words, labels_by_word, sentence_len):
@@ -82,7 +78,7 @@ def make_suffix_corpus(
         for i, stem in enumerate(stems):
             suffix_index = i % len(suffixes)
             word = stem + suffixes[suffix_index]
-            labels_by_word[word] = _label_for(suffix_index)
+            labels_by_word[word] = f"C{suffix_index}"
             words.append(word)
         return words
 
@@ -110,3 +106,13 @@ def make_suffix_corpus(
     test = _make_sentences(test_stream, labels_by_word, sentence_len)
 
     return train, dev, test
+
+
+def write_conll(path, sentences, predictions=None):
+    """Write token/label pairs, one sentence per blank-separated block."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, sent in enumerate(sentences):
+            labels = predictions[i] if predictions is not None else sent.labels
+            for tok, lab in zip(sent.surface, labels):
+                fh.write(f"{tok}\t{lab}\n")
+            fh.write("\n")

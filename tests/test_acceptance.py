@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqtag.autodiff import Tape, add, backward, finite_difference_check, tensor
+from seqtag.autodiff import Tape, add, backward, tensor
 from seqtag.charcomp import char_aux_loss, compose_words
 from seqtag.cli import main
-from seqtag.corpus import Sentence, build_vocab, write_conll
+from seqtag.corpus import Sentence, build_vocab
 from seqtag.crf import (
     TagLattice,
     crf_log_partition,
@@ -24,10 +24,11 @@ from seqtag.crf import (
 from seqtag.layers import embedding_lookup
 from seqtag.metrics import extract_spans, f_beta_binary, span_f1, token_accuracy
 from seqtag.model import ModelConfig, assemble_model, count_parameters, save_model
-from seqtag.synthdata import make_suffix_corpus
 from seqtag.training import evaluate_metric
 
+from gradcheck import finite_difference_check
 from oracles import brute_force_oracle, crossentropy_loss, softmax_predict
+from synthdata import make_suffix_corpus, write_conll
 
 
 def _toy_corpus():

@@ -13,7 +13,6 @@ from seqtag.autodiff import (
     backward,
     concat,
     cosine_similarity,
-    finite_difference_check,
     log_partition,
     log_sum_exp,
     lstm_sequence,
@@ -28,6 +27,8 @@ from seqtag.autodiff import (
     tensor,
     transpose,
 )
+
+from gradcheck import finite_difference_check
 
 
 def t64(values):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from seqtag.autodiff import (
     Tape,
     backward,
-    finite_difference_check,
     multiply,
     pick_row,
     reduce_sum,
@@ -24,6 +23,7 @@ from seqtag.corpus import Sentence, build_vocab
 from seqtag.layers import EmbeddingTable, init_lstm_params
 from seqtag.model import ModelConfig, assemble_model
 
+from gradcheck import finite_difference_check
 from oracles import lstm_step
 
 

@@ -1,14 +1,19 @@
+import dataclasses
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from seqtag import cli
 from seqtag.cli import config_from_mapping, main, read_config_file
-from seqtag.corpus import build_vocab, load_conll, write_conll
+from seqtag.corpus import build_vocab, load_conll
 from seqtag.metrics import token_accuracy
-from seqtag.model import load_model
-from seqtag.synthdata import make_suffix_corpus
+from seqtag.model import ModelConfig, load_model
+
+from synthdata import make_suffix_corpus, write_conll
 
 TINY_CONFIG = """\
 # desk-scale settings
@@ -466,3 +471,73 @@ def test_train_with_nan_learning_rate_fails_before_training(data_dir, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "learning_rate" in err
     assert not out.exists()
+
+
+
+
+def test_a_successful_run_removes_an_earlier_failed_marker(data_dir, tmp_path):
+    (tmp_path / "huge-step.cfg").write_text(TINY_CONFIG + "learning_rate = 1e300\n")
+    for config, code in ((tmp_path / "huge-step.cfg", 1), (data_dir / "tiny.cfg", 0)):
+        assert main(["train", "--config", str(config), "--train", str(data_dir / "train.conll"),
+                     "--dev", str(data_dir / "dev.conll"), "--out", str(tmp_path / "run")]) == code
+        assert (tmp_path / "run" / "FAILED").exists() == bool(code)
+
+
+def test_count_params_counts_a_model_too_large_to_build(data_dir, tmp_path, capsys):
+    (tmp_path / "huge.cfg").write_text(TINY_CONFIG.replace("word_dim = 6", "word_dim = 100000000000"))
+    train = str(data_dir / "train.conll")
+    assert main(["count-params", "--config", str(tmp_path / "huge.cfg"), "--vocab-from", train]) == 0
+    vocab = build_vocab(load_conll(train))
+    dim, labels = 10**11, len(vocab.label_set)
+    # word/CRF: two word LSTMs (hidden 5), the hidden (d_size 4) and output layers, transitions
+    noemb = 2 * 4 * 5 * (dim + 5 + 1) + 4 * (2 * 5 + labels) + (labels + 2) ** 2
+    assert capsys.readouterr().out == f"total\tnoemb\n{vocab.n_words * dim + noemb}\t{noemb}\n"
+
+
+def test_main_reports_running_out_of_memory(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_train", mock.Mock(side_effect=MemoryError("Unable to allocate 745. GiB")))
+    assert main(["train", "--train", "t", "--dev", "d", "--out", "o"]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB\n"
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=16)
+_CONFIG_LINE = st.builds("{} = {}".format, st.sampled_from([f.name for f in dataclasses.fields(ModelConfig)]),
+                         st.text("0123456789.-+eEnaftrugsolwdcp_ ", max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.one_of(_TEXT, _CONFIG_LINE), max_size=8))
+def test_any_config_text_is_a_valid_config_or_a_value_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("config") / "random.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        assert config_from_mapping(read_config_file(path)).validate()
+    except ValueError:
+        pass
+
+
+_ROW = st.one_of(st.just(""), _TEXT, st.builds("{} {}".format, st.sampled_from(["the", "Ab1", "é"]),
+                                               st.sampled_from(["O", "B-X", "I-X", "C1"])))
+_FILE = st.one_of(st.lists(_ROW, max_size=10).map("\n".join).map(str.encode), st.binary(max_size=40))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=st.tuples(_FILE, _FILE),
+       command=st.sampled_from(["train", "evaluate", "tag", "inspect-gates", "dataset-stats"]))
+def test_any_input_file_succeeds_or_is_an_error_line(trained_dir, data_dir, tmp_path_factory, capsys, files,
+                                                     command):
+    root = tmp_path_factory.mktemp("random-input")
+    a, b, model = root / "a.conll", root / "b.conll", str(trained_dir / "attn" / "model.bin")
+    a.write_bytes(files[0])
+    b.write_bytes(files[1])
+    capsys.readouterr()
+    code = main([command] + {
+        "train": ["--config", str(data_dir / "attn.cfg"), "--train", str(a), "--dev", str(b),
+                  "--out", str(root / "o")],
+        "evaluate": ["--model", model, "--data", str(a), "--metric", "span-f1"],
+        "tag": ["--model", model, "--input", str(a)],
+        "inspect-gates": ["--model", model, "--input", str(a), "--out", str(root / "gates.tsv")],
+        "dataset-stats": ["--data", str(a)],
+    }[command])
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or code == 1 and err.startswith("error:") and err.count("\n") == 1

@@ -1,7 +1,9 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqtag.corpus import (
     OOV_TOKEN,
@@ -12,8 +14,9 @@ from seqtag.corpus import (
     load_conll,
     load_pretrained_embeddings,
     preprocess_token,
-    write_conll,
 )
+
+from synthdata import write_conll
 
 
 def make_sentences(token_label_pairs):
@@ -291,3 +294,15 @@ def test_dataset_stats_empty_split():
     stats = dataset_stats({"test": []})
     assert stats.token_counts == {"test": 0}
     assert stats.label_count == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=16), max_size=8),
+       token_column=st.integers(-3, 2), label_column=st.one_of(st.none(), st.integers(-3, 2)))
+def test_any_row_text_loads_or_names_its_line(tmp_path_factory, rows, token_column, label_column):
+    path = tmp_path_factory.mktemp("rows") / "random.conll"
+    path.write_text("\n".join(rows), encoding="utf-8")
+    try:
+        assert all(s.surface for s in load_conll(path, token_column, label_column))
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", str(exc)), str(exc)

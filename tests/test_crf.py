@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqtag.autodiff import Tape, backward, finite_difference_check, log_partition, log_sum_exp, narrow, reduce_sum, tensor
+from seqtag.autodiff import Tape, backward, log_partition, log_sum_exp, narrow, reduce_sum, tensor
 from seqtag.crf import (
     LabelSet,
     TagLattice,
@@ -14,6 +14,7 @@ from seqtag.crf import (
     viterbi_decode,
 )
 
+from gradcheck import finite_difference_check
 from oracles import brute_force_oracle, crf_log_space, crossentropy_loss, softmax_predict
 
 

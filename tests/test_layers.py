@@ -8,7 +8,6 @@ from seqtag.autodiff import (
     add,
     backward,
     concat,
-    finite_difference_check,
     lstm_sequence,
     multiply,
     reduce_sum,
@@ -24,6 +23,7 @@ from seqtag.layers import (
     init_lstm_params,
 )
 
+from gradcheck import finite_difference_check
 from oracles import lstm_step
 
 

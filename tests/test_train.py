@@ -10,10 +10,10 @@ import seqtag.training as train_mod
 from seqtag.autodiff import tensor
 from seqtag.corpus import build_vocab
 from seqtag.model import ModelConfig
-from seqtag.synthdata import make_suffix_corpus
 from seqtag.training import AdaDelta, evaluate_metric, train
 
 from oracles import adadelta_dense_step
+from synthdata import make_suffix_corpus
 
 
 def t32(values):
