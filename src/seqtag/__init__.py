@@ -29,7 +29,6 @@ from .corpus import (
 from .crf import (
     LabelSet,
     TagLattice,
-    crf_log_partition,
     crf_nll,
     crf_sequence_score,
     emission_scores,
@@ -51,4 +50,4 @@ from .model import (
     load_model,
     save_model,
 )
-from .training import AdaDelta, TrainReport, evaluate_metric, train
+from .training import AdaDelta, TrainReport, train

@@ -1,31 +1,28 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
-The engine is deliberately small: fourteen primitive kinds, picked as
+The engine is deliberately small: thirteen primitive kinds, picked as
 the minimal set the tagging models in this package need, plus a
-gradient blocking marker. Values are dense numpy arrays of zero to two
-dimensions. float32 is the training precision; float64 is the
+gradient blocking marker. Each primitive takes the one shape form the
+models use, mostly matrices. Values are dense numpy arrays of zero to
+two dimensions. float32 is the training precision; float64 is the
 verification precision (finite-difference checks are unreliable in
 float32).
 
 Shape rules per primitive kind::
 
-    matmul(a, b)           (m,n)@(n,)->(m,)  (n,)@(n,p)->(p,)  (m,n)@(n,p)->(m,p)
+    matmul(a, b)           (m,n)@(n,p)->(m,p)
     add(a, b)              elementwise on equal shapes; either side may
                            instead hold a single element, which is
                            broadcast against the other
     multiply(a, b)         same rule as add
     tanh(t), sigmoid(t)    elementwise, any shape
-    concat(ts)             scalar or vector inputs joined into one vector
-    concat(ts, axis=k)     equal-rank inputs joined along axis k; all
-                           other dimensions must agree
-    narrow(t, i, j)        contiguous vector slice [i, j)     (kind "slice")
+    concat(ts, axis)       equal-rank inputs joined along the given
+                           axis; all other dimensions must agree
     reduce_sum(t)          every entry summed to a scalar     (kind "sum")
-    log_sum_exp(t)         vector -> scalar, max-shifted so large inputs
-                           cannot overflow
-    log_sum_exp(t, axis=0) matrix -> vector of per-column reductions
-    cosine_similarity(a,b) vectors -> scalar, or (n,d) matrices -> (n,)
-                           row by row; each norm is guarded with +1e-8
-                           so zero vectors stay finite
+    log_sum_exp(t)         (m,n) -> (n,), each column reduced,
+                           max-shifted so large inputs cannot overflow
+    cosine_similarity(a,b) (n,d) matrices -> (n,) row by row; each norm
+                           is guarded with +1e-8 so zero rows stay finite
     pick_row(m, i)         m[i] of a matrix, copied: i is an int or an
                            integer array (rows gathered into shape
                            i.shape + (n,)) or a pair of them indexing
@@ -69,7 +66,6 @@ OP_KINDS = (
     "tanh",
     "sigmoid",
     "concat",
-    "slice",
     "sum",
     "log_sum_exp",
     "cosine_similarity",
@@ -111,9 +107,9 @@ def tensor(values, dtype=None) -> Tensor:
     return Tensor(np.asarray(values, dtype=dtype))
 
 
-def const_like(value, ref: Tensor, shape=()) -> Tensor:
-    """Non-trainable filler tensor matching the dtype of ``ref``."""
-    return Tensor(np.full(shape, value, dtype=ref.values.dtype), constant=True)
+def const_like(value, ref: Tensor) -> Tensor:
+    """Non-trainable scalar matching the dtype of ``ref``."""
+    return Tensor(np.array(value, dtype=ref.values.dtype), constant=True)
 
 
 class Node:
@@ -213,15 +209,7 @@ def _shape_error(op, *shapes):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
-    if av.ndim == 2 and bv.ndim == 1:
-        ok = av.shape[1] == bv.shape[0]
-    elif av.ndim == 1 and bv.ndim == 2:
-        ok = av.shape[0] == bv.shape[0]
-    elif av.ndim == 2 and bv.ndim == 2:
-        ok = av.shape[1] == bv.shape[0]
-    else:
-        ok = False
-    if not ok:
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise _shape_error("matmul", av.shape, bv.shape)
     return _emit("matmul", (a, b), av @ bv, (av, bv))
 
@@ -260,42 +248,25 @@ def sigmoid(t: Tensor) -> Tensor:
     return _emit("sigmoid", (t,), out, (out,))
 
 
-def concat(ts, axis: int | None = None) -> Tensor:
+def concat(ts, axis: int) -> Tensor:
     ts = tuple(ts)
     if not ts:
         raise ValueError("concat: need at least one input")
     shapes = tuple(t.shape for t in ts)
-    if axis is None:
-        for t in ts:
-            if t.values.ndim > 1:
-                raise _shape_error("concat", t.shape)
-        parts = [np.atleast_1d(t.values) for t in ts]
-        axis = 0
-    else:
-        ndim = len(shapes[0])
-        rest = [s[:axis] + s[axis + 1 :] for s in shapes]
-        if not 0 <= axis < ndim or any(len(s) != ndim or r != rest[0] for s, r in zip(shapes, rest)):
-            raise _shape_error(f"concat(axis={axis})", *shapes)
-        parts = [t.values for t in ts]
-    out = np.concatenate(parts, axis=axis)
+    ndim = len(shapes[0])
+    rest = [s[:axis] + s[axis + 1 :] for s in shapes]
+    if not 0 <= axis < ndim or any(len(s) != ndim or r != rest[0] for s, r in zip(shapes, rest)):
+        raise _shape_error(f"concat(axis={axis})", *shapes)
+    out = np.concatenate([t.values for t in ts], axis=axis)
     return _emit("concat", ts, out, (axis, shapes))
-
-
-def narrow(t: Tensor, start: int, stop: int) -> Tensor:
-    v = t.values
-    if v.ndim != 1:
-        raise _shape_error("slice", v.shape)
-    if not 0 <= start < stop <= v.shape[0]:
-        raise ValueError(f"slice: bad range [{start}, {stop}) for length {v.shape[0]}")
-    return _emit("slice", (t,), v[start:stop].copy(), (start, stop))
 
 
 def reduce_sum(t: Tensor) -> Tensor:
     return _emit("sum", (t,), np.asarray(t.values.sum()), ())
 
 
-def _logsumexp(v, axis=None):
-    """Max-shifted log-sum-exp of all of ``v`` (axis None) or along one axis.
+def _logsumexp(v, axis):
+    """Max-shifted log-sum-exp of ``v`` along one axis.
 
     Entries may be -inf, as long as each reduction has a finite one.
     """
@@ -303,21 +274,22 @@ def _logsumexp(v, axis=None):
     return np.squeeze(m + np.log(np.exp(v - m).sum(axis=axis, keepdims=True)), axis=axis)
 
 
-def log_sum_exp(t: Tensor, axis=None) -> Tensor:
+def log_sum_exp(t: Tensor) -> Tensor:
+    """Log-sum-exp of each column of a matrix."""
     v = t.values
-    if not (axis is None and v.ndim == 1 and v.size or axis == 0 and v.ndim == 2 and v.shape[0]):
+    if v.ndim != 2 or not v.shape[0]:
         raise _shape_error("log_sum_exp", v.shape)
-    out = np.asarray(_logsumexp(v, axis), dtype=v.dtype)
+    out = _logsumexp(v, 0)
     return _emit("log_sum_exp", (t,), out, (v, out))
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
-    if av.ndim not in (1, 2) or av.shape != bv.shape:
+    if av.ndim != 2 or av.shape != bv.shape:
         raise _shape_error("cosine_similarity", av.shape, bv.shape)
-    na = np.linalg.norm(av, axis=-1)
-    nb = np.linalg.norm(bv, axis=-1)
-    dot = (av * bv).sum(axis=-1)
+    na = np.linalg.norm(av, axis=1)
+    nb = np.linalg.norm(bv, axis=1)
+    dot = (av * bv).sum(axis=1)
     out = np.asarray(dot / ((na + NORM_EPS) * (nb + NORM_EPS)), dtype=np.result_type(av, bv))
     return _emit("cosine_similarity", (a, b), out, (av, bv, na, nb, dot))
 
@@ -541,15 +513,8 @@ def _acc_bcast(grads, tensors, nid, g, in_shape):
 def _bwd_matmul(node, g, grads, tensors):
     a_id, b_id = node.input_ids
     av, bv = node.saved
-    if av.ndim == 2 and bv.ndim == 1:
-        _acc(grads, tensors, a_id, np.outer(g, bv))
-        _acc(grads, tensors, b_id, av.T @ g)
-    elif av.ndim == 1 and bv.ndim == 2:
-        _acc(grads, tensors, a_id, bv @ g)
-        _acc(grads, tensors, b_id, np.outer(av, g))
-    else:
-        _acc(grads, tensors, a_id, g @ bv.T)
-        _acc(grads, tensors, b_id, av.T @ g)
+    _acc(grads, tensors, a_id, g @ bv.T)
+    _acc(grads, tensors, b_id, av.T @ g)
 
 
 def _bwd_add(node, g, grads, tensors):
@@ -576,17 +541,9 @@ def _bwd_sigmoid(node, g, grads, tensors):
 
 def _bwd_concat(node, g, grads, tensors):
     axis, shapes = node.saved
-    sizes = [s[axis] if s else 1 for s in shapes]
-    pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-    for nid, piece, shape in zip(node.input_ids, pieces, shapes):
-        _acc(grads, tensors, nid, piece.reshape(shape))
-
-
-def _bwd_slice(node, g, grads, tensors):
-    start, stop = node.saved
-    buf = _grad_buffer(grads, tensors, node.input_ids[0])
-    if buf is not None:
-        buf[start:stop] += g
+    pieces = np.split(g, np.cumsum([s[axis] for s in shapes])[:-1], axis=axis)
+    for nid, piece in zip(node.input_ids, pieces):
+        _acc(grads, tensors, nid, piece)
 
 
 def _bwd_sum(node, g, grads, tensors):
@@ -600,13 +557,13 @@ def _bwd_log_sum_exp(node, g, grads, tensors):
 
 def _bwd_cosine(node, g, grads, tensors):
     av, bv, na, nb, dot = node.saved
-    ea = (na + NORM_EPS)[..., None]
-    eb = (nb + NORM_EPS)[..., None]
-    c = dot[..., None] / (ea * eb)
-    # a zero vector has zero entries, so dividing it by 1 instead of its norm gives 0
-    unit_a = av / np.where(na > 0.0, na, 1.0)[..., None]
-    unit_b = bv / np.where(nb > 0.0, nb, 1.0)[..., None]
-    gd = np.asarray(g)[..., None]
+    ea = (na + NORM_EPS)[:, None]
+    eb = (nb + NORM_EPS)[:, None]
+    c = dot[:, None] / (ea * eb)
+    # a zero row has zero entries, so dividing it by 1 instead of its norm gives 0
+    unit_a = av / np.where(na > 0.0, na, 1.0)[:, None]
+    unit_b = bv / np.where(nb > 0.0, nb, 1.0)[:, None]
+    gd = g[:, None]
     _acc(grads, tensors, node.input_ids[0], gd * (bv / (ea * eb) - (c / ea) * unit_a))
     _acc(grads, tensors, node.input_ids[1], gd * (av / (ea * eb) - (c / eb) * unit_b))
 
@@ -729,7 +686,6 @@ _BACKWARD = {
     "tanh": _bwd_tanh,
     "sigmoid": _bwd_sigmoid,
     "concat": _bwd_concat,
-    "slice": _bwd_slice,
     "sum": _bwd_sum,
     "log_sum_exp": _bwd_log_sum_exp,
     "cosine_similarity": _bwd_cosine,

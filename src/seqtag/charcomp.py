@@ -90,10 +90,10 @@ def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
 
 
 def combine_concat(x: Tensor, m: Tensor) -> Tensor:
-    """Join x and m feature-wise: vectors, or (N, dim) matrices row by row."""
+    """Join (N, dim) matrices x and m feature-wise, row by row."""
     if x.shape != m.shape:
         raise ValueError(f"combine_concat: length mismatch {x.shape} vs {m.shape}")
-    return concat((x, m), axis=x.values.ndim - 1)
+    return concat((x, m), axis=1)
 
 
 @dataclass
@@ -121,12 +121,12 @@ class AttentionParams:
 def combine_attention(x: Tensor, m: Tensor, p: AttentionParams):
     """Gate the two word representations; returns (combined, z).
 
-    x and m are vectors, or (N, dim) matrices with one token per row.
+    x and m are (N, dim) matrices with one token per row.
     Every entry of z lies strictly inside (0, 1), so the combination is
     a per-feature convex mix of x and m. z is returned so callers can
     export and inspect it.
     """
-    if x.shape != m.shape or x.values.ndim not in (1, 2) or x.shape[-1] != p.dim:
+    if x.shape != m.shape or x.values.ndim != 2 or x.shape[1] != p.dim:
         raise ValueError(
             f"combine_attention: got x {x.shape}, m {m.shape} for gate dim {p.dim}"
         )

@@ -190,10 +190,9 @@ def build_vocab(train_sentences, min_count: int = 2) -> Vocabulary:
     return Vocabulary(words, chars, LabelSet(labels))
 
 
-def random_embeddings(
-    n_rows: int, dim: int, rng: np.random.Generator, dtype=np.float32, scale: float = 0.05
-) -> EmbeddingTable:
-    matrix = rng.uniform(-scale, scale, size=(n_rows, dim)).astype(dtype)
+def random_embeddings(n_rows: int, dim: int, rng: np.random.Generator, dtype=np.float32) -> EmbeddingTable:
+    """Trainable rows drawn uniform in [-0.05, 0.05]; row 0 is the OOV row."""
+    matrix = rng.uniform(-0.05, 0.05, size=(n_rows, dim)).astype(dtype)
     return EmbeddingTable(Tensor(matrix), oov_row=0, trainable=True)
 
 
@@ -203,20 +202,20 @@ def load_pretrained_embeddings(
     dim: int,
     rng: np.random.Generator | None = None,
     dtype=np.float32,
-    scale: float = 0.05,
 ) -> EmbeddingTable:
     """Text-format vectors: one word then ``dim`` reals per line.
 
     An optional first line of two integers (count and width) is treated
     as a header. Vocabulary words found in the file take their stored
-    row; everything else, including the OOV row, starts uniform in
-    [-scale, scale]. The table is trainable so rows keep adapting. A
+    row; everything else, including the OOV row, starts as in
+    ``random_embeddings``. The table is trainable so rows keep adapting. A
     vocabulary word's value that is not a finite number of ``dtype``
     (``nan``, ``inf`` or out of range) is an error naming its line.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    matrix = rng.uniform(-scale, scale, size=(vocab.n_words, dim)).astype(dtype)
+    table = random_embeddings(vocab.n_words, dim, rng, dtype)
+    matrix = table.matrix.values
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -252,7 +251,7 @@ def load_pretrained_embeddings(
                     f"(nan, inf or beyond the {np.dtype(dtype).name} range)"
                 )
             matrix[wid] = row
-    return EmbeddingTable(Tensor(matrix), oov_row=vocab.oov_word_id, trainable=True)
+    return table
 
 
 @dataclass

@@ -10,12 +10,13 @@ last label into end. Transitions into start and out of end are never
 read by any scoring routine, which is equivalent to holding them at
 minus infinity.
 
-The negative log-likelihood is log Z, one tape node whose backward
-pass sends the forward-backward marginals to the scores, minus the
-gold path's score, gathered by one indexed read per score matrix. A
-lattice may hold the emission rows of several sentences back to back;
-``crf_nll`` with their ``lengths`` then gives the summed loss of all of
-them from the same fixed handful of nodes.
+The negative log-likelihood is log Z, one ``autodiff.log_partition``
+node whose backward pass sends the forward-backward marginals to the
+scores, minus the gold path's score, gathered by one indexed read per
+score matrix and joined into one vector. A lattice may hold the
+emission rows of several sentences back to back; ``crf_nll`` with their
+``lengths`` then gives the summed loss of all of them from the same
+fixed handful of nodes.
 Decoding is plain numeric Viterbi with ties broken toward the
 lowest label index at every backpointer decision; the exhaustive oracle
 in the tests applies the same preference, which for enumeration order
@@ -141,11 +142,6 @@ def crf_sequence_score(lat: TagLattice, y) -> float:
     return float(s)
 
 
-def crf_log_partition(lat: TagLattice) -> Tensor:
-    """Log of the summed exponentiated scores of all label sequences."""
-    return log_partition(lat.emissions, lat.transitions)
-
-
 def crf_nll(lat: TagLattice, y, lengths=None) -> Tensor:
     """Negative log-likelihood of the gold sequence; never below zero.
 
@@ -165,7 +161,7 @@ def crf_nll(lat: TagLattice, y, lengths=None) -> Tensor:
         pick_row(lat.emissions, (np.arange(lat.seq_len), y)),
         pick_row(lat.transitions, (np.concatenate((before, y[ends - 1])),
                                    np.concatenate((y, np.full(len(ends), lat.end_index))))),
-    )))
+    ), axis=0))
     return add(log_z, multiply(gold_score, const_like(-1.0, gold_score)))
 
 

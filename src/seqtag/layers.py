@@ -55,8 +55,7 @@ class EmbeddingTable:
 
 
 def embedding_lookup(table: EmbeddingTable, token_ids) -> Tensor:
-    """The row of one id, or the rows of an integer array of ids stacked
-    in the array's shape."""
+    """The rows of an integer array of N ids, as an (N, dim) matrix."""
     ids = np.asarray(token_ids)
     if ids.size and not (ids.min() >= 0 and ids.max() < table.vocab_size):
         raise ValueError(
@@ -95,17 +94,11 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def init_lstm_params(
-    rng: np.random.Generator,
-    input_dim: int,
-    hidden_size: int,
-    dtype,
-    forget_bias: float = 1.0,
-) -> LstmParams:
+def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden_size: int, dtype) -> LstmParams:
     w_x = Tensor(glorot_uniform(rng, input_dim, 4 * hidden_size, dtype))
     w_h = Tensor(glorot_uniform(rng, hidden_size, 4 * hidden_size, dtype))
     b = np.zeros(4 * hidden_size, dtype=dtype)
-    b[hidden_size : 2 * hidden_size] = forget_bias
+    b[hidden_size : 2 * hidden_size] = 1.0
     return LstmParams(w_x, w_h, Tensor(b), hidden_size)
 
 
@@ -129,8 +122,8 @@ def bilstm_run(inputs: Tensor, fwd: LstmParams, bwd: LstmParams, lengths=None) -
 
 
 def dense_tanh(h: Tensor, w_d: Tensor) -> Tensor:
-    """Narrow nonlinear layer on top of the recurrent states: one state
-    vector, or an (N, n) matrix of them, one row per token."""
-    if w_d.values.ndim != 2 or w_d.shape[1] != h.shape[-1]:
+    """Narrow nonlinear layer on top of the recurrent states: an (N, n)
+    matrix of them, one row per token."""
+    if h.values.ndim != 2 or w_d.values.ndim != 2 or w_d.shape[1] != h.shape[1]:
         raise ValueError(f"dense_tanh: weight {w_d.shape} does not apply to {h.shape}")
     return tanh(matmul(h, transpose(w_d)))

@@ -126,6 +126,8 @@ class ModelConfig:
             raise ValueError("epsilon and learning_rate must be positive and finite")
         if self.dev_metric not in ("acc", "span-f1", "f0.5"):
             raise ValueError(f"dev_metric must be acc, span-f1 or f0.5, got {self.dev_metric!r}")
+        if self.dev_metric == "f0.5" and not self.positive_label:
+            raise ValueError("dev_metric f0.5 needs a positive label: set positive_label")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         return self
@@ -271,14 +273,6 @@ class Model:
         aux = char_aux_loss(m, x, [flag for sent in sents for flag in self.oov_flags(sent)])
         return add(total, aux), float(aux.values)
 
-    def sentence_loss_parts(self, sent: Sentence):
-        """(total loss, auxiliary term or None) for one sentence."""
-        return self.batch_loss_parts([sent])
-
-    def sentence_loss(self, sent: Sentence) -> Tensor:
-        total, _ = self.sentence_loss_parts(sent)
-        return total
-
     def predict(self, sent: Sentence) -> list:
         """Label ids for one sentence; never records on a tape."""
         self._require_encoded(sent, need_gold=False)
@@ -307,7 +301,7 @@ class Model:
 
 def _softmax_nll(scores: Tensor, gold) -> Tensor:
     """Summed per-token cross-entropy of (T, K) label scores."""
-    log_norm = reduce_sum(log_sum_exp(transpose(scores), axis=0))
+    log_norm = reduce_sum(log_sum_exp(transpose(scores)))
     gold_score = reduce_sum(pick_row(scores, (np.arange(scores.shape[0]), np.asarray(gold))))
     return add(log_norm, multiply(gold_score, const_like(-1.0, gold_score)))
 

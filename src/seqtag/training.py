@@ -195,16 +195,11 @@ def evaluate(model: Model, sentences, metric: str, positive_label: str | None = 
         return span_f1([extract_spans(g) for g in gold], [extract_spans(p) for p in pred])
     if metric == "f0.5":
         if not positive_label:
-            raise ValueError("evaluate_metric: f0.5 needs a positive label")
+            raise ValueError("evaluate: f0.5 needs a positive label")
         flat_gold = [lab == positive_label for labs in gold for lab in labs]
         flat_pred = [lab == positive_label for labs in pred for lab in labs]
         return f_beta_binary(flat_gold, flat_pred, beta=0.5)
-    raise ValueError(f"evaluate_metric: unknown metric {metric!r}")
-
-
-def evaluate_metric(model: Model, sentences, metric: str, positive_label: str | None = None) -> float:
-    """The value of ``evaluate``: the number training selects epochs by."""
-    return evaluate(model, sentences, metric, positive_label).value
+    raise ValueError(f"evaluate: unknown metric {metric!r}")
 
 
 def _batches(n: int, batch_size: int):
@@ -224,6 +219,8 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
     for s in train_enc:
         if s.gold is None:
             raise ValueError("train: training sentence has labels outside the vocabulary")
+    if config.positive_label and config.positive_label not in vocab.label_set:
+        raise ValueError(f"train: positive_label {config.positive_label!r} is not a training label")
 
     model = assemble_model(config, vocab, pretrained)
     opt = AdaDelta(model.named_parameters(), rho=config.rho, epsilon=config.epsilon,
@@ -262,10 +259,9 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
             failure = f"train loss is {epoch_loss}"
         elif rejected == len(batches):
             failure = f"all {rejected} optimizer steps were rejected"
-        dev_value = float("nan") if failure else evaluate_metric(
-            model, dev_enc, config.dev_metric,
-            positive_label=config.positive_label or None,
-        )
+        dev_value = float("nan") if failure else evaluate(
+            model, dev_enc, config.dev_metric, positive_label=config.positive_label or None,
+        ).value
         report.epochs.append(
             EpochStats(epoch, epoch_loss, epoch_aux, dev_value,
                        time.perf_counter() - started, rejected)

@@ -3,8 +3,8 @@
 None of these run in training or tagging: they are exhaustive,
 closed-form or stepwise oracles (CRF enumeration, the CRF forward-backward
 recursion in log space, per-token softmax and cross-entropy, rendering
-spans back to IOB labels, one LSTM cell update built from tape
-primitives, the dense AdaDelta update).
+spans back to IOB labels, one LSTM cell update in plain numpy, the
+dense AdaDelta update).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from seqtag.autodiff import Tensor, add, matmul, multiply, narrow, sigmoid, tanh
 from seqtag.crf import TagLattice
 from seqtag.layers import LstmParams
 
@@ -140,22 +139,20 @@ def render_labels(spans, length: int) -> list:
     return labels
 
 
-def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: LstmParams):
-    """One cell update; returns (h, c)."""
+def lstm_step(x, h_prev, c_prev, p: LstmParams):
+    """One cell update of vectors, by the equations in ``seqtag.layers``;
+    returns (h, c)."""
     h = p.hidden_size
     if x.shape != (p.input_dim,) or h_prev.shape != (h,) or c_prev.shape != (h,):
         raise ValueError(
             f"lstm_step: got x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
             f"for cell expecting x ({p.input_dim},), state ({h},)"
         )
-    pre = add(add(matmul(x, p.w_x), matmul(h_prev, p.w_h)), p.b)
-    gate_i = sigmoid(narrow(pre, 0, h))
-    gate_f = sigmoid(narrow(pre, h, 2 * h))
-    gate_g = tanh(narrow(pre, 2 * h, 3 * h))
-    gate_o = sigmoid(narrow(pre, 3 * h, 4 * h))
-    c = add(multiply(gate_f, c_prev), multiply(gate_i, gate_g))
-    new_h = multiply(gate_o, tanh(c))
-    return new_h, c
+    pre = x @ p.w_x.values + h_prev @ p.w_h.values + p.b.values
+    gate_i, gate_f, gate_o = (1.0 / (1.0 + np.exp(-pre[j * h : (j + 1) * h])) for j in (0, 1, 3))
+    gate_g = np.tanh(pre[2 * h : 3 * h])
+    c = gate_f * c_prev + gate_i * gate_g
+    return gate_o * np.tanh(c), c
 
 
 def adadelta_dense_step(values, sq_grad, sq_step, g, rho, eps, lr):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtag.autodiff import (
+    _BACKWARD,
     OP_KINDS,
     Tape,
     add,
@@ -18,7 +19,6 @@ from seqtag.autodiff import (
     lstm_sequence,
     matmul,
     multiply,
-    narrow,
     pick_row,
     reduce_sum,
     sigmoid,
@@ -68,8 +68,8 @@ def test_saturated_sigmoid_is_zero_without_overflow_warning():
 
 
 def test_log_sum_exp_equal_entries():
-    out = log_sum_exp(t64([0.0, 0.0, 0.0]))
-    assert float(out.values) == pytest.approx(math.log(3.0), abs=1e-12)
+    out = log_sum_exp(t64(np.zeros((3, 2))))
+    assert np.allclose(out.values, [math.log(3.0)] * 2, rtol=0.0, atol=1e-12)
 
 
 def test_log_sum_exp_against_scipy():
@@ -78,16 +78,14 @@ def test_log_sum_exp_against_scipy():
     rng = np.random.default_rng(4)
     for _ in range(25):
         x = rng.normal(size=int(rng.integers(1, 12))) * 20
-        assert float(log_sum_exp(t64(x)).values) == pytest.approx(scipy_lse(x), abs=1e-12)
+        assert log_sum_exp(t64(x[:, None])).values[0] == pytest.approx(scipy_lse(x), abs=1e-12)
         m = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6)))) * 20
-        assert np.allclose(log_sum_exp(t64(m), axis=0).values, scipy_lse(m, axis=0), atol=1e-12)
+        assert np.allclose(log_sum_exp(t64(m)).values, scipy_lse(m, axis=0), atol=1e-12)
 
 
 def test_log_sum_exp_preserves_float32():
-    x32 = tensor(np.ones(3), dtype=np.float32)
-    assert log_sum_exp(x32).dtype == np.float32
     m32 = tensor(np.ones((2, 3)), dtype=np.float32)
-    assert log_sum_exp(m32, axis=0).dtype == np.float32
+    assert log_sum_exp(m32).dtype == np.float32
 
 
 def test_backward_sum_is_ones():
@@ -131,7 +129,7 @@ def test_backward_unreachable_tensor_gets_no_entry():
 
 def test_matmul_gradient_random_2x2():
     rng = np.random.default_rng(11)
-    x = t64(rng.normal(size=2))
+    x = t64(rng.normal(size=(1, 2)))
     w = t64(rng.normal(size=(2, 2)))
     check_grads(lambda: reduce_sum(matmul(x, w)), [x, w])
 
@@ -204,13 +202,9 @@ def _random_case(kind, rng, i):
     """Build (loss builder, params) for one random instance of a primitive."""
     if kind == "matmul":
         m, n, p = (int(rng.integers(1, 5)) for _ in range(3))
-        case = i % 3
-        if case == 0:
-            a, b = t64(rng.normal(size=(m, n))), t64(rng.normal(size=n))
-        elif case == 1:
-            a, b = t64(rng.normal(size=n)), t64(rng.normal(size=(n, p)))
-        else:
-            a, b = t64(rng.normal(size=(m, n))), t64(rng.normal(size=(n, p)))
+        if i % 3 < 2:  # b a single column, or a a single row, in turn
+            m, p = (m, 1) if i % 3 == 0 else (1, p)
+        a, b = t64(rng.normal(size=(m, n))), t64(rng.normal(size=(n, p)))
         return lambda: reduce_sum(matmul(a, b)), [a, b]
     if kind in ("add", "multiply"):
         op = add if kind == "add" else multiply
@@ -228,31 +222,22 @@ def _random_case(kind, rng, i):
         shape = (int(rng.integers(1, 6)),) if i % 2 else (2, int(rng.integers(1, 4)))
         a = t64(rng.normal(size=shape))
         return lambda: reduce_sum(op(a)), [a]
-    if kind == "concat":
-        parts = [t64(rng.normal(size=int(rng.integers(1, 4)))) for _ in range(3)]
-        parts.insert(i % 4, t64(rng.normal()))  # the scalar takes each position in turn
+    if kind == "concat":  # vectors joined into one, the form of the CRF's gold score
+        parts = [t64(rng.normal(size=int(rng.integers(1, 4)))) for _ in range(1 + i % 4)]
         weights = t64(rng.normal(size=sum(p.size for p in parts)))
-        return lambda: reduce_sum(multiply(concat(parts), weights)), parts
-    if kind == "slice":
-        n = int(rng.integers(3, 8))
-        start = int(rng.integers(0, n - 1))
-        stop = int(rng.integers(start + 1, n + 1))
-        a = t64(rng.normal(size=n))
-        return lambda: reduce_sum(narrow(a, start, stop)), [a]
+        return lambda: reduce_sum(multiply(concat(parts, axis=0), weights)), parts
     if kind == "sum":
         a = t64(rng.normal(size=(2, 3)) if i % 2 else rng.normal(size=4))
         return lambda: reduce_sum(a), [a]
     if kind == "log_sum_exp":
-        if i % 2:
-            a = t64(rng.normal(size=int(rng.integers(1, 6))))
-            return lambda: log_sum_exp(a), [a]
-        a = t64(rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 4)))))
-        return lambda: reduce_sum(log_sum_exp(a, axis=0)), [a]
-    if kind == "cosine_similarity":
+        shape = (int(rng.integers(1, 6)), 1) if i % 2 else (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        a = t64(rng.normal(size=shape))
+        return lambda: reduce_sum(log_sum_exp(a)), [a]
+    if kind == "cosine_similarity":  # one row; _random_array_case takes several
         n = int(rng.integers(2, 6))
-        a = t64(rng.normal(size=n) + 0.5)
-        b = t64(rng.normal(size=n) - 0.5)
-        return lambda: cosine_similarity(a, b), [a, b]
+        a = t64(rng.normal(size=(1, n)) + 0.5)
+        b = t64(rng.normal(size=(1, n)) - 0.5)
+        return lambda: reduce_sum(cosine_similarity(a, b)), [a, b]
     if kind == "pick_row":
         rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = t64(rng.normal(size=(rows, cols)))
@@ -293,8 +278,9 @@ def test_primitive_gradients_random(kind):
 
 
 def _random_array_case(kind, rng, i):
-    """Build (loss builder, params) for one instance of a matrix form of a
-    primitive whose vector form ``_random_case`` covers."""
+    """Build (loss builder, params) for one instance of a form of a
+    primitive that ``_random_case`` does not build: matrices joined along
+    either axis, several rows, gathers by index arrays, ragged runs."""
     if kind == "concat":
         axis, fixed = i % 2, int(rng.integers(1, 4))
         shapes = [(int(rng.integers(1, 4)), fixed)[:: 1 if axis == 0 else -1] for _ in range(3)]
@@ -358,14 +344,14 @@ def test_primitive_gradients_random_array_forms(kind):
 
 def test_tape_replay_determinism():
     rng = np.random.default_rng(3)
-    x_vals = rng.normal(size=4)
+    x_vals = rng.normal(size=(4, 1))
     w_vals = rng.normal(size=(4, 4))
 
     def run():
         x, w = t64(x_vals), t64(w_vals)
         tape = Tape()
         with tape:
-            loss = log_sum_exp(tanh(matmul(w, x)))
+            loss = reduce_sum(log_sum_exp(tanh(matmul(w, x))))
         backward(loss, tape)
         return float(loss.values), x.grad.copy(), w.grad.copy()
 
@@ -381,8 +367,8 @@ def test_tape_replay_determinism():
     st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8)
 )
 def test_log_sum_exp_shift_stability(values):
-    base = float(log_sum_exp(t64(values)).values)
-    shifted = float(log_sum_exp(t64([v + 1000.0 for v in values])).values)
+    base = log_sum_exp(t64([[v] for v in values])).values[0]
+    shifted = log_sum_exp(t64([[v + 1000.0] for v in values])).values[0]
     assert shifted == pytest.approx(base + 1000.0, abs=1e-9)
 
 
@@ -393,7 +379,7 @@ def test_stop_gradient_preserves_bits():
 
 
 def test_tape_ids_dense_and_topologically_ordered():
-    x = t64([1.0, 2.0])
+    x = t64([[1.0], [2.0]])
     w = t64(np.eye(2))
     tape = Tape()
     with tape:
@@ -412,16 +398,16 @@ def test_distinct_tapes_on_distinct_threads():
 
     def work(key, seed):
         rng = np.random.default_rng(seed)
-        x = t64(rng.normal(size=64))
+        x = t64(rng.normal(size=(64, 1)))
         for _ in range(50):
             tape = Tape()
             with tape:
-                loss = log_sum_exp(tanh(x))
+                loss = reduce_sum(log_sum_exp(tanh(x)))
             backward(loss, tape)
             x.grad = None
         tape = Tape()
         with tape:
-            loss = log_sum_exp(tanh(x))
+            loss = reduce_sum(log_sum_exp(tanh(x)))
         backward(loss, tape)
         results[key] = (float(loss.values), x.grad.copy())
 
@@ -433,10 +419,10 @@ def test_distinct_tapes_on_distinct_threads():
 
     for key, seed in (("a", 1), ("b", 2)):
         rng = np.random.default_rng(seed)
-        x = t64(rng.normal(size=64))
+        x = t64(rng.normal(size=(64, 1)))
         tape = Tape()
         with tape:
-            loss = log_sum_exp(tanh(x))
+            loss = reduce_sum(log_sum_exp(tanh(x)))
         backward(loss, tape)
         assert results[key][0] == float(loss.values)
         assert np.array_equal(results[key][1], x.grad)
@@ -449,11 +435,9 @@ def test_distinct_tapes_on_distinct_threads():
 def test_matmul_shape_error_names_op_and_shapes():
     with pytest.raises(ValueError, match=r"matmul.*\(2, 3\).*\(2,\)"):
         matmul(t64(np.zeros((2, 3))), t64(np.zeros(2)))
-
-
-def test_slice_range_error():
-    with pytest.raises(ValueError, match="slice"):
-        narrow(t64([1.0, 2.0]), 1, 5)
+    for a, b in [((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (2, 3))]:  # matrices of matching width only
+        with pytest.raises(ValueError, match="matmul"):
+            matmul(t64(np.zeros(a)), t64(np.zeros(b)))
 
 
 def test_pick_row_range_error():
@@ -498,9 +482,16 @@ def test_backward_rejects_foreign_loss():
         backward(other, tape)
 
 
-def test_concat_rejects_matrix_inputs():
-    with pytest.raises(ValueError, match="concat"):
-        concat([t64(np.zeros((2, 2)))])
+def test_concat_rejects_inputs_that_do_not_join():
+    for parts, axis in [
+        ([], 0),
+        ([np.zeros((2, 2))], 2),
+        ([np.zeros((2, 2)), np.zeros((3, 3))], 0),
+        ([np.zeros((2, 2)), np.zeros(2)], 0),
+        ([np.zeros(()), np.zeros(())], 0),
+    ]:
+        with pytest.raises(ValueError, match="concat"):
+            concat([t64(p) for p in parts], axis=axis)
 
 
 def test_log_partition_shape_errors():
@@ -512,6 +503,17 @@ def test_log_partition_shape_errors():
             log_partition(t64(np.zeros((4, 2))), t64(np.zeros((4, 4))), lengths)
 
 
-def test_log_sum_exp_rejects_bad_axis():
-    with pytest.raises(ValueError, match="log_sum_exp"):
-        log_sum_exp(t64(np.zeros((2, 2))), axis=1)
+def test_log_sum_exp_takes_only_matrices():
+    for bad in (np.zeros(3), np.zeros((0, 2)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="log_sum_exp"):
+            log_sum_exp(t64(bad))
+
+
+def test_cosine_similarity_takes_only_matrices():
+    for a, b in [((3,), (3,)), ((2, 3), (2, 4)), ((1, 2, 3), (1, 2, 3))]:
+        with pytest.raises(ValueError, match="cosine_similarity"):
+            cosine_similarity(t64(np.ones(a)), t64(np.ones(b)))
+
+
+def test_every_op_kind_has_one_backward_and_no_other():
+    assert set(_BACKWARD) == set(OP_KINDS) | {"stop_gradient"}

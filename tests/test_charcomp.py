@@ -70,11 +70,11 @@ def test_compose_single_char_matches_reference():
     rng = np.random.default_rng(1)
     p = make_composer(rng)
     m = compose_one([2], p)
-    zeros = t64(np.zeros(3))
-    x = t64(p.char_embeddings.matrix.values[2])
+    zeros = np.zeros(3)
+    x = p.char_embeddings.matrix.values[2]
     hf, _ = lstm_step(x, zeros, zeros, p.fwd)
     hb, _ = lstm_step(x, zeros, zeros, p.bwd)
-    h_star = np.concatenate([hf.values, hb.values])
+    h_star = np.concatenate([hf, hb])
     assert np.allclose(m.values, np.tanh(p.w_m.values @ h_star), atol=1e-15)
 
 
@@ -167,31 +167,33 @@ def test_composer_is_one_run_per_direction_whatever_the_lengths(n_lengths):
 # ---------------------------------------------------------------------------
 
 def test_concat_combiner_definition():
-    out = combine_concat(t64([1.0, 2.0]), t64([3.0, 4.0]))
-    assert np.array_equal(out.values, [1.0, 2.0, 3.0, 4.0])
+    out = combine_concat(t64([[1.0, 2.0], [5.0, 6.0]]), t64([[3.0, 4.0], [7.0, 8.0]]))
+    assert np.array_equal(out.values, [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
 
 
 def test_concat_combiner_zero_char_half():
-    x = t64([1.0, -1.0])
-    out = combine_concat(x, t64(np.zeros(2)))
-    assert np.array_equal(out.values, [1.0, -1.0, 0.0, 0.0])
+    x = t64([[1.0, -1.0]])
+    out = combine_concat(x, t64(np.zeros((1, 2))))
+    assert np.array_equal(out.values, [[1.0, -1.0, 0.0, 0.0]])
 
 
 def test_concat_combiner_doubles_standard_width():
-    x = t64(np.ones(300))
-    m = t64(np.zeros(300))
-    assert combine_concat(x, m).shape == (600,)
+    x = t64(np.ones((4, 300)))
+    m = t64(np.zeros((4, 300)))
+    assert combine_concat(x, m).shape == (4, 600)
 
 
 def test_concat_combiner_rejects_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
-        combine_concat(t64([1.0]), t64([1.0, 2.0]))
+        combine_concat(t64([[1.0]]), t64([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="concat"):
+        combine_concat(t64([1.0, 2.0]), t64([3.0, 4.0]))
 
 
 def test_attention_zero_weights_averages():
     rng = np.random.default_rng(4)
     p = make_attention(rng, zero=True)
-    x, m = t64(rng.normal(size=3)), t64(rng.normal(size=3))
+    x, m = t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 3)))
     combined, z = combine_attention(x, m, p)
     assert np.allclose(z.values, 0.5, atol=1e-15)
     assert np.allclose(combined.values, (x.values + m.values) / 2, atol=1e-15)
@@ -200,7 +202,7 @@ def test_attention_zero_weights_averages():
 def test_attention_equal_inputs_pass_through():
     rng = np.random.default_rng(5)
     p = make_attention(rng)
-    x = t64(rng.normal(size=3))
+    x = t64(rng.normal(size=(2, 3)))
     combined, _ = combine_attention(x, t64(x.values.copy()), p)
     assert np.allclose(combined.values, x.values, atol=1e-12)
 
@@ -208,9 +210,9 @@ def test_attention_equal_inputs_pass_through():
 def test_attention_matches_hand_formula():
     rng = np.random.default_rng(6)
     p = make_attention(rng)
-    x, m = rng.normal(size=3), rng.normal(size=3)
+    x, m = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
     combined, z = combine_attention(t64(x), t64(m), p)
-    pre = p.w_z3.values @ np.tanh(p.w_z1.values @ x + p.w_z2.values @ m)
+    pre = np.tanh(x @ p.w_z1.values.T + m @ p.w_z2.values.T) @ p.w_z3.values.T
     z_ref = 1.0 / (1.0 + np.exp(-pre))
     assert np.allclose(z.values, z_ref, atol=1e-15)
     assert np.allclose(combined.values, z_ref * x + (1 - z_ref) * m, atol=1e-15)
@@ -220,15 +222,16 @@ def test_attention_gate_strictly_inside_unit_interval():
     rng = np.random.default_rng(7)
     p = make_attention(rng)
     for _ in range(25):
-        _, z = combine_attention(t64(rng.normal(size=3)), t64(rng.normal(size=3)), p)
+        _, z = combine_attention(t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 3))), p)
         assert np.all(z.values > 0.0) and np.all(z.values < 1.0)
 
 
 def test_attention_rejects_mismatch():
     rng = np.random.default_rng(8)
     p = make_attention(rng, dim=3)
-    with pytest.raises(ValueError, match="combine_attention"):
-        combine_attention(t64(np.zeros(4)), t64(np.zeros(4)), p)
+    for bad in (np.zeros((2, 4)), np.zeros(3)):
+        with pytest.raises(ValueError, match="combine_attention"):
+            combine_attention(t64(bad), t64(bad), p)
 
 
 @settings(deadline=None, max_examples=50)
@@ -239,7 +242,7 @@ def test_attention_rejects_mismatch():
 def test_attention_output_is_convex_combination(x_vals, m_vals):
     rng = np.random.default_rng(9)
     p = make_attention(rng)
-    combined, _ = combine_attention(t64(x_vals), t64(m_vals), p)
+    combined, _ = combine_attention(t64([x_vals]), t64([m_vals]), p)
     lo = np.minimum(x_vals, m_vals) - 1e-12
     hi = np.maximum(x_vals, m_vals) + 1e-12
     assert np.all(combined.values >= lo) and np.all(combined.values <= hi)

@@ -473,6 +473,39 @@ def test_train_with_nan_learning_rate_fails_before_training(data_dir, tmp_path, 
     assert not out.exists()
 
 
+def test_train_with_f05_and_no_positive_label_fails_before_training(data_dir, tmp_path, capsys):
+    with pytest.raises(ValueError, match="positive_label"):
+        config_from_mapping({"dev_metric": "f0.5"})
+    config = tmp_path / "f05.cfg"
+    config.write_text(TINY_CONFIG + "dev_metric = f0.5\n")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--config", str(config),
+        "--train", str(data_dir / "train.conll"),
+        "--dev", str(data_dir / "dev.conll"),
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: dev_metric f0.5 needs a positive label: set positive_label\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_train_with_an_unknown_positive_label_fails_before_training(data_dir, tmp_path, capsys):
+    config = tmp_path / "nosuch.cfg"
+    config.write_text(TINY_CONFIG + "dev_metric = f0.5\npositive_label = nosuch\n")
+    out = tmp_path / "run"
+    code = main([
+        "train", "--config", str(config),
+        "--train", str(data_dir / "train.conll"),
+        "--dev", str(data_dir / "dev.conll"),
+        "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'nosuch'" in err[0]
+    assert not (out / "model.bin").exists() and not (out / "report.json").exists()
+
+
 
 
 def test_a_successful_run_removes_an_earlier_failed_marker(data_dir, tmp_path):

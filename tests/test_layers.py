@@ -7,7 +7,6 @@ from seqtag.autodiff import (
     Tape,
     add,
     backward,
-    concat,
     lstm_sequence,
     multiply,
     reduce_sum,
@@ -48,17 +47,16 @@ def random_lstm(rng, input_dim, hidden, scale=1.0):
 
 
 def rows(vectors):
-    return t64(np.stack([v.values for v in vectors]))
+    return t64(np.stack(vectors))
 
 
 def stepwise_states(xs, p, reverse=False):
     """Hidden state after each position, from the lstm_step oracle."""
-    zeros = t64(np.zeros(p.hidden_size))
-    h, c = zeros, zeros
+    h = c = np.zeros(p.hidden_size)
     states = [None] * len(xs)
     for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
         h, c = lstm_step(xs[t], h, c, p)
-        states[t] = h.values
+        states[t] = h
     return np.stack(states)
 
 
@@ -68,15 +66,15 @@ def stepwise_states(xs, p, reverse=False):
 
 def test_lookup_identity_table():
     table = EmbeddingTable(t64(np.eye(3)), oov_row=0)
-    assert np.array_equal(embedding_lookup(table, 1).values, [0.0, 1.0, 0.0])
+    assert np.array_equal(embedding_lookup(table, [1, 0]).values, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_lookup_shared_row_accumulates_gradient():
     table = EmbeddingTable(t64(np.eye(3)), oov_row=0)
     tape = Tape()
     with tape:
-        a = embedding_lookup(table, 1)
-        b = embedding_lookup(table, 1)
+        a = embedding_lookup(table, [1])
+        b = embedding_lookup(table, [1])
         loss = reduce_sum(add(a, b))
     backward(loss, tape)
     assert np.array_equal(a.values, b.values)
@@ -87,7 +85,7 @@ def test_lookup_gradient_is_row_indicator():
     table = EmbeddingTable(t64(np.ones((3, 2))), oov_row=0)
     tape = Tape()
     with tape:
-        loss = reduce_sum(embedding_lookup(table, 0))
+        loss = reduce_sum(embedding_lookup(table, [0]))
     backward(loss, tape)
     expected = np.zeros((3, 2))
     expected[0] = 1.0
@@ -97,14 +95,14 @@ def test_lookup_gradient_is_row_indicator():
 def test_lookup_out_of_range_rejected():
     table = EmbeddingTable(t64(np.eye(3)), oov_row=0)
     with pytest.raises(ValueError, match="outside"):
-        embedding_lookup(table, 3)
+        embedding_lookup(table, [0, 3])
 
 
 def test_non_trainable_table_gets_no_gradient():
     table = EmbeddingTable(t64(np.eye(3)), oov_row=0, trainable=False)
     tape = Tape()
     with tape:
-        loss = reduce_sum(embedding_lookup(table, 1))
+        loss = reduce_sum(embedding_lookup(table, [1]))
     backward(loss, tape)
     assert table.matrix.grad is None
 
@@ -115,9 +113,9 @@ def test_non_trainable_table_gets_no_gradient():
 
 def test_lstm_all_zero_gives_zero_state():
     p = zero_lstm(2, 3)
-    h, c = lstm_step(t64(np.zeros(2)), t64(np.zeros(3)), t64(np.zeros(3)), p)
-    assert np.array_equal(h.values, np.zeros(3))
-    assert np.array_equal(c.values, np.zeros(3))
+    h, c = lstm_step(np.zeros(2), np.zeros(3), np.zeros(3), p)
+    assert np.array_equal(h, np.zeros(3))
+    assert np.array_equal(c, np.zeros(3))
 
 
 def test_lstm_forget_bias_hand_evaluation():
@@ -125,45 +123,25 @@ def test_lstm_forget_bias_hand_evaluation():
     # sigmoid(1) of the old memory and emits 0.5 * tanh of it
     p = zero_lstm(1, 1)
     p.b.values[1] = 1.0
-    h, c = lstm_step(t64([0.0]), t64([0.0]), t64([1.0]), p)
+    h, c = lstm_step(np.zeros(1), np.zeros(1), np.ones(1), p)
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
-    assert c.values[0] == pytest.approx(sig1, abs=1e-12)
-    assert h.values[0] == pytest.approx(0.5 * math.tanh(sig1), abs=1e-12)
-    assert h.values[0] == pytest.approx(0.3118, abs=1e-4)
-
-
-def test_lstm_gradient_all_params():
-    rng = np.random.default_rng(21)
-    p = random_lstm(rng, 3, 4)
-    x = t64(rng.normal(size=3))
-    h0 = t64(rng.normal(size=4))
-    c0 = t64(rng.normal(size=4))
-
-    def builder():
-        h, _ = lstm_step(x, h0, c0, p)
-        return reduce_sum(h)
-
-    report = finite_difference_check(builder, [p.w_x, p.w_h, p.b], eps=1e-5)
-    assert report.max_rel_error < 1e-5, str(report)
+    assert c[0] == pytest.approx(sig1, abs=1e-12)
+    assert h[0] == pytest.approx(0.5 * math.tanh(sig1), abs=1e-12)
+    assert h[0] == pytest.approx(0.3118, abs=1e-4)
 
 
 def test_lstm_dimension_mismatch_rejected():
     p = zero_lstm(2, 3)
     with pytest.raises(ValueError, match="lstm_step"):
-        lstm_step(t64(np.zeros(5)), t64(np.zeros(3)), t64(np.zeros(3)), p)
+        lstm_step(np.zeros(5), np.zeros(3), np.zeros(3), p)
 
 
 def test_lstm_output_bounded():
     rng = np.random.default_rng(8)
     p = random_lstm(rng, 3, 4, scale=5.0)
     for _ in range(20):
-        h, _ = lstm_step(
-            t64(rng.normal(size=3) * 10),
-            t64(rng.uniform(-1, 1, size=4)),
-            t64(rng.normal(size=4) * 3),
-            p,
-        )
-        assert np.all(np.abs(h.values) < 1.0)
+        h, _ = lstm_step(rng.normal(size=3) * 10, rng.uniform(-1, 1, size=4), rng.normal(size=4) * 3, p)
+        assert np.all(np.abs(h) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +166,7 @@ def test_lstm_sequence_matches_stepwise_oracle(length, batch, reverse):
     out = lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse, lengths=lengths)
     assert out.shape == (x.shape[0], 4)
     for seq, states in zip(x.values.reshape(-1, length, 3), out.values.reshape(-1, length, 4)):
-        want = stepwise_states([t64(v) for v in seq], p, reverse=reverse)
+        want = stepwise_states(seq, p, reverse=reverse)
         if (batch or 1) == 1:
             assert np.array_equal(states, want)
         else:  # h @ w_h of several rows at once is a GEMM, which rounds differently
@@ -272,21 +250,21 @@ def test_bilstm_length_one():
     rng = np.random.default_rng(4)
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
-    x = t64(rng.normal(size=2))
+    x = rng.normal(size=2)
     out = bilstm_run(rows([x]), fwd, bwd)
-    zeros = t64(np.zeros(3))
+    zeros = np.zeros(3)
     hf, _ = lstm_step(x, zeros, zeros, fwd)
     hb, _ = lstm_step(x, zeros, zeros, bwd)
-    assert np.array_equal(out.values[0], np.concatenate([hf.values, hb.values]))
-    assert np.array_equal(out.values[-1, :3], hf.values)
-    assert np.array_equal(out.values[0, 3:], hb.values)
+    assert np.array_equal(out.values[0], np.concatenate([hf, hb]))
+    assert np.array_equal(out.values[-1, :3], hf)
+    assert np.array_equal(out.values[0, 3:], hb)
 
 
 def test_bilstm_reversal_symmetry():
     rng = np.random.default_rng(9)
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
-    xs = [t64(rng.normal(size=2)) for _ in range(4)]
+    xs = [rng.normal(size=2) for _ in range(4)]
     out = bilstm_run(rows(xs), fwd, bwd)
     rev = bilstm_run(rows(xs[::-1]), bwd, fwd)
     n, h = len(xs), 3
@@ -301,20 +279,19 @@ def test_bilstm_matches_reference_loop():
     rng = np.random.default_rng(14)
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
-    xs = [t64(rng.normal(size=2)) for _ in range(3)]
+    xs = [rng.normal(size=2) for _ in range(3)]
     out = bilstm_run(rows(xs), fwd, bwd)
 
-    zeros = t64(np.zeros(3))
-    h, c = zeros, zeros
+    h = c = np.zeros(3)
     fwd_states = []
     for x in xs:
         h, c = lstm_step(x, h, c, fwd)
-        fwd_states.append(h.values)
-    h, c = zeros, zeros
+        fwd_states.append(h)
+    h = c = np.zeros(3)
     bwd_states = [None] * 3
     for t in (2, 1, 0):
         h, c = lstm_step(xs[t], h, c, bwd)
-        bwd_states[t] = h.values
+        bwd_states[t] = h
     for t in range(3):
         assert np.array_equal(
             out.values[t], np.concatenate([fwd_states[t], bwd_states[t]])
@@ -333,7 +310,7 @@ def test_bilstm_per_step_length_1_through_50():
     fwd = random_lstm(rng, 2, 2)
     bwd = random_lstm(rng, 2, 2)
     for length in range(1, 51):
-        xs = [t64(rng.normal(size=2)) for _ in range(length)]
+        xs = [rng.normal(size=2) for _ in range(length)]
         out = bilstm_run(rows(xs), fwd, bwd)
         assert len(out.values) == length
         assert all(s.shape == (4,) for s in out.values)
@@ -344,26 +321,27 @@ def test_bilstm_per_step_length_1_through_50():
 # ---------------------------------------------------------------------------
 
 def test_dense_tanh_zero_weights():
-    assert np.array_equal(dense_tanh(t64([1.0, 2.0]), t64(np.zeros((3, 2)))).values, np.zeros(3))
+    assert np.array_equal(dense_tanh(t64([[1.0, 2.0]]), t64(np.zeros((3, 2)))).values, np.zeros((1, 3)))
 
 
 def test_dense_tanh_range():
     rng = np.random.default_rng(6)
-    out = dense_tanh(t64(rng.normal(size=4)), t64(rng.normal(size=(3, 4)) * 3))
+    out = dense_tanh(t64(rng.normal(size=(1, 4))), t64(rng.normal(size=(3, 4)) * 3))
     assert np.all(np.abs(out.values) < 1.0)
 
 
 def test_dense_tanh_matches_numpy():
     rng = np.random.default_rng(17)
-    h = rng.normal(size=4)
+    h = rng.normal(size=(3, 4))
     w = rng.normal(size=(2, 4))
     out = dense_tanh(t64(h), t64(w))
-    assert np.allclose(out.values, np.tanh(w @ h), atol=1e-15)
+    assert np.allclose(out.values, np.tanh(h @ w.T), atol=1e-15)
 
 
 def test_dense_tanh_shape_error():
-    with pytest.raises(ValueError, match="dense_tanh"):
-        dense_tanh(t64([1.0, 2.0]), t64(np.zeros((3, 5))))
+    for h in ([[1.0, 2.0]], [1.0, 2.0, 3.0, 4.0, 5.0]):
+        with pytest.raises(ValueError, match="dense_tanh"):
+            dense_tanh(t64(h), t64(np.zeros((3, 5))))
 
 
 def test_full_stack_gradient_check():

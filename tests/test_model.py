@@ -133,7 +133,7 @@ def test_predict_and_loss_run_for_every_configuration():
     for arch in ("word", "concat", "attention"):
         for output in ("softmax", "crf"):
             model = assemble_model(toy_config(architecture=arch, output=output), vocab)
-            loss, aux = model.sentence_loss_parts(enc[0])
+            loss, aux = model.batch_loss_parts(enc[:1])
             assert loss.shape == ()
             assert (aux is not None) == (arch == "attention")
             pred = model.predict(enc[0])

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import seqtag.training as train_mod
 from seqtag.autodiff import tensor
 from seqtag.corpus import build_vocab
+from seqtag.metrics import MetricResult
 from seqtag.model import ModelConfig
-from seqtag.training import AdaDelta, evaluate_metric, train
+from seqtag.training import AdaDelta, evaluate, train
 
 from oracles import adadelta_dense_step
 from synthdata import make_suffix_corpus
@@ -195,7 +196,7 @@ def test_adadelta_rejects_non_finite_settings(value):
 def test_early_stopping_patience_one(monkeypatch):
     tr, dev, _, vocab = tiny_task()
     series = iter([1.0, 0.5, 0.4, 0.3, 0.2])
-    monkeypatch.setattr(train_mod, "evaluate_metric", lambda *a, **k: next(series))
+    monkeypatch.setattr(train_mod, "evaluate", lambda *a, **k: MetricResult("acc", next(series)))
     model, report = train(tiny_config(patience=1, max_epochs=5), tr, dev, vocab)
     assert report.stopped_epoch == 2
     assert report.best_epoch == 1
@@ -223,7 +224,7 @@ def test_best_model_is_restored():
     tr, dev, _, vocab = tiny_task()
     cfg = tiny_config(max_epochs=4, patience=4)
     model, report = train(cfg, tr, dev, vocab)
-    restored_dev = evaluate_metric(model, vocab.encode_corpus(dev), "acc")
+    restored_dev = evaluate(model, vocab.encode_corpus(dev), "acc").value
     assert restored_dev == pytest.approx(report.best_dev_metric(), abs=1e-12)
     assert report.best_epoch <= report.stopped_epoch
 
@@ -252,7 +253,7 @@ def test_report_table_has_aux_column():
 def test_attention_overfits_training_set(suffix_models, suffix_task):
     entry = suffix_models["attention"]
     assert entry["report"].stopped_epoch <= 50
-    train_acc = evaluate_metric(entry["model"], suffix_task["train"], "acc")
+    train_acc = evaluate(entry["model"], suffix_task["train"], "acc").value
     assert train_acc >= 0.99
 
 
@@ -299,9 +300,9 @@ def test_evaluate_metric_variants():
     tr, dev, _, vocab = tiny_task()
     model, _ = train(tiny_config(max_epochs=1), tr, dev, vocab)
     enc = vocab.encode_corpus(dev)
-    acc = evaluate_metric(model, enc, "acc")
+    acc = evaluate(model, enc, "acc").value
     assert 0.0 <= acc <= 1.0
-    f05 = evaluate_metric(model, enc, "f0.5", positive_label="C0")
+    f05 = evaluate(model, enc, "f0.5", positive_label="C0").value
     assert 0.0 <= f05 <= 1.0
-    with pytest.raises(ValueError, match="unknown metric"):
-        evaluate_metric(model, enc, "bleu")
+    with pytest.raises(ValueError, match="evaluate: unknown metric"):
+        evaluate(model, enc, "bleu")
