@@ -27,7 +27,9 @@ Shape rules per primitive kind::
                            integer array (rows gathered into shape
                            i.shape + (n,)) or a pair of them indexing
                            rows and columns; repeated indices
-                           accumulate gradient
+                           accumulate gradient; a leaf whose one
+                           gradient comes from a pick by rows alone
+                           gets it as a ``RowGrad``
     transpose(m)           (m,n) -> (n,m)
     lstm_sequence(x, w_x, w_h, b, reverse, lengths)
                            (N,D) -> (N,H) for one sequence, or several of
@@ -77,7 +79,10 @@ OP_KINDS = (
 
 
 class Tensor:
-    """Dense numeric array with an optional gradient and tape linkage."""
+    """Dense numeric array with an optional gradient and tape linkage.
+
+    ``grad`` is None, an array of the tensor's shape, or a ``RowGrad``.
+    """
 
     __slots__ = ("values", "grad", "node_id", "constant")
 
@@ -101,6 +106,33 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype})"
+
+
+class RowGrad:
+    """A matrix gradient that is zero outside a few rows, stored as those rows.
+
+    Row ``rows[j]`` of the gradient is ``values[j]``; ``rows`` is sorted
+    and holds each row once. A step over a large embedding table touches
+    a few hundred of its rows, so this form spares building, zero-filling
+    and scanning the dense gradient.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows, values, shape):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.values.dtype)
+        out[self.rows] = self.values
+        return out
+
+
+def dense_grad(grad):
+    """A gradient as a dense array: a ``RowGrad`` filled out with zeros, anything else as it is."""
+    return grad.dense() if isinstance(grad, RowGrad) else grad
 
 
 def tensor(values, dtype=None) -> Tensor:
@@ -492,8 +524,10 @@ def _grad_buffer(grads, tensors, nid):
         return None
     buf = grads[nid]
     if buf is None:
-        buf = np.zeros_like(t.values)
-        grads[nid] = buf
+        # C order whatever the values' layout, so that _scatter can work on a flat view
+        buf = grads[nid] = np.zeros(t.shape, dtype=t.dtype)
+    elif isinstance(buf, RowGrad):
+        buf = grads[nid] = buf.dense()
     return buf
 
 
@@ -568,11 +602,42 @@ def _bwd_cosine(node, g, grads, tensors):
     _acc(grads, tensors, node.input_ids[1], gd * (av / (ea * eb) - (c / eb) * unit_b))
 
 
+def _scatter(buf, index, g):
+    """``buf[index] += g`` for a C-ordered ``buf``, repeated indices accumulating.
+
+    The index is raveled into flat positions for one 1-D ``np.add.at``,
+    several times faster than its n-D form. Both add each element's
+    contributions one at a time in index order, so the sums are the same
+    bit for bit.
+    """
+    if len(index) == 1:
+        width = buf.shape[1]
+        flat = index[0].astype(np.intp)[..., None] * width + np.arange(width)
+    else:
+        flat = np.ravel_multi_index(index, buf.shape)
+    np.add.at(buf.reshape(-1), flat.reshape(-1), g.reshape(-1))
+
+
 def _bwd_pick_row(node, g, grads, tensors):
-    (i,) = node.saved
-    buf = _grad_buffer(grads, tensors, node.input_ids[0])
-    if buf is not None:
-        np.add.at(buf, i, g)
+    """Scatter ``g`` back; a first gradient picked by rows alone stays in row form.
+
+    The row form holds each picked row's gradient summed in index order,
+    as the dense scatter would. ``backward`` densifies it where a node
+    reads it, so only a leaf keeps it, and ``_grad_buffer`` does when a
+    second gradient arrives.
+    """
+    (index,) = node.saved
+    nid = node.input_ids[0]
+    m = tensors[nid]
+    if m.constant:
+        return
+    if len(index) == 1 and grads[nid] is None:
+        rows, inverse = np.unique(index[0], return_inverse=True)
+        values = np.zeros((len(rows), m.shape[1]), dtype=m.dtype)
+        _scatter(values, (inverse.reshape(index[0].shape),), g)
+        grads[nid] = RowGrad(rows, values, m.shape)
+    else:
+        _scatter(_grad_buffer(grads, tensors, nid), index, g)
 
 
 def _bwd_transpose(node, g, grads, tensors):
@@ -697,10 +762,12 @@ _BACKWARD = {
 }
 
 
-def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
+def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray | RowGrad]:
     """Propagate gradients of a scalar loss back through the tape.
 
-    Returns the gradient for every reached node keyed by node id.
+    Returns the gradient for every reached node keyed by node id: an
+    array, or a ``RowGrad`` for a leaf whose one gradient came from
+    ``pick_row`` by rows.
     Non-constant leaf tensors (parameters) also get the result
     accumulated into their ``grad`` slot. The tape is consumed: each
     node's saved arrays are released as soon as the pass leaves it, so
@@ -719,6 +786,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
     for node in reversed(tape.nodes):
         g = grads[node.out_id]
         if g is not None:
+            g = grads[node.out_id] = dense_grad(g)  # a node reads its output's gradient whole
             _BACKWARD[node.op](node, g, grads, tape._tensors)
         node.saved = None
     result = {}
@@ -728,5 +796,5 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray]:
         result[i] = g
         t = tape._tensors[i]
         if not tape._produced[i] and not t.constant:
-            t.grad = g if t.grad is None else t.grad + g
+            t.grad = g if t.grad is None else dense_grad(t.grad) + dense_grad(g)
     return result

@@ -7,9 +7,13 @@ the per-sentence losses, built in one pass over the batch
 composed once per batch and shared by all of its tokens, the word
 BiLSTM runs once per direction over all the batch's sentences, and the
 CRF loss is one node over all of them, which changes how much work a
-step does but not the sum it computes. The AdaDelta step then touches
-only the parameter rows the batch reached (see ``AdaDelta``), with the
-same result as updating every row.
+step does but not the sum it computes. An embedding table's gradient
+arrives as the rows the batch picked (``autodiff.RowGrad``), and the
+AdaDelta step updates only those rows, in place on gathered copies
+(see ``AdaDelta``), with the same result as updating every row.
+``train`` first has glibc keep freed memory mapped (``_retain_heap``),
+since each step would otherwise fault in again the tens of MB of
+temporaries the step before it freed.
 Development decoding still predicts one sentence at a time. Training
 stops once the development metric has not improved for ``patience``
 epochs, and the parameters from the best development epoch are what the
@@ -22,6 +26,7 @@ training loss is not finite, ends the run with ``TrainingFailed``.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import time
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, backward
+from .autodiff import RowGrad, Tape, backward
 from .corpus import Vocabulary
 from .metrics import MetricResult, extract_spans, f_beta_binary, span_f1, token_accuracy
 from .model import Model, ModelConfig, assemble_model
@@ -49,7 +54,9 @@ class AdaDelta:
 
     A step updates only the rows of a parameter whose gradient has a
     nonzero entry (a vector is one row): a batch touches a few hundred
-    rows of a large embedding table. This is exact up to rounding. For a
+    rows of a large embedding table, whose gradient comes as those rows
+    (a ``RowGrad``). The formulas run in place on the gathered rows, in
+    the order written above. This is exact up to rounding. For a
     row whose gradient is zero the update multiplies Eg2 and Ed2 by rho
     and leaves theta unchanged bit for bit, since its step is zero. So
     each row records the parameter's step count at its last update, and
@@ -96,23 +103,34 @@ class AdaDelta:
             for name, p in self.params.items():
                 if p.grad is None:
                     continue
-                grad = _rows(p.grad)
-                rows = np.flatnonzero(grad.any(axis=1))
-                if len(rows) == len(grad):
-                    rows = slice(None)  # every row: views instead of gathered copies
-                g = grad[rows]
+                rows, g = _touched(p.grad)
                 if not np.isfinite(g).all():
                     log.warning("adadelta: non-finite gradient for %s, step rejected", name)
                     return False
                 count = self._steps[name] + 1
-                # a row skipped for k steps decays by rho**k first; rho**0 == 1 is exact
-                decay = np.power(rho, count - 1 - self._updated[name][rows])[:, None].astype(g.dtype)
-                eg2 = _rows(self._sq_grad[name])[rows] * decay
-                ed2 = _rows(self._sq_step[name])[rows] * decay
-                eg2 = rho * eg2 + (1.0 - rho) * g * g
-                step = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
-                ed2 = rho * ed2 + (1.0 - rho) * step * step
-                theta = _rows(p.values)[rows] + lr * step
+                sq_grad = _rows(self._sq_grad[name])[rows]
+                sq_step = _rows(self._sq_step[name])[rows]
+                lag = count - 1 - self._updated[name][rows]
+                if lag.any():  # a row skipped for k steps decays by rho**k first
+                    decay = np.power(rho, lag)[:, None].astype(g.dtype)
+                    sq_grad = sq_grad * decay
+                    sq_step = sq_step * decay
+                # in place on new arrays only: with every row touched the gathers are views
+                eg2 = g * (1.0 - rho)
+                eg2 *= g
+                eg2 += sq_grad * rho
+                step = sq_step + eps
+                np.sqrt(step, out=step)
+                np.negative(step, out=step)
+                ed2 = eg2 + eps
+                np.sqrt(ed2, out=ed2)
+                step /= ed2
+                step *= g
+                np.multiply(step, 1.0 - rho, out=ed2)
+                ed2 *= step
+                ed2 += sq_step * rho
+                step *= lr
+                theta = _rows(p.values)[rows] + step
                 if not (np.isfinite(theta).all() and np.isfinite(eg2).all() and np.isfinite(ed2).all()):
                     log.warning("adadelta: non-finite update for %s, step rejected", name)
                     return False
@@ -129,6 +147,46 @@ class AdaDelta:
 def _rows(a):
     """A parameter-shaped array as a matrix of rows, sharing its memory: a vector is one row."""
     return a if a.ndim == 2 else a.reshape(1, -1)
+
+
+def _touched(grad):
+    """(rows, their gradient) for the rows with a nonzero entry; a slice when that is every row."""
+    if isinstance(grad, RowGrad):
+        live = grad.values.any(axis=1)
+        if live.all():
+            return grad.rows, grad.values
+        return grad.rows[live], grad.values[live]
+    grad = _rows(grad)
+    rows = np.flatnonzero(grad.any(axis=1))
+    if len(rows) == len(grad):
+        return slice(None), grad
+    return rows, grad[rows]
+
+
+# glibc's mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_heap():
+    """Have glibc keep the memory a train step frees for the next step.
+
+    By default glibc maps large blocks afresh and unmaps them on free, and
+    returns free heap beyond 128 kB, so each step would fault in again the
+    tens of MB its predecessor freed. Here blocks up to 32 MB come from the
+    heap and up to 256 MB of it stays mapped. The trim setting alone would
+    stop the mmap threshold's self-tuning and map more. Numbers do not
+    change. Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt, or (Windows) no C library handle
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20)):
+        if mallopt(param, value) != 1:
+            log.warning("mallopt(%d, %d) failed: freed memory goes back to the system", param, value)
 
 
 @dataclass
@@ -187,6 +245,11 @@ class TrainingFailed(ValueError):
 
 def evaluate(model: Model, sentences, metric: str, positive_label: str | None = None) -> MetricResult:
     """Decode every sentence and score it under the chosen measure."""
+    if metric == "f0.5":
+        if not positive_label:
+            raise ValueError("evaluate: f0.5 needs a positive label")
+        if positive_label not in model.vocab.label_set:
+            raise ValueError(f"evaluate: positive_label {positive_label!r} is not a training label")
     gold = [s.labels for s in sentences]
     pred = [model.predict_labels(s) for s in sentences]
     if metric == "acc":
@@ -194,8 +257,6 @@ def evaluate(model: Model, sentences, metric: str, positive_label: str | None = 
     if metric == "span-f1":
         return span_f1([extract_spans(g) for g in gold], [extract_spans(p) for p in pred])
     if metric == "f0.5":
-        if not positive_label:
-            raise ValueError("evaluate: f0.5 needs a positive label")
         flat_gold = [lab == positive_label for labs in gold for lab in labs]
         flat_pred = [lab == positive_label for labs in pred for lab in labs]
         return f_beta_binary(flat_gold, flat_pred, beta=0.5)
@@ -222,6 +283,7 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
     if config.positive_label and config.positive_label not in vocab.label_set:
         raise ValueError(f"train: positive_label {config.positive_label!r} is not a training label")
 
+    _retain_heap()
     model = assemble_model(config, vocab, pretrained)
     opt = AdaDelta(model.named_parameters(), rho=config.rho, epsilon=config.epsilon,
                    learning_rate=config.learning_rate)

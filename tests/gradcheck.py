@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from seqtag import autodiff
-from seqtag.autodiff import Tape, Tensor, backward
+from seqtag.autodiff import Tape, Tensor, backward, dense_grad
 
 _NOT_DETERMINISTIC = "the loss builder is not deterministic"
 
@@ -109,7 +109,7 @@ def finite_difference_check(loss_builder, params, eps: float = 1e-5, names=None)
         loss = loss_builder()
     grad_map = backward(loss, tape)
     # a parameter the loss does not reach has no entry, or an id left from another tape
-    analytic = [grad_map[p.node_id].copy() if p.node_id in grad_map and tape._tensors[p.node_id] is p
+    analytic = [dense_grad(grad_map[p.node_id]).copy() if p.node_id in grad_map and tape._tensors[p.node_id] is p
                 else np.zeros_like(p.values) for p in params]
     for p, g in zip(params, saved_grads):
         p.grad = g

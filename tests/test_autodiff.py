@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from seqtag.autodiff import (
     _BACKWARD,
     OP_KINDS,
+    RowGrad,
     Tape,
+    _scatter,
     add,
     backward,
     concat,
     cosine_similarity,
+    dense_grad,
     log_partition,
     log_sum_exp,
     lstm_sequence,
@@ -336,6 +339,75 @@ def test_primitive_gradients_random_array_forms(kind):
     for i in range(100):
         builder, params = _random_array_case(kind, rng, i)
         check_grads(builder, params)
+
+
+# entries whose sums show any change of order: signed zeros, and magnitudes
+# that absorb or cancel one another
+_SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e30, -1e30, 1e-30, -1e-30, 3.0, -3.0]),
+    st.floats(-1e3, 1e3, width=32),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]), pairs=st.booleans(),
+       rows=st.integers(1, 4), cols=st.integers(1, 4), picks=st.integers(0, 12))
+def test_flat_scatter_matches_add_at(data, dtype, pairs, rows, cols, picks):
+    """``_scatter`` is ``np.add.at`` on the dense buffer, byte for byte, for
+    row arrays and (row, column) pairs with repeats, onto a buffer that may
+    already hold a gradient."""
+    def draw_values(shape, label):
+        flat = data.draw(st.lists(_SCATTER_VALUES, min_size=math.prod(shape), max_size=math.prod(shape)),
+                         label=label)
+        return np.array(flat, dtype=dtype).reshape(shape)
+
+    index = (np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=picks, max_size=picks),
+                                label="rows"), dtype=np.int64),)
+    if pairs:
+        index += (np.array(data.draw(st.lists(st.integers(0, cols - 1), min_size=picks, max_size=picks),
+                                     label="cols"), dtype=np.int64),)
+    g = draw_values((picks,) if pairs else (picks, cols), "g")
+    start = draw_values((rows, cols), "start")
+    want = start.copy()
+    np.add.at(want, index, g)
+    got = start.copy()
+    _scatter(got, index, g)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("other", ["none", "pick_first", "pick_last", "matmul_first", "matmul_last"])
+def test_row_form_gradient_densifies_to_the_dense_gradient(other):
+    """A leaf picked once keeps its gradient in row form; a second pick or a
+    matmul, recorded before or after, makes it the dense gradient, bit for
+    bit: contributions are added from zero in backward order."""
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        m = t64(rng.normal(size=(5, 3)) * rng.choice([1e-8, 1.0, 1e8], size=(5, 1)))
+        picks = [rng.integers(0, 5, size=int(rng.integers(1, 7))) for _ in range(2)]
+        weights = [rng.normal(size=(len(ix), 3)) for ix in picks]
+        b, w_mm = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+        parts = [("pick", picks[0], weights[0])]
+        if other != "none":
+            second = ("pick", picks[1], weights[1]) if other.startswith("pick") else ("matmul", b, w_mm)
+            parts = [second] + parts if other.endswith("first") else parts + [second]
+        tape = Tape()
+        with tape:
+            terms = [matmul(m, t64(v)) if kind == "matmul" else pick_row(m, v) for kind, v, _ in parts]
+            sums = [reduce_sum(multiply(t, t64(w))) for t, (_, _, w) in zip(terms, parts)]
+            loss = sums[0] if len(sums) == 1 else add(*sums)
+        backward(loss, tape)
+        want = np.zeros_like(m.values)
+        for kind, v, w in reversed(parts):  # the order backward reaches them
+            if kind == "matmul":
+                want += w @ v.T
+            else:
+                np.add.at(want, v, w)
+        if other == "none":
+            assert isinstance(m.grad, RowGrad)
+            assert np.array_equal(m.grad.rows, np.unique(picks[0]))
+        else:
+            assert isinstance(m.grad, np.ndarray)
+        assert dense_grad(m.grad).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -179,12 +179,14 @@ def test_evaluate_span_f1_on_iob_data(tmp_path, capsys):
 
 
 def test_evaluate_f05_needs_positive_label(trained_dir, data_dir, capsys):
-    code = main([
-        "evaluate", "--model", str(trained_dir / "word" / "model.bin"),
-        "--data", str(data_dir / "test.conll"), "--metric", "f0.5",
-    ])
-    assert code == 1
+    args = ["evaluate", "--model", str(trained_dir / "word" / "model.bin"),
+            "--data", str(data_dir / "test.conll"), "--metric", "f0.5"]
+    assert main(args) == 1
     assert "positive-label" in capsys.readouterr().err
+    assert main(args + ["--positive-label", "nosuch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: evaluate: positive_label 'nosuch' is not a training label\n"
 
 
 def test_tag_preserves_input_columns(trained_dir, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtag.autodiff import Tape, backward
+from seqtag.autodiff import Tape, backward, dense_grad
 from seqtag.corpus import Sentence, build_vocab, random_embeddings
 from seqtag.model import (
     Model,
@@ -160,7 +160,8 @@ def test_batch_loss_is_the_sum_of_sentence_losses(arch, output):
         with tape:
             loss, aux = model.batch_loss_parts(sents)
         backward(loss, tape)
-        grads = {n: np.zeros_like(p.values) if p.grad is None else p.grad for n, p in params.items()}
+        grads = {n: np.zeros_like(p.values) if p.grad is None else dense_grad(p.grad)
+                 for n, p in params.items()}
         model.zero_grad()
         return float(loss.values), aux, grads
 

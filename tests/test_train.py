@@ -1,20 +1,25 @@
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqtag
 import seqtag.training as train_mod
-from seqtag.autodiff import tensor
+from seqtag.autodiff import RowGrad, tensor
 from seqtag.corpus import build_vocab
 from seqtag.metrics import MetricResult
 from seqtag.model import ModelConfig
 from seqtag.training import AdaDelta, evaluate, train
 
 from oracles import adadelta_dense_step
-from synthdata import make_suffix_corpus
+from synthdata import make_suffix_corpus, write_conll
 
 
 def t32(values):
@@ -138,30 +143,60 @@ def _current(opt, name, acc):
     return acc.reshape(len(missed), -1) * (opt.rho ** missed)[:, None]
 
 
+def _state(opt):
+    """Everything an AdaDelta step may change, as bytes."""
+    arrays = [a for n, p in opt.params.items()
+              for a in (p.values, opt._sq_grad[n], opt._sq_step[n], opt._updated[n])]
+    return [a.tobytes() for a in arrays], dict(opt._steps)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
        rho=st.sampled_from([0.0, 0.5, 0.95]), eps=st.sampled_from([1e-6, 1e-3]),
        lr=st.sampled_from([1.0, 0.3]), rows=st.integers(1, 6), cols=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_lazy_adadelta_matches_the_dense_update(data, dtype, rho, eps, lr, rows, cols, seed):
-    """Random rows of a matrix and a whole vector get zero gradients, or none."""
+    """Random rows of a matrix and a whole vector get zero gradients, or none.
+
+    The matrix gradient reaches one optimizer as an array and a twin as a
+    ``RowGrad`` that lists every nonzero row and some rows whose gradient
+    is exactly zero; the twin must skip those rows and end bit-identical.
+    A step with a non-finite row is rejected by both and changes nothing.
+    """
     rng = np.random.default_rng(seed)
     shapes = {"m": (rows, cols), "v": (cols,)}
     params = {n: tensor(rng.normal(size=shape).astype(dtype)) for n, shape in shapes.items()}
-    opt = AdaDelta(params, rho=rho, epsilon=eps, learning_rate=lr)
+    twins = {n: tensor(p.values.copy()) for n, p in params.items()}
+    opt, twin = (AdaDelta(ps, rho=rho, epsilon=eps, learning_rate=lr) for ps in (params, twins))
     dense = {n: (p.values.copy(), np.zeros_like(p.values), np.zeros_like(p.values))
              for n, p in params.items()}
     tol = dict(rtol=1e-4, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-12)
     for _ in range(data.draw(st.integers(1, 12), label="steps")):
-        live = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows), label="live rows")
-        g = (rng.normal(size=(rows, cols)) * np.array(live)[:, None]).astype(dtype)
+        live = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows), label="live rows"))
+        listed = live | data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows), label="zero rows listed")
+        g = (rng.normal(size=(rows, cols)) * live[:, None]).astype(dtype)
+        bad = data.draw(st.sampled_from([None, None, None, np.nan, np.inf]), label="non-finite entry")
+        if bad is not None:
+            row = data.draw(st.integers(0, rows - 1), label="non-finite row")
+            g[row, 0], listed[row] = bad, True
         grads = {"m": g, "v": data.draw(st.sampled_from([None, "zero", "dense"]), label="vector")}
         if grads["v"] is not None:
             scale = 0.0 if grads["v"] == "zero" else 1.0
             grads["v"] = (rng.normal(size=cols) * scale).astype(dtype)
         for n, p in params.items():
             p.grad = None if grads[n] is None else grads[n].copy()
-        assert opt.step()
+            twins[n].grad = None if grads[n] is None else grads[n].copy()
+        twins["m"].grad = RowGrad(np.flatnonzero(listed), g[listed], g.shape)
+        before, m_before = (_state(opt), _state(twin)), params["m"].values.copy()
+        if bad is not None:
+            assert not opt.step() and not twin.step()
+            assert (_state(opt), _state(twin)) == before
+            continue
+        assert opt.step() and twin.step()
+        assert _state(twin) == _state(opt)
+        # rows with a zero gradient, listed or not, keep their values and wait for their decay
+        assert np.array_equal(params["m"].values[~live], m_before[~live])
+        assert (opt._updated["m"][~live] < opt._steps["m"]).all()
         for n, p in params.items():
             if grads[n] is not None:
                 dense[n] = adadelta_dense_step(*dense[n], grads[n], rho, eps, lr)
@@ -210,6 +245,52 @@ def test_training_determinism():
     losses1 = [e.train_loss for e in r1.epochs]
     losses2 = [e.train_loss for e in r2.epochs]
     assert losses1 == losses2  # bit-identical floats
+
+
+_TRAIN_IN_A_NEW_PROCESS = """
+import sys
+import seqtag.training
+from seqtag.cli import main
+heap, config, train, dev, out = sys.argv[1:]
+if heap == "untouched":
+    seqtag.training._retain_heap = lambda: None
+sys.exit(main(["train", "--config", config, "--train", train, "--dev", dev, "--out", out]))
+"""
+
+
+def test_heap_retention_changes_no_numbers(tmp_path):
+    """C8's run, each time in a new process: with glibc's malloc settings
+    left alone, and with the ones ``train`` sets."""
+    tr, dev, _ = make_suffix_corpus(
+        n_train_types=24, n_test_types=8, sentence_len=4, n_dev_sentences=4,
+        singleton_fraction=0.25, seed=6,
+    )
+    write_conll(tmp_path / "train.conll", tr)
+    write_conll(tmp_path / "dev.conll", dev)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "architecture = attention\noutput = crf\nword_dim = 6\nchar_dim = 4\n"
+        "word_lstm_hidden = 5\nchar_lstm_hidden = 5\nd_size = 4\nbatch_size = 8\n"
+        "patience = 9\nmax_epochs = 3\nseed = 13\ndtype = float32\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(seqtag.__file__))}
+    runs = {}
+    for heap in ("untouched", "retained"):
+        out = tmp_path / heap
+        subprocess.run([sys.executable, "-c", _TRAIN_IN_A_NEW_PROCESS, heap, str(cfg),
+                        str(tmp_path / "train.conll"), str(tmp_path / "dev.conll"), str(out)],
+                       env=env, check=True, timeout=300)
+        losses = [e["train_loss"] for e in json.loads((out / "report.json").read_text())["epochs"]]
+        runs[heap] = (losses, (out / "model.bin").read_bytes())
+    assert len(runs["retained"][0]) == 3
+    assert runs["untouched"] == runs["retained"]
+
+
+def test_train_runs_where_there_is_no_mallopt(monkeypatch):
+    monkeypatch.setattr(train_mod.ctypes, "CDLL", lambda name: object())
+    tr, dev, _, vocab = tiny_task()
+    _, report = train(tiny_config(max_epochs=1), tr, dev, vocab)
+    assert len(report.epochs) == 1
 
 
 def test_shuffle_changes_batch_order_but_stays_deterministic():
