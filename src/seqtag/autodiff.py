@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
-The engine is deliberately small: thirteen primitive kinds, picked as
+The engine is deliberately small: twelve primitive kinds, picked as
 the minimal set the tagging models in this package need, plus a
 gradient blocking marker. Each primitive takes the one shape form the
 models use, mostly matrices. Values are dense numpy arrays of zero to
@@ -10,7 +10,8 @@ float32).
 
 Shape rules per primitive kind::
 
-    matmul(a, b)           (m,n)@(n,p)->(m,p)
+    linear(x, w)           (m,n) and (p,n) -> (m,p): x @ w.T, the product
+                           of every weighted layer with its weight matrix
     add(a, b)              elementwise on equal shapes; either side may
                            instead hold a single element, which is
                            broadcast against the other
@@ -19,7 +20,7 @@ Shape rules per primitive kind::
     concat(ts, axis)       equal-rank inputs joined along the given
                            axis; all other dimensions must agree
     reduce_sum(t)          every entry summed to a scalar     (kind "sum")
-    log_sum_exp(t)         (m,n) -> (n,), each column reduced,
+    log_sum_exp(t)         (m,n) -> (m,), each row reduced,
                            max-shifted so large inputs cannot overflow
     cosine_similarity(a,b) (n,d) matrices -> (n,) row by row; each norm
                            is guarded with +1e-8 so zero rows stay finite
@@ -30,7 +31,6 @@ Shape rules per primitive kind::
                            accumulate gradient; a leaf whose one
                            gradient comes from a pick by rows alone
                            gets it as a ``RowGrad``
-    transpose(m)           (m,n) -> (n,m)
     lstm_sequence(x, w_x, w_h, b, reverse, lengths)
                            (N,D) -> (N,H) for one sequence, or several of
                            the given lengths stored back to back: the
@@ -62,7 +62,7 @@ import numpy as np
 NORM_EPS = 1e-8
 
 OP_KINDS = (
-    "matmul",
+    "linear",
     "add",
     "multiply",
     "tanh",
@@ -72,7 +72,6 @@ OP_KINDS = (
     "log_sum_exp",
     "cosine_similarity",
     "pick_row",
-    "transpose",
     "lstm_sequence",
     "log_partition",
 )
@@ -239,11 +238,12 @@ def _shape_error(op, *shapes):
 # primitive forwards
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise _shape_error("matmul", av.shape, bv.shape)
-    return _emit("matmul", (a, b), av @ bv, (av, bv))
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """Each row of ``x`` times the transposed weight matrix ``w``."""
+    xv, wv = x.values, w.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
+        raise _shape_error("linear", xv.shape, wv.shape)
+    return _emit("linear", (x, w), xv @ wv.T, (xv, wv))
 
 
 def _binary_check(op, a, b):
@@ -307,11 +307,11 @@ def _logsumexp(v, axis):
 
 
 def log_sum_exp(t: Tensor) -> Tensor:
-    """Log-sum-exp of each column of a matrix."""
+    """Log-sum-exp of each row of a non-empty matrix."""
     v = t.values
-    if v.ndim != 2 or not v.shape[0]:
+    if v.ndim != 2 or not v.size:
         raise _shape_error("log_sum_exp", v.shape)
-    out = _logsumexp(v, 0)
+    out = _logsumexp(v, 1)
     return _emit("log_sum_exp", (t,), out, (v, out))
 
 
@@ -337,14 +337,6 @@ def pick_row(m: Tensor, i) -> Tensor:
         if ix.dtype.kind not in "iu" or (ix.size and not (ix.min() >= 0 and ix.max() < n)):
             raise ValueError(f"pick_row: index {ix.tolist()} out of range for shape {v.shape}")
     return _emit("pick_row", (m,), np.array(v[index]), (index,))
-
-
-def transpose(t: Tensor) -> Tensor:
-    """Matrix transpose; the result is a view of the input's values."""
-    v = t.values
-    if v.ndim != 2:
-        raise _shape_error("transpose", v.shape)
-    return _emit("transpose", (t,), v.T, ())
 
 
 def _run_layout(n_rows: int, lengths, reverse: bool, op: str = "lstm_sequence"):
@@ -544,11 +536,12 @@ def _acc_bcast(grads, tensors, nid, g, in_shape):
         _acc(grads, tensors, nid, np.asarray(g.sum()).reshape(in_shape))
 
 
-def _bwd_matmul(node, g, grads, tensors):
-    a_id, b_id = node.input_ids
-    av, bv = node.saved
-    _acc(grads, tensors, a_id, g @ bv.T)
-    _acc(grads, tensors, b_id, av.T @ g)
+def _bwd_linear(node, g, grads, tensors):
+    x_id, w_id = node.input_ids
+    xv, wv = node.saved
+    _acc(grads, tensors, x_id, g @ wv)
+    # as (x.T @ g).T: g.T @ x may round differently, which would move trained weights in the last bits
+    _acc(grads, tensors, w_id, (xv.T @ g).T)
 
 
 def _bwd_add(node, g, grads, tensors):
@@ -586,7 +579,7 @@ def _bwd_sum(node, g, grads, tensors):
 
 def _bwd_log_sum_exp(node, g, grads, tensors):
     x, out = node.saved
-    _acc(grads, tensors, node.input_ids[0], np.exp(x - out) * g)
+    _acc(grads, tensors, node.input_ids[0], np.exp(x - out[:, None]) * g[:, None])
 
 
 def _bwd_cosine(node, g, grads, tensors):
@@ -638,10 +631,6 @@ def _bwd_pick_row(node, g, grads, tensors):
         grads[nid] = RowGrad(rows, values, m.shape)
     else:
         _scatter(_grad_buffer(grads, tensors, nid), index, g)
-
-
-def _bwd_transpose(node, g, grads, tensors):
-    _acc(grads, tensors, node.input_ids[0], g.T)
 
 
 def _bwd_lstm_sequence(node, g, grads, tensors):
@@ -745,7 +734,7 @@ def _bwd_stop_gradient(node, g, grads, tensors):
 
 
 _BACKWARD = {
-    "matmul": _bwd_matmul,
+    "linear": _bwd_linear,
     "add": _bwd_add,
     "multiply": _bwd_multiply,
     "tanh": _bwd_tanh,
@@ -755,7 +744,6 @@ _BACKWARD = {
     "log_sum_exp": _bwd_log_sum_exp,
     "cosine_similarity": _bwd_cosine,
     "pick_row": _bwd_pick_row,
-    "transpose": _bwd_transpose,
     "lstm_sequence": _bwd_lstm_sequence,
     "log_partition": _bwd_log_partition,
     "stop_gradient": _bwd_stop_gradient,

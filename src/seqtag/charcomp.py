@@ -33,15 +33,14 @@ from .autodiff import (
     concat,
     const_like,
     cosine_similarity,
+    linear,
     lstm_sequence,
-    matmul,
     multiply,
     pick_row,
     reduce_sum,
     sigmoid,
     stop_gradient,
     tanh,
-    transpose,
 )
 from .layers import EmbeddingTable, LstmParams, embedding_lookup
 
@@ -71,7 +70,7 @@ def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
     All sequences' characters, stored back to back, run through the
     character BiLSTM as one ragged ``lstm_sequence`` per direction; a
     word's final states are its last row forward and its first row
-    backward, so a call costs nine tape nodes whatever its lengths. Row
+    backward, so a call costs eight tape nodes whatever its lengths. Row
     i of the (len(char_seqs), word_dim) result is the vector of
     ``char_seqs[i]``.
     """
@@ -86,7 +85,7 @@ def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
     forward = lstm_sequence(chars, p.fwd.w_x, p.fwd.w_h, p.fwd.b, lengths=lengths)
     backward = lstm_sequence(chars, p.bwd.w_x, p.bwd.w_h, p.bwd.b, reverse=True, lengths=lengths)
     h_star = concat((pick_row(forward, ends - 1), pick_row(backward, ends - lengths)), axis=1)
-    return tanh(matmul(h_star, transpose(p.w_m)))
+    return tanh(linear(h_star, p.w_m))
 
 
 def combine_concat(x: Tensor, m: Tensor) -> Tensor:
@@ -131,8 +130,8 @@ def combine_attention(x: Tensor, m: Tensor, p: AttentionParams):
             f"combine_attention: got x {x.shape}, m {m.shape} for gate dim {p.dim}"
         )
     # row-vector form of z = sigmoid(W3 tanh(W1 x + W2 m)), one row per token
-    hidden = tanh(add(matmul(x, transpose(p.w_z1)), matmul(m, transpose(p.w_z2))))
-    z = sigmoid(matmul(hidden, transpose(p.w_z3)))
+    hidden = tanh(add(linear(x, p.w_z1), linear(m, p.w_z2)))
+    z = sigmoid(linear(hidden, p.w_z3))
     one_minus_z = add(const_like(1.0, z), multiply(z, const_like(-1.0, z)))
     combined = add(multiply(z, x), multiply(one_minus_z, m))
     return combined, z

@@ -193,7 +193,7 @@ def build_vocab(train_sentences, min_count: int = 2) -> Vocabulary:
 def random_embeddings(n_rows: int, dim: int, rng: np.random.Generator, dtype=np.float32) -> EmbeddingTable:
     """Trainable rows drawn uniform in [-0.05, 0.05]; row 0 is the OOV row."""
     matrix = rng.uniform(-0.05, 0.05, size=(n_rows, dim)).astype(dtype)
-    return EmbeddingTable(Tensor(matrix), oov_row=0, trainable=True)
+    return EmbeddingTable(Tensor(matrix), oov_row=0)
 
 
 def load_pretrained_embeddings(

@@ -32,12 +32,11 @@ from .autodiff import (
     add,
     concat,
     const_like,
+    linear,
     log_partition,
-    matmul,
     multiply,
     pick_row,
     reduce_sum,
-    transpose,
 )
 
 
@@ -118,7 +117,7 @@ def emission_scores(d: Tensor, w_o: Tensor) -> Tensor:
     """Emission rows W_o @ d_t for a (T, d) matrix of token states, as one (T, K) tensor."""
     if d.values.ndim != 2 or d.shape[0] == 0:
         raise ValueError(f"emission_scores: expected a non-empty (T, d) sequence, got {d.shape}")
-    return matmul(d, transpose(w_o))
+    return linear(d, w_o)
 
 
 # ---------------------------------------------------------------------------

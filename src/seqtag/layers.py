@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, lstm_sequence, matmul, pick_row, tanh, transpose
+from .autodiff import Tensor, concat, linear, lstm_sequence, pick_row, tanh
 
 
 @dataclass
@@ -34,7 +34,6 @@ class EmbeddingTable:
 
     matrix: Tensor
     oov_row: int
-    trainable: bool = True
 
     def __post_init__(self):
         if self.matrix.values.ndim != 2:
@@ -42,8 +41,6 @@ class EmbeddingTable:
         rows = self.matrix.shape[0]
         if not 0 <= self.oov_row < rows:
             raise ValueError(f"EmbeddingTable: oov_row {self.oov_row} outside [0, {rows})")
-        if not self.trainable:
-            self.matrix.constant = True
 
     @property
     def vocab_size(self) -> int:
@@ -126,4 +123,4 @@ def dense_tanh(h: Tensor, w_d: Tensor) -> Tensor:
     matrix of them, one row per token."""
     if h.values.ndim != 2 or w_d.values.ndim != 2 or w_d.shape[1] != h.shape[1]:
         raise ValueError(f"dense_tanh: weight {w_d.shape} does not apply to {h.shape}")
-    return tanh(matmul(h, transpose(w_d)))
+    return tanh(linear(h, w_d))

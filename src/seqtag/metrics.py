@@ -63,6 +63,15 @@ def _split_tag(tag: str):
     raise ValueError(f"extract_spans: malformed label {tag!r}")
 
 
+def check_iob_labels(labels, what: str):
+    """Raise ``ValueError`` naming ``what`` and the first label ``extract_spans`` cannot read."""
+    for tag in dict.fromkeys(labels):
+        try:
+            _split_tag(tag)
+        except ValueError:
+            raise ValueError(f"{what}: span-f1 needs IOB labels (O, B-X, I-X), got {tag!r}") from None
+
+
 def extract_spans(labels) -> list:
     """Maximal typed segments from an IOB label sequence."""
     labels = list(labels)

@@ -50,7 +50,6 @@ from .autodiff import (
     no_tape,
     pick_row,
     reduce_sum,
-    transpose,
 )
 from .charcomp import (
     AttentionParams,
@@ -301,7 +300,7 @@ class Model:
 
 def _softmax_nll(scores: Tensor, gold) -> Tensor:
     """Summed per-token cross-entropy of (T, K) label scores."""
-    log_norm = reduce_sum(log_sum_exp(transpose(scores)))
+    log_norm = reduce_sum(log_sum_exp(scores))
     gold_score = reduce_sum(pick_row(scores, (np.arange(scores.shape[0]), np.asarray(gold))))
     return add(log_norm, multiply(gold_score, const_like(-1.0, gold_score)))
 
@@ -331,7 +330,6 @@ def assemble_model(config: ModelConfig, vocab: Vocabulary,
         word_emb = EmbeddingTable(
             Tensor(pretrained.matrix.values.astype(dtype)),
             oov_row=pretrained.oov_row,
-            trainable=pretrained.trainable,
         )
     else:
         word_emb = random_embeddings(vocab.n_words, config.word_dim, rng, dtype)
@@ -386,9 +384,7 @@ def _stored_scalars(config: ModelConfig, vocab: Vocabulary) -> int:
 def count_parameters(model: Model):
     """(total trainable scalars, total excluding the word-embedding table)."""
     total = sum(t.size for t in model.named_parameters().values())
-    emb = model.word_emb.matrix
-    noemb = total - (emb.size if not emb.constant else 0)
-    return total, noemb
+    return total, total - model.word_emb.matrix.size
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .autodiff import RowGrad, Tape, backward
 from .corpus import Vocabulary
-from .metrics import MetricResult, extract_spans, f_beta_binary, span_f1, token_accuracy
+from .metrics import MetricResult, check_iob_labels, extract_spans, f_beta_binary, span_f1, token_accuracy
 from .model import Model, ModelConfig, assemble_model
 
 log = logging.getLogger(__name__)
@@ -251,6 +252,8 @@ def evaluate(model: Model, sentences, metric: str, positive_label: str | None = 
         if positive_label not in model.vocab.label_set:
             raise ValueError(f"evaluate: positive_label {positive_label!r} is not a training label")
     gold = [s.labels for s in sentences]
+    if metric == "span-f1":
+        check_iob_labels(chain(model.vocab.label_set.labels, *gold), "evaluate")
     pred = [model.predict_labels(s) for s in sentences]
     if metric == "acc":
         return token_accuracy(gold, pred)
@@ -282,6 +285,8 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
             raise ValueError("train: training sentence has labels outside the vocabulary")
     if config.positive_label and config.positive_label not in vocab.label_set:
         raise ValueError(f"train: positive_label {config.positive_label!r} is not a training label")
+    if config.dev_metric == "span-f1":
+        check_iob_labels(chain(vocab.label_set.labels, *(s.labels for s in dev_enc)), "train")
 
     _retain_heap()
     model = assemble_model(config, vocab, pretrained)

@@ -17,10 +17,10 @@ from seqtag.autodiff import (
     concat,
     cosine_similarity,
     dense_grad,
+    linear,
     log_partition,
     log_sum_exp,
     lstm_sequence,
-    matmul,
     multiply,
     pick_row,
     reduce_sum,
@@ -28,7 +28,6 @@ from seqtag.autodiff import (
     stop_gradient,
     tanh,
     tensor,
-    transpose,
 )
 
 from gradcheck import finite_difference_check
@@ -71,7 +70,7 @@ def test_saturated_sigmoid_is_zero_without_overflow_warning():
 
 
 def test_log_sum_exp_equal_entries():
-    out = log_sum_exp(t64(np.zeros((3, 2))))
+    out = log_sum_exp(t64(np.zeros((2, 3))))
     assert np.allclose(out.values, [math.log(3.0)] * 2, rtol=0.0, atol=1e-12)
 
 
@@ -81,9 +80,9 @@ def test_log_sum_exp_against_scipy():
     rng = np.random.default_rng(4)
     for _ in range(25):
         x = rng.normal(size=int(rng.integers(1, 12))) * 20
-        assert log_sum_exp(t64(x[:, None])).values[0] == pytest.approx(scipy_lse(x), abs=1e-12)
+        assert log_sum_exp(t64(x[None, :])).values[0] == pytest.approx(scipy_lse(x), abs=1e-12)
         m = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6)))) * 20
-        assert np.allclose(log_sum_exp(t64(m)).values, scipy_lse(m, axis=0), atol=1e-12)
+        assert np.allclose(log_sum_exp(t64(m)).values, scipy_lse(m, axis=1), atol=1e-12)
 
 
 def test_log_sum_exp_preserves_float32():
@@ -130,11 +129,11 @@ def test_backward_unreachable_tensor_gets_no_entry():
     assert y.node_id not in grads
 
 
-def test_matmul_gradient_random_2x2():
+def test_linear_gradient_random_2x2():
     rng = np.random.default_rng(11)
     x = t64(rng.normal(size=(1, 2)))
     w = t64(rng.normal(size=(2, 2)))
-    check_grads(lambda: reduce_sum(matmul(x, w)), [x, w])
+    check_grads(lambda: reduce_sum(linear(x, w)), [x, w])
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +202,12 @@ def test_fd_rejects_bad_eps():
 
 def _random_case(kind, rng, i):
     """Build (loss builder, params) for one random instance of a primitive."""
-    if kind == "matmul":
+    if kind == "linear":
         m, n, p = (int(rng.integers(1, 5)) for _ in range(3))
-        if i % 3 < 2:  # b a single column, or a a single row, in turn
+        if i % 3 < 2:  # w a single row, or x a single row, in turn
             m, p = (m, 1) if i % 3 == 0 else (1, p)
-        a, b = t64(rng.normal(size=(m, n))), t64(rng.normal(size=(n, p)))
-        return lambda: reduce_sum(matmul(a, b)), [a, b]
+        x, w = t64(rng.normal(size=(m, n))), t64(rng.normal(size=(p, n)))
+        return lambda: reduce_sum(linear(x, w)), [x, w]
     if kind in ("add", "multiply"):
         op = add if kind == "add" else multiply
         n = int(rng.integers(1, 6))
@@ -233,7 +232,7 @@ def _random_case(kind, rng, i):
         a = t64(rng.normal(size=(2, 3)) if i % 2 else rng.normal(size=4))
         return lambda: reduce_sum(a), [a]
     if kind == "log_sum_exp":
-        shape = (int(rng.integers(1, 6)), 1) if i % 2 else (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        shape = (1, int(rng.integers(1, 6))) if i % 2 else (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         a = t64(rng.normal(size=shape))
         return lambda: reduce_sum(log_sum_exp(a)), [a]
     if kind == "cosine_similarity":  # one row; _random_array_case takes several
@@ -246,10 +245,6 @@ def _random_case(kind, rng, i):
         a = t64(rng.normal(size=(rows, cols)))
         row = int(rng.integers(0, rows))
         return lambda: reduce_sum(pick_row(a, row)), [a]
-    if kind == "transpose":
-        a = t64(rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5)))))
-        b = t64(rng.normal(size=(a.shape[0], int(rng.integers(1, 4)))))
-        return lambda: reduce_sum(matmul(transpose(a), b)), [a, b]
     if kind == "lstm_sequence":
         dim, hid, steps = (int(rng.integers(1, 4)) for _ in range(3))
         batch = None if i % 2 else int(rng.integers(1, 4))  # equal-length runs back to back
@@ -378,28 +373,28 @@ def test_flat_scatter_matches_add_at(data, dtype, pairs, rows, cols, picks):
 @pytest.mark.parametrize("other", ["none", "pick_first", "pick_last", "matmul_first", "matmul_last"])
 def test_row_form_gradient_densifies_to_the_dense_gradient(other):
     """A leaf picked once keeps its gradient in row form; a second pick or a
-    matmul, recorded before or after, makes it the dense gradient, bit for
-    bit: contributions are added from zero in backward order."""
+    matrix product (``linear``), recorded before or after, makes it the dense
+    gradient, bit for bit: contributions are added from zero in backward order."""
     rng = np.random.default_rng(77)
     for _ in range(20):
         m = t64(rng.normal(size=(5, 3)) * rng.choice([1e-8, 1.0, 1e8], size=(5, 1)))
         picks = [rng.integers(0, 5, size=int(rng.integers(1, 7))) for _ in range(2)]
         weights = [rng.normal(size=(len(ix), 3)) for ix in picks]
-        b, w_mm = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+        b, w_mm = rng.normal(size=(2, 3)), rng.normal(size=(5, 2))
         parts = [("pick", picks[0], weights[0])]
         if other != "none":
             second = ("pick", picks[1], weights[1]) if other.startswith("pick") else ("matmul", b, w_mm)
             parts = [second] + parts if other.endswith("first") else parts + [second]
         tape = Tape()
         with tape:
-            terms = [matmul(m, t64(v)) if kind == "matmul" else pick_row(m, v) for kind, v, _ in parts]
+            terms = [linear(m, t64(v)) if kind == "matmul" else pick_row(m, v) for kind, v, _ in parts]
             sums = [reduce_sum(multiply(t, t64(w))) for t, (_, _, w) in zip(terms, parts)]
             loss = sums[0] if len(sums) == 1 else add(*sums)
         backward(loss, tape)
         want = np.zeros_like(m.values)
         for kind, v, w in reversed(parts):  # the order backward reaches them
             if kind == "matmul":
-                want += w @ v.T
+                want += w @ v
             else:
                 np.add.at(want, v, w)
         if other == "none":
@@ -416,14 +411,14 @@ def test_row_form_gradient_densifies_to_the_dense_gradient(other):
 
 def test_tape_replay_determinism():
     rng = np.random.default_rng(3)
-    x_vals = rng.normal(size=(4, 1))
+    x_vals = rng.normal(size=(1, 4))
     w_vals = rng.normal(size=(4, 4))
 
     def run():
         x, w = t64(x_vals), t64(w_vals)
         tape = Tape()
         with tape:
-            loss = reduce_sum(log_sum_exp(tanh(matmul(w, x))))
+            loss = reduce_sum(log_sum_exp(tanh(linear(x, w))))
         backward(loss, tape)
         return float(loss.values), x.grad.copy(), w.grad.copy()
 
@@ -439,8 +434,8 @@ def test_tape_replay_determinism():
     st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8)
 )
 def test_log_sum_exp_shift_stability(values):
-    base = log_sum_exp(t64([[v] for v in values])).values[0]
-    shifted = log_sum_exp(t64([[v + 1000.0] for v in values])).values[0]
+    base = log_sum_exp(t64([values])).values[0]
+    shifted = log_sum_exp(t64([[v + 1000.0 for v in values]])).values[0]
     assert shifted == pytest.approx(base + 1000.0, abs=1e-9)
 
 
@@ -451,11 +446,11 @@ def test_stop_gradient_preserves_bits():
 
 
 def test_tape_ids_dense_and_topologically_ordered():
-    x = t64([[1.0], [2.0]])
+    x = t64([[1.0, 2.0]])
     w = t64(np.eye(2))
     tape = Tape()
     with tape:
-        loss = reduce_sum(tanh(matmul(w, x)))
+        loss = reduce_sum(tanh(linear(x, w)))
     ids = [t.node_id for t in tape._tensors]
     assert ids == list(range(len(ids)))
     for node in tape.nodes:
@@ -470,7 +465,7 @@ def test_distinct_tapes_on_distinct_threads():
 
     def work(key, seed):
         rng = np.random.default_rng(seed)
-        x = t64(rng.normal(size=(64, 1)))
+        x = t64(rng.normal(size=(1, 64)))
         for _ in range(50):
             tape = Tape()
             with tape:
@@ -491,7 +486,7 @@ def test_distinct_tapes_on_distinct_threads():
 
     for key, seed in (("a", 1), ("b", 2)):
         rng = np.random.default_rng(seed)
-        x = t64(rng.normal(size=(64, 1)))
+        x = t64(rng.normal(size=(1, 64)))
         tape = Tape()
         with tape:
             loss = reduce_sum(log_sum_exp(tanh(x)))
@@ -504,12 +499,12 @@ def test_distinct_tapes_on_distinct_threads():
 # error contracts
 # ---------------------------------------------------------------------------
 
-def test_matmul_shape_error_names_op_and_shapes():
-    with pytest.raises(ValueError, match=r"matmul.*\(2, 3\).*\(2,\)"):
-        matmul(t64(np.zeros((2, 3))), t64(np.zeros(2)))
-    for a, b in [((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (2, 3))]:  # matrices of matching width only
-        with pytest.raises(ValueError, match="matmul"):
-            matmul(t64(np.zeros(a)), t64(np.zeros(b)))
+def test_linear_shape_error_names_op_and_shapes():
+    with pytest.raises(ValueError, match=r"linear.*\(2, 3\).*\(3,\)"):
+        linear(t64(np.zeros((2, 3))), t64(np.zeros(3)))
+    for x, w in [((3,), (2, 3)), ((2, 3), (3, 2)), ((2, 3), (1, 2, 3))]:  # matrices of matching width only
+        with pytest.raises(ValueError, match="linear"):
+            linear(t64(np.zeros(x)), t64(np.zeros(w)))
 
 
 def test_pick_row_range_error():
@@ -576,7 +571,7 @@ def test_log_partition_shape_errors():
 
 
 def test_log_sum_exp_takes_only_matrices():
-    for bad in (np.zeros(3), np.zeros((0, 2)), np.zeros((2, 2, 2))):
+    for bad in (np.zeros(3), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="log_sum_exp"):
             log_sum_exp(t64(bad))
 

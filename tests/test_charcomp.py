@@ -160,7 +160,7 @@ def test_composer_is_one_run_per_direction_whatever_the_lengths(n_lengths):
     with tape:
         compose_words(seqs, p)
     assert [n.op for n in tape.nodes].count("lstm_sequence") == 2
-    assert len(tape) == 9
+    assert len(tape) == 8
 
 
 # ---------------------------------------------------------------------------

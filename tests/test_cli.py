@@ -11,7 +11,7 @@ from seqtag import cli
 from seqtag.cli import config_from_mapping, main, read_config_file
 from seqtag.corpus import build_vocab, load_conll
 from seqtag.metrics import token_accuracy
-from seqtag.model import ModelConfig, load_model
+from seqtag.model import Model, ModelConfig, load_model
 
 from synthdata import make_suffix_corpus, write_conll
 
@@ -176,6 +176,30 @@ def test_evaluate_span_f1_on_iob_data(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("span_f1\t")
     assert 0.0 <= float(line.split("\t")[1]) <= 1.0
+    # gold labels that are not IOB fail before any sentence is decoded
+    (tmp_path / "pos.conll").write_text("the DT\ncat NN\n")
+    with mock.patch.object(Model, "predict_labels", autospec=True, side_effect=Model.predict_labels) as decode:
+        assert main([
+            "evaluate", "--model", str(out / "model.bin"),
+            "--data", str(tmp_path / "pos.conll"), "--metric", "span-f1",
+        ]) == 1
+    assert decode.call_count == 0
+    assert capsys.readouterr().err == "error: evaluate: span-f1 needs IOB labels (O, B-X, I-X), got 'DT'\n"
+
+
+def test_evaluate_span_f1_with_a_non_iob_model_fails_before_decoding(trained_dir, data_dir, capsys):
+    with mock.patch.object(Model, "predict_labels", autospec=True, side_effect=Model.predict_labels) as decode:
+        code = main([
+            "evaluate", "--model", str(trained_dir / "word" / "model.bin"),
+            "--data", str(data_dir / "test.conll"), "--metric", "span-f1",
+        ])
+    assert code == 1
+    assert decode.call_count == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: evaluate: span-f1 needs IOB labels")
+    assert err[0].endswith(f"got {load_model(trained_dir / 'word' / 'model.bin').vocab.label_set.labels[0]!r}")
 
 
 def test_evaluate_f05_needs_positive_label(trained_dir, data_dir, capsys):
@@ -505,6 +529,24 @@ def test_train_with_an_unknown_positive_label_fails_before_training(data_dir, tm
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "'nosuch'" in err[0]
+    assert not (out / "model.bin").exists() and not (out / "report.json").exists()
+
+
+def test_train_with_span_f1_on_non_iob_labels_fails_before_training(tmp_path, capsys):
+    (tmp_path / "pos.conll").write_text("the DT\ncat NN\nsat VBD\n\na DT\ndog NN\n")
+    config = tmp_path / "span.cfg"
+    config.write_text(TINY_CONFIG + "dev_metric = span-f1\n")
+    out = tmp_path / "run"
+    with mock.patch.object(Model, "batch_loss_parts", autospec=True, side_effect=Model.batch_loss_parts) as step:
+        code = main([
+            "train", "--config", str(config),
+            "--train", str(tmp_path / "pos.conll"),
+            "--dev", str(tmp_path / "pos.conll"),
+            "--out", str(out),
+        ])
+    assert code == 1
+    assert step.call_count == 0
+    assert capsys.readouterr().err == "error: train: span-f1 needs IOB labels (O, B-X, I-X), got 'DT'\n"
     assert not (out / "model.bin").exists() and not (out / "report.json").exists()
 
 

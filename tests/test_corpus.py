@@ -222,7 +222,7 @@ def test_pretrained_direct_read(tmp_path):
     vocab = _tiny_vocab()
     table = load_pretrained_embeddings(path, vocab, dim=2, rng=np.random.default_rng(0))
     assert np.allclose(table.matrix.values[vocab.word_id("dog")], [0.1, 0.2], atol=1e-7)
-    assert table.trainable
+    assert not table.matrix.constant
 
 
 def test_pretrained_missing_word_random_in_range(tmp_path):

@@ -99,15 +99,6 @@ def test_lookup_out_of_range_rejected():
         embedding_lookup(table, [0, 3])
 
 
-def test_non_trainable_table_gets_no_gradient():
-    table = EmbeddingTable(t64(np.eye(3)), oov_row=0, trainable=False)
-    tape = Tape()
-    with tape:
-        loss = reduce_sum(embedding_lookup(table, [1]))
-    backward(loss, tape)
-    assert table.matrix.grad is None
-
-
 # ---------------------------------------------------------------------------
 # lstm cell
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -191,6 +192,35 @@ def test_word_bilstm_is_two_nodes_per_batch(arch):
         assert len(runs) == 2, size
 
 
+# node kinds on the tape of one batch: the word path (lookup, BiLSTM, hidden and
+# output layers), the loss of each output, and per architecture the character
+# composer, the combiner and the auxiliary term
+_WORD_OPS = Counter(pick_row=1, lstm_sequence=2, concat=1, linear=2, tanh=1)
+_OUTPUT_OPS = {"softmax": Counter(log_sum_exp=1, pick_row=1, sum=2, add=1, multiply=1),
+               "crf": Counter(log_partition=1, pick_row=2, concat=1, sum=1, add=1, multiply=1)}
+_COMPOSER_OPS = Counter(pick_row=4, lstm_sequence=2, concat=1, linear=1, tanh=1)
+_ARCH_OPS = {
+    "word": Counter(),
+    "concat": _COMPOSER_OPS + Counter(concat=1),
+    "attention": _COMPOSER_OPS + Counter(linear=3, add=5, tanh=1, sigmoid=1, multiply=4, pick_row=2,
+                                         stop_gradient=1, cosine_similarity=1, sum=1),
+}
+
+
+@pytest.mark.parametrize("output", ["softmax", "crf"])
+@pytest.mark.parametrize("arch", ["word", "concat", "attention"])
+def test_batch_tape_op_mix(arch, output):
+    """A batch's tape holds a fixed mix of node kinds, so a change in tape
+    nodes per token shows here."""
+    vocab, _ = tiny_vocab()
+    enc = vocab.encode_corpus(batch_sentences())
+    model = assemble_model(toy_config(architecture=arch, output=output), vocab)
+    tape = Tape()
+    with tape:
+        model.batch_loss_parts(enc)
+    assert Counter(n.op for n in tape.nodes) == _WORD_OPS + _OUTPUT_OPS[output] + _ARCH_OPS[arch]
+
+
 def test_gates_require_attention_model():
     vocab, sents = tiny_vocab()
     enc = vocab.encode(sents[0])
@@ -235,16 +265,6 @@ def test_stored_scalars_match_assembled_models():
             config = toy_config(architecture=arch, output=output)
             model = assemble_model(config, vocab)
             assert _stored_scalars(config, vocab) == sum(t.size for t in model.all_tensors().values())
-
-
-def test_count_skips_frozen_embeddings():
-    vocab, _ = tiny_vocab()
-    table = random_embeddings(vocab.n_words, 6, np.random.default_rng(0), dtype=np.float64)
-    table.trainable = False
-    table.matrix.constant = True
-    model = assemble_model(toy_config(), vocab, pretrained=table)
-    total, noemb = count_parameters(model)
-    assert total == noemb
 
 
 # ---------------------------------------------------------------------------
