@@ -10,8 +10,6 @@ from .autodiff import (
     stop_gradient,
 )
 from .charcomp import (
-    AttentionParams,
-    CharComposerParams,
     char_aux_loss,
     combine_attention,
     combine_concat,
@@ -34,13 +32,7 @@ from .crf import (
     emission_scores,
     viterbi_decode,
 )
-from .layers import (
-    EmbeddingTable,
-    LstmParams,
-    bilstm_run,
-    dense_tanh,
-    embedding_lookup,
-)
+from .layers import bilstm_run, dense_tanh
 from .metrics import MetricResult, Span, extract_spans, f_beta_binary, span_f1, token_accuracy
 from .model import (
     Model,
@@ -48,6 +40,7 @@ from .model import (
     assemble_model,
     count_parameters,
     load_model,
+    parameter_table,
     save_model,
 )
 from .training import AdaDelta, TrainReport, train

@@ -18,12 +18,13 @@ row are skipped entirely.
 ``compose_words`` composes a list of character sequences with one ragged
 ``lstm_sequence`` node per direction, whatever their lengths. The
 combiners and the auxiliary loss take (N, dim) matrices with one token
-per row, a whole batch of sentences at once.
+per row, a whole batch of sentences at once. Parameters come in as
+plain tensors: the composer takes the character table, a
+``(w_x, w_h, b)`` triple per direction and the projection ``w_m``; the
+gate takes its three square matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,29 +43,9 @@ from .autodiff import (
     stop_gradient,
     tanh,
 )
-from .layers import EmbeddingTable, LstmParams, embedding_lookup
 
 
-@dataclass
-class CharComposerParams:
-    char_embeddings: EmbeddingTable
-    fwd: LstmParams
-    bwd: LstmParams
-    w_m: Tensor  # [word_dim, 2*char_hidden]
-
-    def __post_init__(self):
-        want = 2 * self.fwd.hidden_size
-        if self.w_m.values.ndim != 2 or self.w_m.shape[1] != want:
-            raise ValueError(
-                f"CharComposerParams: w_m shape {self.w_m.shape} != (word_dim, {want})"
-            )
-
-    @property
-    def word_dim(self) -> int:
-        return self.w_m.shape[0]
-
-
-def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
+def compose_words(char_seqs, char_emb: Tensor, fwd, bwd, w_m: Tensor) -> Tensor:
     """Character-level word vectors m, one row per character sequence.
 
     All sequences' characters, stored back to back, run through the
@@ -81,11 +62,11 @@ def compose_words(char_seqs, p: CharComposerParams) -> Tensor:
     if not lengths.all():
         raise ValueError("compose_words: empty character sequence")
     ends = np.cumsum(lengths)
-    chars = embedding_lookup(p.char_embeddings, np.concatenate(seqs))
-    forward = lstm_sequence(chars, p.fwd.w_x, p.fwd.w_h, p.fwd.b, lengths=lengths)
-    backward = lstm_sequence(chars, p.bwd.w_x, p.bwd.w_h, p.bwd.b, reverse=True, lengths=lengths)
+    chars = pick_row(char_emb, np.concatenate(seqs))
+    forward = lstm_sequence(chars, *fwd, lengths=lengths)
+    backward = lstm_sequence(chars, *bwd, reverse=True, lengths=lengths)
     h_star = concat((pick_row(forward, ends - 1), pick_row(backward, ends - lengths)), axis=1)
-    return tanh(linear(h_star, p.w_m))
+    return tanh(linear(h_star, w_m))
 
 
 def combine_concat(x: Tensor, m: Tensor) -> Tensor:
@@ -95,29 +76,7 @@ def combine_concat(x: Tensor, m: Tensor) -> Tensor:
     return concat((x, m), axis=1)
 
 
-@dataclass
-class AttentionParams:
-    w_z1: Tensor
-    w_z2: Tensor
-    w_z3: Tensor
-
-    def __post_init__(self):
-        shape = self.w_z1.shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"AttentionParams: w_z1 must be square, got {shape}")
-        for name in ("w_z2", "w_z3"):
-            t = getattr(self, name)
-            if t.shape != shape:
-                raise ValueError(
-                    f"AttentionParams: {name} shape {t.shape} != {shape}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.w_z1.shape[0]
-
-
-def combine_attention(x: Tensor, m: Tensor, p: AttentionParams):
+def combine_attention(x: Tensor, m: Tensor, w_z1: Tensor, w_z2: Tensor, w_z3: Tensor):
     """Gate the two word representations; returns (combined, z).
 
     x and m are (N, dim) matrices with one token per row.
@@ -125,13 +84,13 @@ def combine_attention(x: Tensor, m: Tensor, p: AttentionParams):
     a per-feature convex mix of x and m. z is returned so callers can
     export and inspect it.
     """
-    if x.shape != m.shape or x.values.ndim != 2 or x.shape[1] != p.dim:
+    if x.shape != m.shape or x.values.ndim != 2 or x.shape[1] != w_z1.shape[0]:
         raise ValueError(
-            f"combine_attention: got x {x.shape}, m {m.shape} for gate dim {p.dim}"
+            f"combine_attention: got x {x.shape}, m {m.shape} for gate weights {w_z1.shape}"
         )
     # row-vector form of z = sigmoid(W3 tanh(W1 x + W2 m)), one row per token
-    hidden = tanh(add(linear(x, p.w_z1), linear(m, p.w_z2)))
-    z = sigmoid(linear(hidden, p.w_z3))
+    hidden = tanh(add(linear(x, w_z1), linear(m, w_z2)))
+    z = sigmoid(linear(hidden, w_z3))
     one_minus_z = add(const_like(1.0, z), multiply(z, const_like(-1.0, z)))
     combined = add(multiply(z, x), multiply(one_minus_z, m))
     return combined, z

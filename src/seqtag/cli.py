@@ -35,7 +35,7 @@ from .corpus import (
     preprocess_token,
     split_row,
 )
-from .model import ModelConfig, _stored_scalars, atomic_open, load_model, save_model
+from .model import ModelConfig, atomic_open, count_parameters, load_model, save_model
 from .training import TrainingFailed, evaluate, train
 
 
@@ -209,9 +209,9 @@ def cmd_count_params(args) -> int:
     config = config_from_mapping(read_config_file(args.config))
     vocab = build_vocab(_load_split(args.vocab_from, args))
     # counted from the configuration, so a model too large to build still gets its numbers
-    total = _stored_scalars(config, vocab)
+    total, noemb = count_parameters(config, vocab)
     print("total\tnoemb")
-    print(f"{total}\t{total - vocab.n_words * config.word_dim}")
+    print(f"{total}\t{noemb}")
     return 0
 
 

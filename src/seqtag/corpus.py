@@ -19,9 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor
 from .crf import LabelSet
-from .layers import EmbeddingTable
 
 OOV_TOKEN = "<unk>"
 OOV_CHAR = "<unk>"
@@ -190,10 +188,9 @@ def build_vocab(train_sentences, min_count: int = 2) -> Vocabulary:
     return Vocabulary(words, chars, LabelSet(labels))
 
 
-def random_embeddings(n_rows: int, dim: int, rng: np.random.Generator, dtype=np.float32) -> EmbeddingTable:
-    """Trainable rows drawn uniform in [-0.05, 0.05]; row 0 is the OOV row."""
-    matrix = rng.uniform(-0.05, 0.05, size=(n_rows, dim)).astype(dtype)
-    return EmbeddingTable(Tensor(matrix), oov_row=0)
+def random_embeddings(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """An embedding table's rows drawn uniform in [-0.05, 0.05]."""
+    return rng.uniform(-0.05, 0.05, size=shape).astype(dtype)
 
 
 def load_pretrained_embeddings(
@@ -202,20 +199,20 @@ def load_pretrained_embeddings(
     dim: int,
     rng: np.random.Generator | None = None,
     dtype=np.float32,
-) -> EmbeddingTable:
+) -> np.ndarray:
     """Text-format vectors: one word then ``dim`` reals per line.
 
     An optional first line of two integers (count and width) is treated
     as a header. Vocabulary words found in the file take their stored
     row; everything else, including the OOV row, starts as in
-    ``random_embeddings``. The table is trainable so rows keep adapting. A
+    ``random_embeddings``. Returns the (n_words, dim) matrix, which
+    replaces the model's word-embedding draw and keeps training. A
     vocabulary word's value that is not a finite number of ``dtype``
     (``nan``, ``inf`` or out of range) is an error naming its line.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    table = random_embeddings(vocab.n_words, dim, rng, dtype)
-    matrix = table.matrix.values
+    matrix = random_embeddings(rng, (vocab.n_words, dim), dtype)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -251,7 +248,7 @@ def load_pretrained_embeddings(
                     f"(nan, inf or beyond the {np.dtype(dtype).name} range)"
                 )
             matrix[wid] = row
-    return table
+    return matrix
 
 
 @dataclass

@@ -19,13 +19,20 @@ once, lets every occurrence read its row, and runs the word BiLSTM once
 per direction over all the batch's sentences; a single sentence's loss
 is the batch-of-one case, and so are prediction and gate inspection.
 
+``parameter_table`` lists every tensor of a configuration: its name,
+shape and starting values. ``assemble_model`` creates the tensors in
+that order from the seed, a ``Model`` holds them as one dict of named
+tensors, ``count_parameters`` sums their sizes, and a saved file stores
+them in the same order.
+
 Saved models are a single binary container: a short magic, a JSON
 header (format version, configuration, vocabulary, tensor manifest)
 and the raw parameter data as little-endian floats of the configured
 dtype, so a model reloads to exactly its trained values. Version 1
-files, which stored every model as 32-bit floats, still load. Loading
-checks that the file holds as much parameter data as its configuration
-implies before it allocates any of it.
+files, which stored every model as 32-bit floats, still load. Before it
+allocates anything, loading checks that the file holds as much parameter
+data as the configuration's table implies and that the manifest lists
+each of the table's tensors once, with its shape.
 """
 
 from __future__ import annotations
@@ -52,8 +59,6 @@ from .autodiff import (
     reduce_sum,
 )
 from .charcomp import (
-    AttentionParams,
-    CharComposerParams,
     char_aux_loss,
     combine_attention,
     combine_concat,
@@ -61,15 +66,7 @@ from .charcomp import (
 )
 from .corpus import Sentence, Vocabulary, random_embeddings
 from .crf import TagLattice, crf_nll, emission_scores, viterbi_decode
-from .layers import (
-    EmbeddingTable,
-    LstmParams,
-    bilstm_run,
-    dense_tanh,
-    embedding_lookup,
-    glorot_uniform,
-    init_lstm_params,
-)
+from .layers import bilstm_run, dense_tanh
 
 ARCHITECTURES = ("word", "concat", "attention")
 OUTPUTS = ("softmax", "crf")
@@ -147,64 +144,36 @@ class ModelConfig:
 
 
 class Model:
-    """Named parameter collection plus the batch loss and per-sentence prediction."""
+    """The parameter tensors by name, plus the batch loss and per-sentence prediction."""
 
-    def __init__(self, config, vocab, word_emb, word_fwd, word_bwd, w_d, w_o,
-                 transitions=None, char=None, attn=None):
+    def __init__(self, config, vocab, params: dict):
         self.config = config
         self.vocab = vocab
-        self.word_emb: EmbeddingTable = word_emb
-        self.word_fwd: LstmParams = word_fwd
-        self.word_bwd: LstmParams = word_bwd
-        self.w_d: Tensor = w_d
-        self.w_o: Tensor = w_o
-        self.transitions: Tensor | None = transitions
-        self.char: CharComposerParams | None = char
-        self.attn: AttentionParams | None = attn
-        self._registry = self._build_registry()
+        self.params = params  # name -> Tensor, in ``parameter_table`` order
 
-    def _build_registry(self) -> dict:
-        reg = {"word_embeddings": self.word_emb.matrix}
-        for tag, p in (("fwd", self.word_fwd), ("bwd", self.word_bwd)):
-            reg[f"word_lstm.{tag}.w_x"] = p.w_x
-            reg[f"word_lstm.{tag}.w_h"] = p.w_h
-            reg[f"word_lstm.{tag}.b"] = p.b
-        reg["hidden.w_d"] = self.w_d
-        reg["output.w_o"] = self.w_o
-        if self.transitions is not None:
-            reg["crf.transitions"] = self.transitions
-        if self.char is not None:
-            reg["char_embeddings"] = self.char.char_embeddings.matrix
-            for tag, p in (("fwd", self.char.fwd), ("bwd", self.char.bwd)):
-                reg[f"char_lstm.{tag}.w_x"] = p.w_x
-                reg[f"char_lstm.{tag}.w_h"] = p.w_h
-                reg[f"char_lstm.{tag}.b"] = p.b
-            reg["char_proj.w_m"] = self.char.w_m
-        if self.attn is not None:
-            reg["attn.w_z1"] = self.attn.w_z1
-            reg["attn.w_z2"] = self.attn.w_z2
-            reg["attn.w_z3"] = self.attn.w_z3
-        return reg
+    @property
+    def transitions(self) -> Tensor | None:
+        """The CRF's transition scores; None for a softmax model."""
+        return self.params.get("crf.transitions")
+
+    def _lstm(self, prefix: str) -> tuple:
+        return tuple(self.params[f"{prefix}.{w}"] for w in ("w_x", "w_h", "b"))
 
     # -- parameter access ---------------------------------------------------
 
     def all_tensors(self) -> dict:
-        return dict(self._registry)
-
-    def named_parameters(self) -> dict:
-        """Trainable tensors only, in stable registry order."""
-        return {n: t for n, t in self._registry.items() if not t.constant}
+        return dict(self.params)
 
     def zero_grad(self):
-        for t in self._registry.values():
+        for t in self.params.values():
             t.grad = None
 
     def state_arrays(self) -> dict:
-        return {n: t.values.copy() for n, t in self._registry.items()}
+        return {n: t.values.copy() for n, t in self.params.items()}
 
     def load_state_arrays(self, state: dict):
         for name, values in state.items():
-            self._registry[name].values[...] = values
+            self.params[name].values[...] = values
 
     # -- forward ------------------------------------------------------------
 
@@ -225,11 +194,13 @@ class Model:
             np.array([rows.setdefault(tuple(cids), len(rows)) for cids in sent.char_ids])
             for sent in sents
         ]
-        return compose_words(list(rows), self.char), token_rows
+        m = compose_words(list(rows), self.params["char_embeddings"], self._lstm("char_lstm.fwd"),
+                          self._lstm("char_lstm.bwd"), self.params["char_proj.w_m"])
+        return m, token_rows
 
     def _token_inputs(self, sents):
         """(word-LSTM input, x, m, z) for sentences stacked one token per row."""
-        x = embedding_lookup(self.word_emb, np.concatenate([sent.word_ids for sent in sents]))
+        x = pick_row(self.params["word_embeddings"], np.concatenate([sent.word_ids for sent in sents]))
         arch = self.config.architecture
         if arch == "word":
             return x, x, None, None
@@ -237,12 +208,12 @@ class Model:
         m = pick_row(m_all, np.concatenate(token_rows))
         if arch == "concat":
             return combine_concat(x, m), x, m, None
-        combined, z = combine_attention(x, m, self.attn)
+        combined, z = combine_attention(x, m, *(self.params[f"attn.w_z{i}"] for i in (1, 2, 3)))
         return combined, x, m, z
 
     def _emissions(self, inputs, lengths) -> Tensor:
-        states = bilstm_run(inputs, self.word_fwd, self.word_bwd, lengths)
-        return emission_scores(dense_tanh(states, self.w_d), self.w_o)
+        states = bilstm_run(inputs, self._lstm("word_lstm.fwd"), self._lstm("word_lstm.bwd"), lengths)
+        return emission_scores(dense_tanh(states, self.params["hidden.w_d"]), self.params["output.w_o"])
 
     def batch_loss_parts(self, sents):
         """(summed loss, summed auxiliary term or None) over a batch of sentences.
@@ -305,86 +276,85 @@ def _softmax_nll(scores: Tensor, gold) -> Tensor:
     return add(log_norm, multiply(gold_score, const_like(-1.0, gold_score)))
 
 
-def assemble_model(config: ModelConfig, vocab: Vocabulary,
-                   pretrained: EmbeddingTable | None = None) -> Model:
-    """Instantiate all parameters for the configured architecture.
+def glorot_uniform(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    """Uniform in ±sqrt(6 / (fan_in + fan_out)), the two dimensions of ``shape``."""
+    limit = math.sqrt(6.0 / sum(shape))
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
-    Creation order is fixed, so a given seed always produces the same
-    initialization. A supplied pretrained table replaces the random
-    word embeddings and must match word_dim.
+
+def lstm_bias(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    """A packed (4H,) LSTM bias: 1.0 for the forget gate, 0 for the others."""
+    b = np.zeros(shape, dtype=dtype)
+    hidden = shape[0] // 4
+    b[hidden : 2 * hidden] = 1.0
+    return b
+
+
+def zeros(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    return np.zeros(shape, dtype=dtype)
+
+
+def parameter_table(config: ModelConfig, vocab: Vocabulary) -> list:
+    """(name, shape, init) of every tensor of a configuration.
+
+    The list order is the creation order, so a given seed always draws
+    the same values, and it is also the order of ``Model.params`` and of
+    the tensors in a saved file. ``init(rng, shape, dtype)`` returns a
+    tensor's starting values. Shapes are Python ints, so a model too
+    large to build still has its table.
+    """
+    words, labels = config.word_dim, len(vocab.label_set)
+
+    def lstm(prefix, inputs, hidden):
+        return [(f"{prefix}.{direction}.{name}", shape, init)
+                for direction in ("fwd", "bwd")
+                for name, shape, init in (("w_x", (inputs, 4 * hidden), glorot_uniform),
+                                          ("w_h", (hidden, 4 * hidden), glorot_uniform),
+                                          ("b", (4 * hidden,), lstm_bias))]
+
+    word_input = 2 * words if config.architecture == "concat" else words
+    table = [("word_embeddings", (vocab.n_words, words), random_embeddings)]
+    table += lstm("word_lstm", word_input, config.word_lstm_hidden)
+    table += [("hidden.w_d", (config.d_size, 2 * config.word_lstm_hidden), glorot_uniform),
+              ("output.w_o", (labels, config.d_size), glorot_uniform)]
+    if config.output == "crf":
+        table.append(("crf.transitions", (labels + 2, labels + 2), zeros))
+    if config.architecture != "word":
+        table.append(("char_embeddings", (vocab.n_chars, config.char_dim), random_embeddings))
+        table += lstm("char_lstm", config.char_dim, config.char_lstm_hidden)
+        table.append(("char_proj.w_m", (words, 2 * config.char_lstm_hidden), glorot_uniform))
+    if config.architecture == "attention":
+        table += [(f"attn.w_z{i}", (words, words), glorot_uniform) for i in (1, 2, 3)]
+    return table
+
+
+def assemble_model(config: ModelConfig, vocab: Vocabulary, pretrained=None) -> Model:
+    """Create every tensor of ``parameter_table`` in its order, from the seed.
+
+    A supplied pretrained (n_words, word_dim) matrix takes the place of
+    the word-embedding draw.
     """
     config.validate()
     dtype = config.np_dtype()
     rng = np.random.default_rng(config.seed)
-    n_labels = len(vocab.label_set)
-
-    if pretrained is not None:
-        if pretrained.dim != config.word_dim:
-            raise ValueError(
-                f"pretrained embedding dim {pretrained.dim} != word_dim {config.word_dim}"
-            )
-        if pretrained.vocab_size != vocab.n_words:
-            raise ValueError(
-                f"pretrained table has {pretrained.vocab_size} rows, vocabulary has {vocab.n_words}"
-            )
-        word_emb = EmbeddingTable(
-            Tensor(pretrained.matrix.values.astype(dtype)),
-            oov_row=pretrained.oov_row,
-        )
-    else:
-        word_emb = random_embeddings(vocab.n_words, config.word_dim, rng, dtype)
-
-    word_input = 2 * config.word_dim if config.architecture == "concat" else config.word_dim
-    word_fwd = init_lstm_params(rng, word_input, config.word_lstm_hidden, dtype)
-    word_bwd = init_lstm_params(rng, word_input, config.word_lstm_hidden, dtype)
-    w_d = Tensor(glorot_uniform(rng, config.d_size, 2 * config.word_lstm_hidden, dtype))
-    w_o = Tensor(glorot_uniform(rng, n_labels, config.d_size, dtype))
-    transitions = None
-    if config.output == "crf":
-        transitions = Tensor(np.zeros((n_labels + 2, n_labels + 2), dtype=dtype))
-
-    char = None
-    attn = None
-    if config.architecture in ("concat", "attention"):
-        char_emb = random_embeddings(vocab.n_chars, config.char_dim, rng, dtype)
-        char_fwd = init_lstm_params(rng, config.char_dim, config.char_lstm_hidden, dtype)
-        char_bwd = init_lstm_params(rng, config.char_dim, config.char_lstm_hidden, dtype)
-        w_m = Tensor(glorot_uniform(rng, config.word_dim, 2 * config.char_lstm_hidden, dtype))
-        char = CharComposerParams(char_emb, char_fwd, char_bwd, w_m)
-    if config.architecture == "attention":
-        attn = AttentionParams(
-            Tensor(glorot_uniform(rng, config.word_dim, config.word_dim, dtype)),
-            Tensor(glorot_uniform(rng, config.word_dim, config.word_dim, dtype)),
-            Tensor(glorot_uniform(rng, config.word_dim, config.word_dim, dtype)),
-        )
-
-    return Model(config, vocab, word_emb, word_fwd, word_bwd, w_d, w_o,
-                 transitions=transitions, char=char, attn=attn)
+    params = {}
+    for name, shape, init in parameter_table(config, vocab):
+        if name == "word_embeddings" and pretrained is not None:
+            if np.shape(pretrained) != shape:
+                raise ValueError(
+                    f"pretrained table shape {np.shape(pretrained)} != (vocabulary words, word_dim) {shape}"
+                )
+            params[name] = Tensor(np.asarray(pretrained).astype(dtype))
+        else:
+            params[name] = Tensor(init(rng, shape, dtype))
+    return Model(config, vocab, params)
 
 
-def _stored_scalars(config: ModelConfig, vocab: Vocabulary) -> int:
-    """Entries of every tensor ``assemble_model`` would build, counted without building them."""
-    def lstm(inputs, hidden):
-        return 4 * hidden * (inputs + hidden + 1)
-
-    words, labels = config.word_dim, len(vocab.label_set)
-    total = vocab.n_words * words
-    total += 2 * lstm(2 * words if config.architecture == "concat" else words, config.word_lstm_hidden)
-    total += config.d_size * (2 * config.word_lstm_hidden + labels)
-    if config.output == "crf":
-        total += (labels + 2) ** 2
-    if config.architecture != "word":
-        total += vocab.n_chars * config.char_dim + 2 * lstm(config.char_dim, config.char_lstm_hidden)
-        total += words * 2 * config.char_lstm_hidden
-    if config.architecture == "attention":
-        total += 3 * words * words
-    return total
-
-
-def count_parameters(model: Model):
-    """(total trainable scalars, total excluding the word-embedding table)."""
-    total = sum(t.size for t in model.named_parameters().values())
-    return total, total - model.word_emb.matrix.size
+def count_parameters(config: ModelConfig, vocab: Vocabulary):
+    """(total scalars, total excluding the word-embedding table), without building the model."""
+    sizes = {name: math.prod(shape) for name, shape, _ in parameter_table(config, vocab)}
+    total = sum(sizes.values())
+    return total, total - sizes["word_embeddings"]
 
 
 # ---------------------------------------------------------------------------
@@ -498,31 +468,32 @@ def load_model(path) -> Model:
             ):
                 raise ModelFormatError(f"{path}: bad tensor manifest entry {entry!r}")
         stored = np.dtype(_stored_dtype(config, version))
-        # checked before assembly, so a forged size cannot allocate more than the file holds
-        needed = _stored_scalars(config, vocab) * stored.itemsize
+        # checked before anything is allocated, so a forged size cannot allocate more than the file holds
+        needed = count_parameters(config, vocab)[0] * stored.itemsize
         held = os.fstat(fh.fileno()).st_size - fh.tell()
         if needed > held:
             raise ModelFormatError(
                 f"{path}: truncated model file (the configuration needs {needed} bytes "
                 f"of tensor data, the file holds {held})"
             )
-        model = assemble_model(config, vocab)
-        registry = model.all_tensors()
-        if {e["name"] for e in manifest} != set(registry):
-            raise ModelFormatError(f"{path}: tensor names do not match the configuration")
+        table = parameter_table(config, vocab)
+        shapes = {name: shape for name, shape, _ in table}
+        if (sorted(e["name"] for e in manifest) != sorted(shapes)
+                or any(tuple(e["shape"]) != shapes[e["name"]] for e in manifest)):
+            raise ModelFormatError(
+                f"{path}: the tensor manifest does not list each tensor of the configuration "
+                "once with its shape"
+            )
         dtype = config.np_dtype()
+        loaded = {}
         for entry in manifest:
-            name, shape = entry["name"], tuple(entry["shape"])
-            target = registry[name]
-            if target.shape != shape:
-                raise ModelFormatError(
-                    f"{path}: shape mismatch for {name}: file {shape}, model {target.shape}"
-                )
-            nbytes = int(np.prod(shape, dtype=np.int64)) * stored.itemsize
+            name = entry["name"]
+            shape = shapes[name]
+            nbytes = math.prod(shape) * stored.itemsize
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise ModelFormatError(f"{path}: truncated model file (tensor {name})")
-            target.values[...] = np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype)
+            loaded[name] = Tensor(np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype))
         if fh.read(1):
             raise ModelFormatError(f"{path}: trailing data after last tensor")
-    return model
+    return Model(config, vocab, {name: loaded[name] for name, _, _ in table})

@@ -30,7 +30,7 @@ import ctypes
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -74,8 +74,8 @@ class AdaDelta:
             raise ValueError("AdaDelta: rho must lie in [0, 1)")
         if not 0 < epsilon < math.inf:
             raise ValueError("AdaDelta: epsilon must be positive and finite")
-        if not math.isfinite(learning_rate):
-            raise ValueError("AdaDelta: learning_rate must be finite")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError("AdaDelta: learning_rate must be positive and finite")
         self.params = dict(params)
         self.rho = rho
         self.epsilon = epsilon
@@ -192,11 +192,14 @@ def _retain_heap():
 
 @dataclass
 class EpochStats:
+    """One epoch's row of the report; each field is a column of ``report.json`` and
+    ``report.tsv``, written in the TSV with its ``tsv`` format."""
+
     epoch: int
     train_loss: float
     aux_loss: float
     dev_metric: float
-    seconds: float
+    seconds: float = field(metadata={"tsv": "{:.3f}"})
     rejected_steps: int = 0
 
 
@@ -210,29 +213,13 @@ class TrainReport:
         return max(e.dev_metric for e in self.epochs)
 
     def to_dict(self) -> dict:
-        return {
-            "best_epoch": self.best_epoch,
-            "stopped_epoch": self.stopped_epoch,
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "train_loss": e.train_loss,
-                    "aux_loss": e.aux_loss,
-                    "dev_metric": e.dev_metric,
-                    "seconds": e.seconds,
-                    "rejected_steps": e.rejected_steps,
-                }
-                for e in self.epochs
-            ],
-        }
+        return asdict(self)
 
     def table(self) -> str:
-        lines = ["epoch\ttrain_loss\taux_loss\tdev_metric\tseconds\trejected_steps"]
+        columns = fields(EpochStats)
+        lines = ["\t".join(f.name for f in columns)]
         for e in self.epochs:
-            lines.append(
-                f"{e.epoch}\t{e.train_loss!r}\t{e.aux_loss!r}\t{e.dev_metric!r}\t{e.seconds:.3f}"
-                f"\t{e.rejected_steps}"
-            )
+            lines.append("\t".join(f.metadata.get("tsv", "{!r}").format(getattr(e, f.name)) for f in columns))
         return "\n".join(lines) + "\n"
 
 
@@ -290,7 +277,7 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
 
     _retain_heap()
     model = assemble_model(config, vocab, pretrained)
-    opt = AdaDelta(model.named_parameters(), rho=config.rho, epsilon=config.epsilon,
+    opt = AdaDelta(model.params, rho=config.rho, epsilon=config.epsilon,
                    learning_rate=config.learning_rate)
     shuffle_rng = np.random.default_rng([config.seed, 1])
 

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from seqtag.crf import TagLattice
-from seqtag.layers import LstmParams
 
 ENUMERATION_LIMIT = 10**6
 
@@ -139,16 +138,17 @@ def render_labels(spans, length: int) -> list:
     return labels
 
 
-def lstm_step(x, h_prev, c_prev, p: LstmParams):
-    """One cell update of vectors, by the equations in ``seqtag.layers``;
-    returns (h, c)."""
-    h = p.hidden_size
-    if x.shape != (p.input_dim,) or h_prev.shape != (h,) or c_prev.shape != (h,):
+def lstm_step(x, h_prev, c_prev, p):
+    """One cell update of vectors, by the equations in ``seqtag.layers``,
+    with ``p`` a ``(w_x, w_h, b)`` triple of tensors; returns (h, c)."""
+    w_x, w_h, b = (t.values for t in p)
+    h = w_h.shape[0]
+    if x.shape != (w_x.shape[0],) or h_prev.shape != (h,) or c_prev.shape != (h,):
         raise ValueError(
             f"lstm_step: got x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
-            f"for cell expecting x ({p.input_dim},), state ({h},)"
+            f"for cell expecting x ({w_x.shape[0]},), state ({h},)"
         )
-    pre = x @ p.w_x.values + h_prev @ p.w_h.values + p.b.values
+    pre = x @ w_x + h_prev @ w_h + b
     gate_i, gate_f, gate_o = (1.0 / (1.0 + np.exp(-pre[j * h : (j + 1) * h])) for j in (0, 1, 3))
     gate_g = np.tanh(pre[2 * h : 3 * h])
     c = gate_f * c_prev + gate_i * gate_g

@@ -4,13 +4,14 @@ lines as they complete.
 """
 
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqtag.autodiff import Tape, add, backward, dense_grad, log_partition, tensor
+from seqtag.autodiff import Tape, add, backward, dense_grad, log_partition, pick_row, tensor
 from seqtag.charcomp import char_aux_loss, compose_words
 from seqtag.cli import main
 from seqtag.corpus import Sentence, build_vocab
@@ -20,9 +21,8 @@ from seqtag.crf import (
     crf_sequence_score,
     viterbi_decode,
 )
-from seqtag.layers import embedding_lookup
 from seqtag.metrics import extract_spans, f_beta_binary, span_f1, token_accuracy
-from seqtag.model import ModelConfig, assemble_model, count_parameters, save_model
+from seqtag.model import ModelConfig, assemble_model, count_parameters, parameter_table, save_model
 from seqtag.training import evaluate
 
 from gradcheck import finite_difference_check
@@ -93,7 +93,7 @@ def test_c02_end_to_end_gradient_check():
             def builder():
                 return add(model.batch_loss_parts(sents[:1])[0], model.batch_loss_parts(sents[1:2])[0])
 
-            params = model.named_parameters()
+            params = model.params
             report = finite_difference_check(
                 builder, list(params.values()), eps=1e-5, names=list(params)
             )
@@ -112,12 +112,13 @@ def test_c03_one_directional_auxiliary_loss():
 
     tape = Tape()
     with tape:
-        ms = compose_words(sent.char_ids, model.char)
-        xs = embedding_lookup(model.word_emb, np.array(sent.word_ids))
+        ms = compose_words(sent.char_ids, model.params["char_embeddings"], model._lstm("char_lstm.fwd"),
+                           model._lstm("char_lstm.bwd"), model.params["char_proj.w_m"])
+        xs = pick_row(model.params["word_embeddings"], np.array(sent.word_ids))
         aux = char_aux_loss(ms, xs, model.oov_flags(sent))
     grads = backward(aux, tape)
 
-    emb = model.word_emb.matrix
+    emb = model.params["word_embeddings"]
     assert emb.grad is None or not dense_grad(emb.grad).any()
     assert emb.node_id not in grads or not dense_grad(grads[emb.node_id]).any()
     for name in ("char_embeddings", "char_lstm.fwd.w_x", "char_proj.w_m"):
@@ -175,24 +176,24 @@ def test_c06_parameter_count_audit():
     sents = [Sentence(words, words, [labels[i % 8] for i in range(10)])] * 2
     vocab = build_vocab(sents, min_count=1)
     counts = {}
-    models = {}
+    sizes = {}
     for arch in ("word", "concat", "attention"):
         config = ModelConfig(
             architecture=arch, output="crf", word_dim=300, char_dim=50,
             word_lstm_hidden=200, char_lstm_hidden=200, d_size=50, seed=0,
         )
-        models[arch] = assemble_model(config, vocab)
-        counts[arch] = count_parameters(models[arch])
+        counts[arch] = count_parameters(config, vocab)
+        sizes[arch] = {name: math.prod(shape) for name, shape, _ in parameter_table(config, vocab)}
 
     totals = {a: c[0] for a, c in counts.items()}
     noembs = {a: c[1] for a, c in counts.items()}
     assert totals["word"] < totals["attention"] < totals["concat"], totals
     assert noembs["word"] < noembs["attention"] < noembs["concat"], noembs
 
-    def input_weight_count(model):
-        return model.word_fwd.w_x.size + model.word_bwd.w_x.size
+    def input_weight_count(arch):
+        return sizes[arch]["word_lstm.fwd.w_x"] + sizes[arch]["word_lstm.bwd.w_x"]
 
-    widened = input_weight_count(models["concat"]) - input_weight_count(models["word"])
+    widened = input_weight_count("concat") - input_weight_count("word")
     assert widened == 2 * 4 * 300 * 200 == 480_000
     # reference noemb figures for the two architectures differ by exactly this term
     assert 1_710_158 - 1_230_158 == widened

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,16 +15,13 @@ from seqtag.autodiff import (
     tensor,
 )
 from seqtag.charcomp import (
-    AttentionParams,
-    CharComposerParams,
     char_aux_loss,
     combine_attention,
     combine_concat,
     compose_words,
 )
 from seqtag.corpus import Sentence, build_vocab
-from seqtag.layers import EmbeddingTable, init_lstm_params
-from seqtag.model import ModelConfig, assemble_model
+from seqtag.model import ModelConfig, assemble_model, glorot_uniform, lstm_bias
 
 from gradcheck import finite_difference_check
 from oracles import lstm_step
@@ -32,17 +31,28 @@ def t64(values):
     return tensor(values, dtype=np.float64)
 
 
+# compose_words' parameters after the sequences, in its argument order
+Composer = namedtuple("Composer", "char_emb fwd bwd w_m")
+
+
+def lstm_params(rng, input_dim, hidden):
+    """(w_x, w_h, b) as a model starts them."""
+    return (t64(glorot_uniform(rng, (input_dim, 4 * hidden), np.float64)),
+            t64(glorot_uniform(rng, (hidden, 4 * hidden), np.float64)),
+            t64(lstm_bias(rng, (4 * hidden,), np.float64)))
+
+
 def make_composer(rng, word_dim=4, char_dim=3, hidden=3, n_chars=6, zero_proj=False):
-    emb = EmbeddingTable(t64(rng.normal(size=(n_chars, char_dim)) * 0.5), oov_row=0)
-    fwd = init_lstm_params(rng, char_dim, hidden, np.float64)
-    bwd = init_lstm_params(rng, char_dim, hidden, np.float64)
+    emb = t64(rng.normal(size=(n_chars, char_dim)) * 0.5)
+    fwd = lstm_params(rng, char_dim, hidden)
+    bwd = lstm_params(rng, char_dim, hidden)
     w_m = t64(np.zeros((word_dim, 2 * hidden)) if zero_proj else rng.normal(size=(word_dim, 2 * hidden)))
-    return CharComposerParams(emb, fwd, bwd, w_m)
+    return Composer(emb, fwd, bwd, w_m)
 
 
 def compose_one(char_ids, p):
     """m for a single character sequence, through the batched composer."""
-    return pick_row(compose_words([char_ids], p), 0)
+    return pick_row(compose_words([char_ids], *p), 0)
 
 
 def rows(vectors):
@@ -53,7 +63,7 @@ def make_attention(rng, dim=3, zero=False):
     def mat():
         return t64(np.zeros((dim, dim)) if zero else rng.normal(size=(dim, dim)))
 
-    return AttentionParams(mat(), mat(), mat())
+    return mat(), mat(), mat()
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +82,7 @@ def test_compose_single_char_matches_reference():
     p = make_composer(rng)
     m = compose_one([2], p)
     zeros = np.zeros(3)
-    x = p.char_embeddings.matrix.values[2]
+    x = p.char_emb.values[2]
     hf, _ = lstm_step(x, zeros, zeros, p.fwd)
     hb, _ = lstm_step(x, zeros, zeros, p.bwd)
     h_star = np.concatenate([hf, hb])
@@ -95,17 +105,17 @@ def test_compose_bounded_and_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         compose_one([], p)
     with pytest.raises(ValueError, match="no character sequences"):
-        compose_words([], p)
+        compose_words([], *p)
 
 
 def test_batched_composer_matches_one_at_a_time():
     rng = np.random.default_rng(20)
     p = make_composer(rng)
     seqs = [[1, 2, 3], [4], [2, 2], [1, 2, 3], [5, 0, 1, 4, 3], [4], [3, 1]]
-    batched = compose_words(seqs, p).values
+    batched = compose_words(seqs, *p).values
     assert batched.shape == (len(seqs), 4)
     for row, cids in zip(batched, seqs):
-        assert np.allclose(row, compose_words([cids], p).values[0], rtol=0.0, atol=1e-12)
+        assert np.allclose(row, compose_words([cids], *p).values[0], rtol=0.0, atol=1e-12)
 
 
 def test_batched_composer_gradient_matches_finite_differences():
@@ -115,10 +125,9 @@ def test_batched_composer_gradient_matches_finite_differences():
     weights = t64(rng.normal(size=(len(seqs), 4)))
 
     def builder():
-        return reduce_sum(multiply(compose_words(seqs, p), weights))
+        return reduce_sum(multiply(compose_words(seqs, *p), weights))
 
-    params = [p.char_embeddings.matrix, p.fwd.w_x, p.fwd.w_h, p.fwd.b,
-              p.bwd.w_x, p.bwd.w_h, p.bwd.b, p.w_m]
+    params = [p.char_emb, *p.fwd, *p.bwd, p.w_m]
     report = finite_difference_check(builder, params, eps=1e-5)
     assert report.max_rel_error < 1e-6, str(report)
 
@@ -158,7 +167,7 @@ def test_composer_is_one_run_per_direction_whatever_the_lengths(n_lengths):
     assert len({len(s) for s in seqs}) == n_lengths
     tape = Tape()
     with tape:
-        compose_words(seqs, p)
+        compose_words(seqs, *p)
     assert [n.op for n in tape.nodes].count("lstm_sequence") == 2
     assert len(tape) == 8
 
@@ -195,7 +204,7 @@ def test_attention_zero_weights_averages():
     rng = np.random.default_rng(4)
     p = make_attention(rng, zero=True)
     x, m = t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 3)))
-    combined, z = combine_attention(x, m, p)
+    combined, z = combine_attention(x, m, *p)
     assert np.allclose(z.values, 0.5, atol=1e-15)
     assert np.allclose(combined.values, (x.values + m.values) / 2, atol=1e-15)
 
@@ -204,16 +213,16 @@ def test_attention_equal_inputs_pass_through():
     rng = np.random.default_rng(5)
     p = make_attention(rng)
     x = t64(rng.normal(size=(2, 3)))
-    combined, _ = combine_attention(x, t64(x.values.copy()), p)
+    combined, _ = combine_attention(x, t64(x.values.copy()), *p)
     assert np.allclose(combined.values, x.values, atol=1e-12)
 
 
 def test_attention_matches_hand_formula():
     rng = np.random.default_rng(6)
-    p = make_attention(rng)
+    w_z1, w_z2, w_z3 = make_attention(rng)
     x, m = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-    combined, z = combine_attention(t64(x), t64(m), p)
-    pre = np.tanh(x @ p.w_z1.values.T + m @ p.w_z2.values.T) @ p.w_z3.values.T
+    combined, z = combine_attention(t64(x), t64(m), w_z1, w_z2, w_z3)
+    pre = np.tanh(x @ w_z1.values.T + m @ w_z2.values.T) @ w_z3.values.T
     z_ref = 1.0 / (1.0 + np.exp(-pre))
     assert np.allclose(z.values, z_ref, atol=1e-15)
     assert np.allclose(combined.values, z_ref * x + (1 - z_ref) * m, atol=1e-15)
@@ -223,7 +232,7 @@ def test_attention_gate_strictly_inside_unit_interval():
     rng = np.random.default_rng(7)
     p = make_attention(rng)
     for _ in range(25):
-        _, z = combine_attention(t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 3))), p)
+        _, z = combine_attention(t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 3))), *p)
         assert np.all(z.values > 0.0) and np.all(z.values < 1.0)
 
 
@@ -232,7 +241,7 @@ def test_attention_rejects_mismatch():
     p = make_attention(rng, dim=3)
     for bad in (np.zeros((2, 4)), np.zeros(3)):
         with pytest.raises(ValueError, match="combine_attention"):
-            combine_attention(t64(bad), t64(bad), p)
+            combine_attention(t64(bad), t64(bad), *p)
 
 
 @settings(deadline=None, max_examples=50)
@@ -243,7 +252,7 @@ def test_attention_rejects_mismatch():
 def test_attention_output_is_convex_combination(x_vals, m_vals):
     rng = np.random.default_rng(9)
     p = make_attention(rng)
-    combined, _ = combine_attention(t64([x_vals]), t64([m_vals]), p)
+    combined, _ = combine_attention(t64([x_vals]), t64([m_vals]), *p)
     lo = np.minimum(x_vals, m_vals) - 1e-12
     hi = np.maximum(x_vals, m_vals) + 1e-12
     assert np.all(combined.values >= lo) and np.all(combined.values <= hi)
@@ -287,12 +296,12 @@ def test_aux_loss_blocks_word_embedding_gradient():
 
     tape = Tape()
     with tape:
-        ms = compose_words(char_ids, p)
+        ms = compose_words(char_ids, *p)
         xs = pick_row(word_emb, np.array([0, 1, 2]))
         loss = char_aux_loss(ms, xs, oov)
     backward(loss, tape)
     assert word_emb.grad is None or not dense_grad(word_emb.grad).any()
-    composer_grads = [dense_grad(t.grad) for t in (p.char_embeddings.matrix, p.fwd.w_x, p.w_m)]
+    composer_grads = [dense_grad(t.grad) for t in (p.char_emb, p.fwd[0], p.w_m)]
     assert all(g is not None and g.any() for g in composer_grads)
 
 
@@ -319,11 +328,10 @@ def test_aux_loss_gradient_matches_finite_differences():
     char_ids = [[1, 2], [3, 5, 2]]
 
     def builder():
-        ms = compose_words(char_ids, p)
+        ms = compose_words(char_ids, *p)
         xs = pick_row(word_emb, np.array([0, 2]))
         return char_aux_loss(ms, xs, [False, False])
 
-    params = [word_emb, p.char_embeddings.matrix, p.fwd.w_x, p.fwd.w_h, p.fwd.b,
-              p.bwd.w_x, p.bwd.w_h, p.bwd.b, p.w_m]
+    params = [word_emb, p.char_emb, *p.fwd, *p.bwd, p.w_m]
     report = finite_difference_check(builder, params, eps=1e-5)
     assert report.max_rel_error < 1e-6, str(report)

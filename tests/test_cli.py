@@ -314,6 +314,26 @@ def test_malformed_model_header_is_an_error(trained_dir, data_dir, tmp_path, cap
     assert str(bad) in err
 
 
+def test_manifest_listing_a_tensor_twice_is_an_error(trained_dir, data_dir, tmp_path, capsys):
+    raw = (trained_dir / "word" / "model.bin").read_bytes()
+    (n,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12:12 + n])
+    entry = next(e for e in header["tensors"] if e["name"] == "output.w_o")
+    header["tensors"].append(dict(entry))
+    blob = json.dumps(header).encode("utf-8")
+    # the second copy's data, appended after the rest, would overwrite the first
+    again = np.full(entry["shape"], 9.0, dtype="<f4").tobytes()
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob + raw[12 + n:] + again)
+    code = main([
+        "evaluate", "--model", str(bad), "--data", str(data_dir / "test.conll"), "--metric", "acc",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(bad) in err and "manifest" in err
+
+
 def test_header_config_larger_than_the_file_is_an_error(trained_dir, data_dir, tmp_path, capsys):
     raw = (trained_dir / "word" / "model.bin").read_bytes()
     (n,) = struct.unpack("<Q", raw[4:12])
@@ -388,12 +408,13 @@ def test_count_params_matches_library(data_dir, capsys):
     assert out[0] == "total\tnoemb"
     total, noemb = (int(v) for v in out[1].split("\t"))
 
-    from seqtag.model import assemble_model, count_parameters
+    from seqtag.model import assemble_model
 
     config = config_from_mapping(read_config_file(data_dir / "tiny.cfg"))
     vocab = build_vocab(load_conll(data_dir / "train.conll"))
-    expect_total, expect_noemb = count_parameters(assemble_model(config, vocab))
-    assert (total, noemb) == (expect_total, expect_noemb)
+    tensors = assemble_model(config, vocab).all_tensors()
+    assert total == sum(t.size for t in tensors.values())
+    assert total - noemb == tensors["word_embeddings"].size
 
 
 def test_dataset_stats_matches_independent_count(data_dir, capsys):

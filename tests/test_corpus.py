@@ -221,8 +221,8 @@ def test_pretrained_direct_read(tmp_path):
     path.write_text("dog 0.1 0.2\n")
     vocab = _tiny_vocab()
     table = load_pretrained_embeddings(path, vocab, dim=2, rng=np.random.default_rng(0))
-    assert np.allclose(table.matrix.values[vocab.word_id("dog")], [0.1, 0.2], atol=1e-7)
-    assert not table.matrix.constant
+    assert np.allclose(table[vocab.word_id("dog")], [0.1, 0.2], atol=1e-7)
+    assert table.shape == (vocab.n_words, 2)
 
 
 def test_pretrained_missing_word_random_in_range(tmp_path):
@@ -230,9 +230,9 @@ def test_pretrained_missing_word_random_in_range(tmp_path):
     path.write_text("dog 0.1 0.2\n")
     vocab = _tiny_vocab()
     table = load_pretrained_embeddings(path, vocab, dim=2, rng=np.random.default_rng(0))
-    cat = table.matrix.values[vocab.word_id("cat")]
+    cat = table[vocab.word_id("cat")]
     assert np.all(np.abs(cat) <= 0.05)
-    oov = table.matrix.values[vocab.oov_word_id]
+    oov = table[vocab.oov_word_id]
     assert np.all(np.abs(oov) <= 0.05)
 
 
@@ -248,7 +248,7 @@ def test_pretrained_header_accepted(tmp_path):
     path.write_text("1 2\ndog 0.5 0.6\n")
     vocab = _tiny_vocab()
     table = load_pretrained_embeddings(path, vocab, dim=2)
-    assert np.allclose(table.matrix.values[vocab.word_id("dog")], [0.5, 0.6], atol=1e-7)
+    assert np.allclose(table[vocab.word_id("dog")], [0.5, 0.6], atol=1e-7)
 
 
 def test_pretrained_entry_width_error_names_line(tmp_path):

@@ -10,18 +10,12 @@ from seqtag.autodiff import (
     dense_grad,
     lstm_sequence,
     multiply,
+    pick_row,
     reduce_sum,
     tensor,
 )
-from seqtag.layers import (
-    EmbeddingTable,
-    LstmParams,
-    bilstm_run,
-    dense_tanh,
-    embedding_lookup,
-    glorot_uniform,
-    init_lstm_params,
-)
+from seqtag.layers import bilstm_run, dense_tanh
+from seqtag.model import glorot_uniform, lstm_bias
 
 from gradcheck import finite_difference_check
 from oracles import lstm_step
@@ -32,19 +26,14 @@ def t64(values):
 
 
 def zero_lstm(input_dim, hidden):
-    return LstmParams(
-        t64(np.zeros((input_dim, 4 * hidden))),
-        t64(np.zeros((hidden, 4 * hidden))),
-        t64(np.zeros(4 * hidden)),
-        hidden,
-    )
+    return t64(np.zeros((input_dim, 4 * hidden))), t64(np.zeros((hidden, 4 * hidden))), t64(np.zeros(4 * hidden))
 
 
 def random_lstm(rng, input_dim, hidden, scale=1.0):
-    p = init_lstm_params(rng, input_dim, hidden, np.float64)
-    p.w_x.values *= scale
-    p.w_h.values *= scale
-    return p
+    """(w_x, w_h, b) as a model starts them, the weights times ``scale``."""
+    w_x = glorot_uniform(rng, (input_dim, 4 * hidden), np.float64)
+    w_h = glorot_uniform(rng, (hidden, 4 * hidden), np.float64)
+    return t64(w_x * scale), t64(w_h * scale), t64(lstm_bias(rng, (4 * hidden,), np.float64))
 
 
 def rows(vectors):
@@ -53,7 +42,7 @@ def rows(vectors):
 
 def stepwise_states(xs, p, reverse=False):
     """Hidden state after each position, from the lstm_step oracle."""
-    h = c = np.zeros(p.hidden_size)
+    h = c = np.zeros(p[1].shape[0])
     states = [None] * len(xs)
     for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
         h, c = lstm_step(xs[t], h, c, p)
@@ -66,37 +55,36 @@ def stepwise_states(xs, p, reverse=False):
 # ---------------------------------------------------------------------------
 
 def test_lookup_identity_table():
-    table = EmbeddingTable(t64(np.eye(3)), oov_row=0)
-    assert np.array_equal(embedding_lookup(table, [1, 0]).values, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    table = t64(np.eye(3))
+    assert np.array_equal(pick_row(table, [1, 0]).values, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_lookup_shared_row_accumulates_gradient():
-    table = EmbeddingTable(t64(np.eye(3)), oov_row=0)
+    table = t64(np.eye(3))
     tape = Tape()
     with tape:
-        a = embedding_lookup(table, [1])
-        b = embedding_lookup(table, [1])
+        a = pick_row(table, [1])
+        b = pick_row(table, [1])
         loss = reduce_sum(add(a, b))
     backward(loss, tape)
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(dense_grad(table.matrix.grad)[1], [2.0, 2.0, 2.0])
+    assert np.array_equal(dense_grad(table.grad)[1], [2.0, 2.0, 2.0])
 
 
 def test_lookup_gradient_is_row_indicator():
-    table = EmbeddingTable(t64(np.ones((3, 2))), oov_row=0)
+    table = t64(np.ones((3, 2)))
     tape = Tape()
     with tape:
-        loss = reduce_sum(embedding_lookup(table, [0]))
+        loss = reduce_sum(pick_row(table, [0]))
     backward(loss, tape)
     expected = np.zeros((3, 2))
     expected[0] = 1.0
-    assert np.array_equal(dense_grad(table.matrix.grad), expected)
+    assert np.array_equal(dense_grad(table.grad), expected)
 
 
 def test_lookup_out_of_range_rejected():
-    table = EmbeddingTable(t64(np.eye(3)), oov_row=0)
-    with pytest.raises(ValueError, match="outside"):
-        embedding_lookup(table, [0, 3])
+    with pytest.raises(ValueError, match="out of range"):
+        pick_row(t64(np.eye(3)), [0, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +102,7 @@ def test_lstm_forget_bias_hand_evaluation():
     # zero input and weights, c_prev = 1, forget bias 1: the cell keeps
     # sigmoid(1) of the old memory and emits 0.5 * tanh of it
     p = zero_lstm(1, 1)
-    p.b.values[1] = 1.0
+    p[2].values[1] = 1.0
     h, c = lstm_step(np.zeros(1), np.zeros(1), np.ones(1), p)
     sig1 = 1.0 / (1.0 + math.exp(-1.0))
     assert c[0] == pytest.approx(sig1, abs=1e-12)
@@ -155,7 +143,7 @@ def test_lstm_sequence_matches_stepwise_oracle(length, batch, reverse):
     rng = np.random.default_rng(31 + length + 7 * (batch or 0))
     p = random_lstm(rng, 3, 4)
     x, lengths = sequence_inputs(rng, length, batch)
-    out = lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse, lengths=lengths)
+    out = lstm_sequence(x, *p, reverse=reverse, lengths=lengths)
     assert out.shape == (x.shape[0], 4)
     for seq, states in zip(x.values.reshape(-1, length, 3), out.values.reshape(-1, length, 4)):
         want = stepwise_states(seq, p, reverse=reverse)
@@ -174,10 +162,10 @@ def test_lstm_sequence_gradient_all_inputs(length, batch, reverse):
     weights = t64(rng.normal(size=(x.shape[0], 4)))
 
     def builder():
-        states = lstm_sequence(x, p.w_x, p.w_h, p.b, reverse=reverse, lengths=lengths)
+        states = lstm_sequence(x, *p, reverse=reverse, lengths=lengths)
         return reduce_sum(multiply(states, weights))
 
-    report = finite_difference_check(builder, [x, p.w_x, p.w_h, p.b], eps=1e-5,
+    report = finite_difference_check(builder, [x, *p], eps=1e-5,
                                      names=["x", "w_x", "w_h", "b"])
     assert report.max_rel_error < 1e-6, str(report)
 
@@ -186,18 +174,18 @@ def test_lstm_sequence_shape_errors():
     p = zero_lstm(2, 3)
     for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((4, 5)), np.zeros((1, 2, 2, 2))):
         with pytest.raises(ValueError, match="lstm_sequence"):
-            lstm_sequence(t64(bad), p.w_x, p.w_h, p.b)
+            lstm_sequence(t64(bad), *p)
 
 
 def test_lstm_sequence_takes_matrices_and_lengths_that_split_them():
     p = zero_lstm(2, 3)
     with pytest.raises(ValueError, match="lstm_sequence"):
-        lstm_sequence(t64(np.zeros((2, 3, 2))), p.w_x, p.w_h, p.b)
+        lstm_sequence(t64(np.zeros((2, 3, 2))), *p)
     for lengths in ([], [2, 3], [4, 0], [5, -1]):
         with pytest.raises(ValueError, match="lstm_sequence: lengths"):
-            lstm_sequence(t64(np.zeros((4, 2))), p.w_x, p.w_h, p.b, lengths=lengths)
+            lstm_sequence(t64(np.zeros((4, 2))), *p, lengths=lengths)
     with pytest.raises(TypeError, match="integer"):
-        lstm_sequence(t64(np.zeros((4, 2))), p.w_x, p.w_h, p.b, lengths=[2.0, 2.0])
+        lstm_sequence(t64(np.zeros((4, 2))), *p, lengths=[2.0, 2.0])
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -209,12 +197,12 @@ def test_ragged_lstm_sequence_matches_one_run_per_sequence(reverse):
         lengths[trial % len(lengths)] = 1
         x = t64(rng.normal(size=(sum(lengths), 3)))
         weights = rng.normal(size=(sum(lengths), 4))
-        params = [x, p.w_x, p.w_h, p.b]
+        params = [x, *p]
 
         def run(inputs, lens, rows):
             tape = Tape()
             with tape:
-                out = lstm_sequence(inputs, p.w_x, p.w_h, p.b, reverse=reverse, lengths=lens)
+                out = lstm_sequence(inputs, *p, reverse=reverse, lengths=lens)
                 loss = reduce_sum(multiply(out, t64(weights[rows])))
             grads = backward(loss, tape)
             return out.values, [grads[t.node_id] for t in (inputs, *params[1:])]
@@ -338,31 +326,34 @@ def test_dense_tanh_shape_error():
 
 def test_full_stack_gradient_check():
     rng = np.random.default_rng(23)
-    table = EmbeddingTable(t64(rng.normal(size=(4, 3)) * 0.5), oov_row=0)
+    table = t64(rng.normal(size=(4, 3)) * 0.5)
     fwd = random_lstm(rng, 3, 2)
     bwd = random_lstm(rng, 3, 2)
     w_d = t64(rng.normal(size=(2, 4)))
     ids = [0, 2, 3, 2]
 
     def builder():
-        out = bilstm_run(embedding_lookup(table, np.array(ids)), fwd, bwd)
+        out = bilstm_run(pick_row(table, np.array(ids)), fwd, bwd)
         return reduce_sum(dense_tanh(out, w_d))
 
-    params = [table.matrix, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b, w_d]
+    params = [table, *fwd, *bwd, w_d]
     report = finite_difference_check(builder, params, eps=1e-5)
     assert report.max_rel_error < 1e-4, str(report)
 
 
 def test_init_determinism():
-    a = init_lstm_params(np.random.default_rng(42), 3, 4, np.float32)
-    b = init_lstm_params(np.random.default_rng(42), 3, 4, np.float32)
-    assert np.array_equal(a.w_x.values, b.w_x.values)
-    assert np.array_equal(a.w_h.values, b.w_h.values)
-    assert np.array_equal(a.b.values, b.b.values)
-    assert np.array_equal(a.b.values[4:8], np.ones(4))  # forget slice starts at 1
+    def draw():
+        rng = np.random.default_rng(42)
+        return [init(rng, shape, np.float32)
+                for init, shape in ((glorot_uniform, (3, 16)), (glorot_uniform, (4, 16)), (lstm_bias, (16,)))]
+
+    a, b = draw(), draw()
+    for x, y in zip(a, b):
+        assert x.dtype == np.float32 and np.array_equal(x, y)
+    assert np.array_equal(a[2], np.repeat([0.0, 1.0, 0.0, 0.0], 4))  # forget slice starts at 1
 
 
 def test_glorot_limits():
-    w = glorot_uniform(np.random.default_rng(1), 30, 20, np.float64)
+    w = glorot_uniform(np.random.default_rng(1), (30, 20), np.float64)
     limit = math.sqrt(6.0 / 50)
     assert np.all(np.abs(w) <= limit)

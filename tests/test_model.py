@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -10,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtag.autodiff import Tape, backward, dense_grad
-from seqtag.corpus import Sentence, build_vocab, random_embeddings
+from seqtag.corpus import Sentence, build_vocab, load_pretrained_embeddings, random_embeddings
 from seqtag.model import (
-    Model,
     ModelConfig,
     ModelFormatError,
-    _stored_scalars,
     assemble_model,
     count_parameters,
     load_model,
@@ -52,22 +51,22 @@ def toy_config(**overrides):
 def test_word_architecture_has_no_character_parameters():
     vocab, _ = tiny_vocab()
     model = assemble_model(toy_config(architecture="word"), vocab)
-    names = set(model.named_parameters())
+    names = set(model.params)
     assert not any(n.startswith(("char", "attn")) for n in names)
 
 
 def test_concat_architecture_doubles_lstm_input():
     vocab, _ = tiny_vocab()
     model = assemble_model(toy_config(architecture="concat"), vocab)
-    assert model.word_fwd.w_x.shape == (12, 20)
-    assert "char_proj.w_m" in model.named_parameters()
+    assert model.params["word_lstm.fwd.w_x"].shape == (12, 20)
+    assert "char_proj.w_m" in model.params
 
 
 def test_attention_architecture_keeps_width_and_adds_gates():
     vocab, _ = tiny_vocab()
     model = assemble_model(toy_config(architecture="attention"), vocab)
-    assert model.word_fwd.w_x.shape == (6, 20)
-    names = set(model.named_parameters())
+    assert model.params["word_lstm.fwd.w_x"].shape == (6, 20)
+    names = set(model.params)
     assert {"attn.w_z1", "attn.w_z2", "attn.w_z3"} <= names
 
 
@@ -87,17 +86,17 @@ def test_assembly_is_deterministic():
 
 def test_pretrained_dim_mismatch_rejected():
     vocab, _ = tiny_vocab()
-    table = random_embeddings(vocab.n_words, 5, np.random.default_rng(0))
+    table = random_embeddings(np.random.default_rng(0), (vocab.n_words, 5))
     with pytest.raises(ValueError, match="word_dim"):
         assemble_model(toy_config(), vocab, pretrained=table)
 
 
 def test_pretrained_rows_used():
     vocab, _ = tiny_vocab()
-    table = random_embeddings(vocab.n_words, 6, np.random.default_rng(0), dtype=np.float64)
-    table.matrix.values[1] = 7.0
+    table = random_embeddings(np.random.default_rng(0), (vocab.n_words, 6), dtype=np.float64)
+    table[1] = 7.0
     model = assemble_model(toy_config(), vocab, pretrained=table)
-    assert np.allclose(model.word_emb.matrix.values[1], 7.0)
+    assert np.allclose(model.params["word_embeddings"].values[1], 7.0)
 
 
 def test_config_validation():
@@ -154,7 +153,7 @@ def test_batch_loss_is_the_sum_of_sentence_losses(arch, output):
     vocab, _ = tiny_vocab()
     enc = vocab.encode_corpus(batch_sentences())
     model = assemble_model(toy_config(architecture=arch, output=output), vocab)
-    params = model.named_parameters()
+    params = model.params
 
     def value_and_grads(sents):
         tape = Tape()
@@ -187,7 +186,7 @@ def test_word_bilstm_is_two_nodes_per_batch(arch):
         tape = Tape()
         with tape:
             model.batch_loss_parts((enc * 3)[:size])
-        word_weights = {model.word_fwd.w_x.node_id, model.word_bwd.w_x.node_id}
+        word_weights = {model.params[f"word_lstm.{d}.w_x"].node_id for d in ("fwd", "bwd")}
         runs = [n for n in tape.nodes if n.op == "lstm_sequence" and n.input_ids[1] in word_weights]
         assert len(runs) == 2, size
 
@@ -249,22 +248,14 @@ def test_unencoded_sentence_rejected():
 def test_count_matches_independent_walker():
     vocab, _ = tiny_vocab()
     for arch in ("word", "concat", "attention"):
-        model = assemble_model(toy_config(architecture=arch), vocab)
-        total, noemb = count_parameters(model)
-        walker = sum(
-            int(np.prod(t.values.shape)) for t in model.named_parameters().values()
-        )
-        assert total == walker
-        assert total - noemb == vocab.n_words * 6  # the word-embedding block
-
-
-def test_stored_scalars_match_assembled_models():
-    vocab, _ = tiny_vocab()
-    for arch in ("word", "concat", "attention"):
         for output in ("softmax", "crf"):
             config = toy_config(architecture=arch, output=output)
-            model = assemble_model(config, vocab)
-            assert _stored_scalars(config, vocab) == sum(t.size for t in model.all_tensors().values())
+            total, noemb = count_parameters(config, vocab)
+            walker = sum(
+                int(np.prod(t.values.shape)) for t in assemble_model(config, vocab).all_tensors().values()
+            )
+            assert total == walker
+            assert total - noemb == vocab.n_words * 6  # the word-embedding block
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +308,36 @@ def test_version_1_file_loads_as_float32_data(tmp_path, dtype):
     for name, t in model.all_tensors().items():
         expected = t.values.astype(np.float32).astype(dtype)
         assert np.array_equal(again.all_tensors()[name].values, expected), name
+
+
+# sha256 of the file a freshly assembled model saves to, keyed by (architecture,
+# output, dtype, pretrained word table): pins the draw order, every initializer
+# and the file layout
+_FRESH_MODEL_DIGESTS = {
+    ("word", "softmax", "float32", False): "ac0975d00afc6ecf834c01bb54394d59b9d6829d38be131b7b22eb8e3a6d3294",
+    ("word", "crf", "float32", False): "943089b8cc255fba48e50dd1fd44a8221453efe7ed90f27577397fbafb2b9a03",
+    ("concat", "softmax", "float32", False): "38571709a6914c0f283e1531805b51407524e1860042015633ecee76ce1e8bd8",
+    ("concat", "crf", "float32", False): "5a200bfb46732fbf65b37a2c50354130a88384b21f53ccbe525bf83fd05f2122",
+    ("attention", "softmax", "float32", False): "8b554aa1fb7855dba8171abb60e3a8dcd7d8acd58f54ed968ba117aea993120c",
+    ("attention", "crf", "float32", False): "71e729211ba31db73f4be64aca8c293d5989789328d3d9ea1c7fa86bb455698e",
+    ("attention", "crf", "float64", False): "5f8321eefaf872cf3958b06c6da41306cb3d27b173a35295fa3a9c676b19daa1",
+    ("concat", "crf", "float32", True): "0990c3260fbdb2c2a1db48cf2c4ebd8ecd52161fc2840b091d0571a163ad449d",
+}
+
+
+@pytest.mark.parametrize("arch,output,dtype,pretrained", list(_FRESH_MODEL_DIGESTS))
+def test_fresh_model_bytes_are_pinned(tmp_path, arch, output, dtype, pretrained):
+    vocab, _ = tiny_vocab()
+    config = toy_config(architecture=arch, output=output, dtype=dtype)
+    table = None
+    if pretrained:
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("aa 0.5 -0.25 1 2 3 4\nbb 0.125 0 0 0 0 -1\n")
+        table = load_pretrained_embeddings(vectors, vocab, 6, np.random.default_rng(7), config.np_dtype())
+    path = tmp_path / "model.bin"
+    save_model(assemble_model(config, vocab, pretrained=table), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _FRESH_MODEL_DIGESTS[arch, output, dtype, pretrained]
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -215,7 +215,7 @@ def test_adadelta_validates_hyperparameters():
         AdaDelta({"p": p}, epsilon=0.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
 def test_adadelta_rejects_non_finite_settings(value):
     p = tensor(np.array([1.0]))
     with pytest.raises(ValueError, match="epsilon"):
