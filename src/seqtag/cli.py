@@ -111,9 +111,10 @@ def cmd_train(args) -> int:
     vocab = build_vocab(train_sents)
     pretrained = None
     if args.embeddings:
+        # a stream of its own: assemble_model draws the other tensors from default_rng(seed)
         pretrained = load_pretrained_embeddings(
             args.embeddings, vocab, config.word_dim,
-            rng=np.random.default_rng(config.seed),
+            rng=np.random.default_rng([config.seed, 2]),
             dtype=config.np_dtype(),
         )
 

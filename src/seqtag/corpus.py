@@ -9,13 +9,21 @@ Word types below the frequency cutoff share the OOV row for embedding
 lookup but their characters still feed the character-level components.
 The character inventory carries its own OOV entry for characters first
 seen at test time.
+
+Counting and encoding work per word type, not per token: ``build_vocab``
+counts the normalized tokens and takes the characters from the counted
+types, and ``Vocabulary.encode_corpus`` looks each distinct normalized
+token up once per call. Every token of a type then holds the type's
+word id and the same read-only tuple of char ids in
+``Sentence.char_ids``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,7 +48,7 @@ class Sentence:
     normalized: list
     labels: list
     word_ids: list | None = None
-    char_ids: list | None = None
+    char_ids: list | None = None  # per token, its type's one shared tuple
     gold: list | None = None
 
     def __post_init__(self):
@@ -119,6 +127,10 @@ class Vocabulary:
         self.label_set = label_set
         self._w2i = {w: i for i, w in enumerate(self.words)}
         self._c2i = {c: i for i, c in enumerate(self.chars)}
+        if len(self._w2i) != len(self.words):
+            raise ValueError("Vocabulary: duplicate words")
+        if len(self._c2i) != len(self.chars):
+            raise ValueError("Vocabulary: duplicate chars")
 
     oov_word_id = 0
     oov_char_id = 0
@@ -138,16 +150,29 @@ class Vocabulary:
         return self._c2i.get(ch, self.oov_char_id)
 
     def encode(self, sent: Sentence) -> Sentence:
-        """Fill id fields; gold ids only when every label is known."""
-        word_ids = [self.word_id(t) for t in sent.normalized]
-        char_ids = [[self.char_id(c) for c in t] for t in sent.normalized]
-        gold = None
-        if all(lab in self.label_set for lab in sent.labels):
-            gold = [self.label_set.id(lab) for lab in sent.labels]
-        return replace(sent, word_ids=word_ids, char_ids=char_ids, gold=gold)
+        """One sentence's ``encode_corpus``."""
+        return self.encode_corpus([sent])[0]
 
-    def encode_corpus(self, sentences):
-        return [self.encode(s) for s in sentences]
+    def encode_corpus(self, sentences) -> list:
+        """Copies of ``sentences`` with their id fields filled, each
+        distinct normalized token looked up once per call; gold ids only
+        when every label is known."""
+        c2i, oov_char = self._c2i, self.oov_char_id
+        label_ids = {lab: i for i, lab in enumerate(self.label_set.labels)}
+        types: dict = {}
+
+        def entry(token):
+            types[token] = (self.word_id(token), tuple([c2i.get(c, oov_char) for c in token]))
+            return types[token]
+
+        out = []
+        for sent in sentences:
+            entries = [types.get(t) or entry(t) for t in sent.normalized]
+            gold = [label_ids.get(lab) for lab in sent.labels]
+            out.append(Sentence(sent.surface, sent.normalized, sent.labels,
+                                word_ids=[e[0] for e in entries], char_ids=[e[1] for e in entries],
+                                gold=None if None in gold else gold))
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -165,26 +190,19 @@ def build_vocab(train_sentences, min_count: int = 2) -> Vocabulary:
     """Frequency-threshold vocabulary from the training split.
 
     Word types seen fewer than ``min_count`` times fall back to the OOV
-    row; every character from every token is kept regardless. Ids follow
-    first occurrence, so the same corpus always yields the same maps.
+    row, as does a literal ``OOV_TOKEN`` in the data; every character
+    from every token is kept regardless. Ids follow first occurrence, so
+    the same corpus always yields the same maps. Characters are read
+    from the counted types, once per type: a character's first token is
+    its type's first occurrence, so the order is the tokens' order.
     """
     train_sentences = list(train_sentences)
     if not train_sentences:
         raise ValueError("build_vocab: empty training set")
-    word_counts: Counter = Counter()
-    char_counts: Counter = Counter()
-    labels: list = []
-    seen_labels = set()
-    for sent in train_sentences:
-        for norm in sent.normalized:
-            word_counts[norm] += 1
-            char_counts.update(norm)
-        for lab in sent.labels:
-            if lab not in seen_labels:
-                seen_labels.add(lab)
-                labels.append(lab)
-    words = [OOV_TOKEN] + [w for w, n in word_counts.items() if n >= min_count]
-    chars = [OOV_CHAR] + list(char_counts)
+    word_counts = Counter(chain.from_iterable(s.normalized for s in train_sentences))
+    labels = dict.fromkeys(chain.from_iterable(s.labels for s in train_sentences))
+    words = [OOV_TOKEN] + [w for w, n in word_counts.items() if n >= min_count and w != OOV_TOKEN]
+    chars = [OOV_CHAR] + list(dict.fromkeys(chain.from_iterable(word_counts)))
     return Vocabulary(words, chars, LabelSet(labels))
 
 

@@ -1,5 +1,10 @@
 """AdaDelta optimization, the training loop and early stopping.
 
+``train`` encodes the sentences it is given unencoded with one
+``Vocabulary.encode_corpus`` call per split, which works per word type:
+each distinct normalized token is looked up once, and all its tokens
+share one read-only tuple of char ids.
+
 Batches are formed by sentence count in corpus order (a shuffle flag
 reshuffles per epoch from the run seed). The batch loss is the sum of
 the per-sentence losses, built in one pass over the batch
@@ -253,6 +258,12 @@ def evaluate(model: Model, sentences, metric: str, positive_label: str | None = 
     raise ValueError(f"evaluate: unknown metric {metric!r}")
 
 
+def _encoded(vocab: Vocabulary, sentences) -> list:
+    """``sentences`` with the unencoded ones encoded, in one ``encode_corpus`` call."""
+    fresh = iter(vocab.encode_corpus([s for s in sentences if s.word_ids is None]))
+    return [s if s.word_ids is not None else next(fresh) for s in sentences]
+
+
 def _batches(n: int, batch_size: int):
     return [list(range(i, min(i + batch_size, n))) for i in range(0, n, batch_size)]
 
@@ -265,8 +276,8 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
     dev_sentences = list(dev_sentences)
     if not train_sentences or not dev_sentences:
         raise ValueError("train: empty training or development split")
-    train_enc = [s if s.word_ids is not None else vocab.encode(s) for s in train_sentences]
-    dev_enc = [s if s.word_ids is not None else vocab.encode(s) for s in dev_sentences]
+    train_enc = _encoded(vocab, train_sentences)
+    dev_enc = _encoded(vocab, dev_sentences)
     for s in train_enc:
         if s.gold is None:
             raise ValueError("train: training sentence has labels outside the vocabulary")

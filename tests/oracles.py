@@ -4,16 +4,18 @@ None of these run in training or tagging: they are exhaustive,
 closed-form or stepwise oracles (CRF enumeration, the CRF forward-backward
 recursion in log space, per-token softmax and cross-entropy, rendering
 spans back to IOB labels, one LSTM cell update in plain numpy, the
-dense AdaDelta update).
+dense AdaDelta update, vocabulary building and encoding token by token).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
+from seqtag.corpus import OOV_CHAR, OOV_TOKEN
 from seqtag.crf import TagLattice
 
 ENUMERATION_LIMIT = 10**6
@@ -162,3 +164,32 @@ def adadelta_dense_step(values, sq_grad, sq_step, g, rho, eps, lr):
     step = -np.sqrt(sq_step + eps) / np.sqrt(sq_grad + eps) * g
     sq_step = rho * sq_step + (1.0 - rho) * step * step
     return values + lr * step, sq_grad, sq_step
+
+
+def vocab_oracle(train_sentences, min_count: int = 2) -> dict:
+    """``build_vocab(...).to_dict()``, counting every token and character one by one."""
+    word_counts: Counter = Counter()
+    char_counts: Counter = Counter()
+    labels: list = []
+    seen_labels = set()
+    for sent in train_sentences:
+        for norm in sent.normalized:
+            word_counts[norm] += 1
+            char_counts.update(norm)
+        for lab in sent.labels:
+            if lab not in seen_labels:
+                seen_labels.add(lab)
+                labels.append(lab)
+    words = [OOV_TOKEN] + [w for w, n in word_counts.items() if n >= min_count and w != OOV_TOKEN]
+    return {"words": words, "chars": [OOV_CHAR] + list(char_counts), "labels": labels}
+
+
+def encode_oracle(vocab, sent) -> tuple:
+    """(word_ids, char_ids, gold) of one sentence, looked up token by token
+    and character by character; gold is None unless every label is known."""
+    word_ids = [vocab.word_id(t) for t in sent.normalized]
+    char_ids = [[vocab.char_id(c) for c in t] for t in sent.normalized]
+    gold = None
+    if all(lab in vocab.label_set for lab in sent.labels):
+        gold = [vocab.label_set.id(lab) for lab in sent.labels]
+    return word_ids, char_ids, gold

@@ -11,7 +11,7 @@ from seqtag import cli
 from seqtag.cli import config_from_mapping, main, read_config_file
 from seqtag.corpus import build_vocab, load_conll
 from seqtag.metrics import token_accuracy
-from seqtag.model import Model, ModelConfig, load_model
+from seqtag.model import Model, ModelConfig, assemble_model, load_model
 
 from synthdata import make_suffix_corpus, write_conll
 
@@ -134,6 +134,31 @@ def test_train_with_pretrained_embeddings(data_dir, tmp_path):
         "--out", str(tmp_path / "pre2"), "--embeddings", str(bad),
     ])
     assert code == 1
+
+
+def test_pretrained_table_draws_apart_from_the_model(data_dir, tmp_path, monkeypatch):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("zebra " + " ".join(["0.5"] * 6) + "\n")  # no vocabulary word: every row is drawn
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def capture(config, train_sents, dev_sents, vocab, pretrained=None):
+        seen.update(config=config, vocab=vocab, pretrained=pretrained)
+        raise Stop
+
+    monkeypatch.setattr(cli, "train", capture)
+    with pytest.raises(Stop):
+        main(["train", "--config", str(data_dir / "tiny.cfg"), "--train", str(data_dir / "train.conll"),
+              "--dev", str(data_dir / "dev.conll"), "--out", str(tmp_path / "run"),
+              "--embeddings", str(vectors)])
+    model = assemble_model(seen["config"], seen["vocab"], seen["pretrained"])
+    table = seen["pretrained"].ravel()
+    w_x = model.params["word_lstm.fwd.w_x"].values.ravel()  # the first tensor drawn after the table
+    k = min(table.size, w_x.size)
+    assert k > 50
+    assert abs(np.corrcoef(table[:k], w_x[:k])[0, 1]) < 0.5
 
 
 def test_evaluate_matches_library(trained_dir, data_dir, capsys):

@@ -15,7 +15,9 @@ from seqtag.corpus import (
     load_pretrained_embeddings,
     preprocess_token,
 )
+from seqtag.crf import LabelSet
 
+from oracles import encode_oracle, vocab_oracle
 from synthdata import write_conll
 
 
@@ -191,6 +193,64 @@ def test_encode_ids_in_range():
         assert all(0 <= w < vocab.n_words for w in s.word_ids)
         assert all(0 <= c < vocab.n_chars for cs in s.char_ids for c in cs)
         assert s.gold is not None
+
+
+def test_literal_oov_tokens_read_the_oov_row():
+    sents = make_sentences([[(t, "X") for t in ("the", OOV_TOKEN, "cat", OOV_TOKEN, "the")]] * 2)
+    vocab = build_vocab(sents)
+    assert vocab.words == [OOV_TOKEN, "the", "cat"]
+    enc = vocab.encode(sents[0])
+    assert enc.word_ids == [1, 0, 2, 0, 1]
+    assert enc.char_ids[1] == tuple(vocab.char_id(c) for c in OOV_TOKEN)
+
+
+@pytest.mark.parametrize("words,chars", [
+    ([OOV_TOKEN, "a", "b", "a"], ["<unk>", "a", "b"]),
+    ([OOV_TOKEN, "a", "b"], ["<unk>", "a", "b", "a"]),
+    ([OOV_TOKEN, "a", OOV_TOKEN], ["<unk>", "a"]),
+])
+def test_vocabulary_rejects_repeated_entries(words, chars):
+    with pytest.raises(ValueError, match="duplicate"):
+        Vocabulary(words, chars, LabelSet(["X"]))
+
+
+def _token(alphabet):
+    return st.one_of(st.sampled_from(["the", "The", "1999", "2001", OOV_TOKEN]),
+                     st.text(st.sampled_from(alphabet), min_size=1, max_size=4))
+
+
+@st.composite
+def _corpus(draw, alphabet):
+    """Sentences over few types, so types repeat; some unlabeled, some
+    with labels that a vocabulary built elsewhere may lack."""
+    sents = []
+    for tokens in draw(st.lists(st.lists(_token(alphabet), min_size=1, max_size=6),
+                                min_size=1, max_size=6)):
+        if draw(st.booleans()):
+            labels = [""] * len(tokens)
+        else:
+            labels = draw(st.lists(st.sampled_from("XYZ"), min_size=len(tokens), max_size=len(tokens)))
+        sents.append(Sentence(tokens, [preprocess_token(t) for t in tokens], labels))
+    return sents
+
+
+@settings(max_examples=200, deadline=None)
+@given(train=_corpus("abAB01-"), other=_corpus("abAB01-éq"), min_count=st.integers(1, 3))
+def test_type_level_vocab_and_encoding_match_the_per_token_oracle(train, other, min_count):
+    vocab = build_vocab(train, min_count)
+    assert vocab.to_dict() == vocab_oracle(train, min_count)
+    corpus = train + other  # characters and labels unseen in training, too
+    encoded = vocab.encode_corpus(corpus)
+    assert len(encoded) == len(corpus)
+    shared = {}
+    for sent, enc in zip(corpus, encoded):
+        word_ids, char_ids, gold = encode_oracle(vocab, sent)
+        assert (enc.word_ids, [list(c) for c in enc.char_ids], enc.gold) == (word_ids, char_ids, gold)
+        assert (enc.surface, enc.normalized, enc.labels) == (sent.surface, sent.normalized, sent.labels)
+        for token, cids in zip(sent.normalized, enc.char_ids):
+            assert type(cids) is tuple
+            assert shared.setdefault(token, cids) is cids  # one object per type
+        assert vocab.encode(sent) == enc
 
 
 def test_build_vocab_empty_rejected():

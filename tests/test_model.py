@@ -378,6 +378,22 @@ def test_load_rejects_version_mismatch(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("field", ["words", "chars"])
+def test_load_rejects_a_repeated_vocabulary_entry(tmp_path, field):
+    vocab, _ = tiny_vocab()
+    path = tmp_path / "model.bin"
+    save_model(assemble_model(toy_config(dtype="float32"), vocab), path)
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12:12 + n])
+    entries = header["vocab"][field]
+    entries[-1] = entries[-2]  # the count, and so the tensor shapes, stay right
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob + raw[12 + n:])
+    with pytest.raises(ModelFormatError, match="duplicate"):
+        load_model(path)
+
+
 def test_load_rejects_trailing_data(tmp_path):
     vocab, _ = tiny_vocab()
     model = assemble_model(toy_config(dtype="float32"), vocab)

@@ -15,7 +15,7 @@ import seqtag.training as train_mod
 from seqtag.autodiff import RowGrad, tensor
 from seqtag.corpus import build_vocab
 from seqtag.metrics import MetricResult
-from seqtag.model import ModelConfig
+from seqtag.model import ModelConfig, save_model
 from seqtag.training import AdaDelta, evaluate, train
 
 from oracles import adadelta_dense_step
@@ -245,6 +245,18 @@ def test_training_determinism():
     losses1 = [e.train_loss for e in r1.epochs]
     losses2 = [e.train_loss for e in r2.epochs]
     assert losses1 == losses2  # bit-identical floats
+
+
+def test_train_encodes_raw_sentences_as_encode_corpus_does(tmp_path):
+    tr, dev, _, vocab = tiny_task()
+    cfg = tiny_config(architecture="attention", max_epochs=2)
+    for name, (train_split, dev_split) in {
+        "raw": (tr, dev),
+        "encoded": (vocab.encode_corpus(tr), vocab.encode_corpus(dev)),
+    }.items():
+        model, _ = train(cfg, train_split, dev_split, vocab)
+        save_model(model, tmp_path / f"{name}.bin")
+    assert (tmp_path / "raw.bin").read_bytes() == (tmp_path / "encoded.bin").read_bytes()
 
 
 _TRAIN_IN_A_NEW_PROCESS = """
