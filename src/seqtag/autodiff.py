@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
-The engine is deliberately small: twelve primitive kinds, picked as
+The engine is deliberately small: eleven primitive kinds, picked as
 the minimal set the tagging models in this package need, plus a
 gradient blocking marker. Each primitive takes the one shape form the
 models use, mostly matrices. Values are dense numpy arrays of zero to
@@ -20,28 +20,27 @@ Shape rules per primitive kind::
     concat(ts, axis)       equal-rank inputs joined along the given
                            axis; all other dimensions must agree
     reduce_sum(t)          every entry summed to a scalar     (kind "sum")
-    log_sum_exp(t)         (m,n) -> (m,), each row reduced,
-                           max-shifted so large inputs cannot overflow
     cosine_similarity(a,b) (n,d) matrices -> (n,) row by row; each norm
                            is guarded with +1e-8 so zero rows stay finite
     pick_row(m, i)         m[i] of a matrix, copied: i is an int or an
-                           integer array (rows gathered into shape
-                           i.shape + (n,)) or a pair of them indexing
-                           rows and columns; repeated indices
-                           accumulate gradient; a leaf whose one
-                           gradient comes from a pick by rows alone
-                           gets it as a ``RowGrad``
+                           integer array, rows gathered into shape
+                           i.shape + (n,); repeated rows accumulate
+                           gradient; a leaf whose one gradient comes
+                           from a pick gets it as a ``RowGrad``
     lstm_sequence(x, w_x, w_h, b, reverse, lengths)
                            (N,D) -> (N,H) for one sequence, or several of
                            the given lengths stored back to back: the
                            hidden state after every position of whole
                            LSTM runs, as one node with a hand-written
                            backward pass through time
-    log_partition(a, b, lengths)
+    crf_nll(a, b, y, lengths)
                            (N,K) emissions of one sentence, or several of
-                           the given lengths stored back to back, and
-                           (K+2,K+2) transitions -> their summed CRF log Z,
-                           as one node; its backward sends the marginals
+                           the given lengths stored back to back,
+                           (K+2,K+2) transitions and N gold label ids ->
+                           the summed CRF negative log-likelihood, log Z
+                           minus the gold paths' score, as one node; its
+                           backward sends the marginals minus the gold
+                           counts
 
 Recording is scoped by a ``Tape`` used as a context manager; outside any
 tape the same functions run forward-only. The finite-difference checker
@@ -69,11 +68,10 @@ OP_KINDS = (
     "sigmoid",
     "concat",
     "sum",
-    "log_sum_exp",
     "cosine_similarity",
     "pick_row",
     "lstm_sequence",
-    "log_partition",
+    "crf_nll",
 )
 
 
@@ -306,15 +304,6 @@ def _logsumexp(v, axis):
     return np.squeeze(m + np.log(np.exp(v - m).sum(axis=axis, keepdims=True)), axis=axis)
 
 
-def log_sum_exp(t: Tensor) -> Tensor:
-    """Log-sum-exp of each row of a non-empty matrix."""
-    v = t.values
-    if v.ndim != 2 or not v.size:
-        raise _shape_error("log_sum_exp", v.shape)
-    out = _logsumexp(v, 1)
-    return _emit("log_sum_exp", (t,), out, (v, out))
-
-
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.ndim != 2 or av.shape != bv.shape:
@@ -330,13 +319,10 @@ def pick_row(m: Tensor, i) -> Tensor:
     v = m.values
     if v.ndim != 2:
         raise _shape_error("pick_row", v.shape)
-    index = tuple(np.asarray(ix) for ix in (i if isinstance(i, tuple) else (i,)))
-    if len(index) > v.ndim:
-        raise ValueError(f"pick_row: {len(index)} indices for shape {v.shape}")
-    for ix, n in zip(index, v.shape):
-        if ix.dtype.kind not in "iu" or (ix.size and not (ix.min() >= 0 and ix.max() < n)):
-            raise ValueError(f"pick_row: index {ix.tolist()} out of range for shape {v.shape}")
-    return _emit("pick_row", (m,), np.array(v[index]), (index,))
+    rows = np.asarray(i)
+    if rows.dtype.kind not in "iu" or (rows.size and not (rows.min() >= 0 and rows.max() < v.shape[0])):
+        raise ValueError(f"pick_row: index {rows.tolist()} out of range for shape {v.shape}")
+    return _emit("pick_row", (m,), np.array(v[rows]), (rows,))
 
 
 def _run_layout(n_rows: int, lengths, reverse: bool, op: str = "lstm_sequence"):
@@ -424,12 +410,19 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
 MIN_SCALE = 1e-250
 
 
-def log_partition(a: Tensor, b: Tensor, lengths=None) -> Tensor:
-    """Summed CRF log partition of one or several sentences, as one node.
+def crf_nll(a: Tensor, b: Tensor, y, lengths=None) -> Tensor:
+    """Summed CRF negative log-likelihood of one or several sentences, as one node.
 
     ``a`` is (N, K): the emission scores of one sentence, or with
     ``lengths`` of several stored back to back; ``b`` holds the shared
-    transitions laid out as in ``seqtag.crf.TagLattice``.
+    transitions laid out as in ``seqtag.crf.TagLattice``; ``y`` holds the
+    N gold label ids in the same order. The result is log Z minus the
+    gold paths' summed score.
+
+    The gold score is one array, summed in the scores' dtype: the gold
+    emissions, then each token's transition from the label before it (from
+    start at a sentence's first token), then each sentence's move from
+    its last label to end.
 
     The scaled forward algorithm (Rabiner 1989) runs over all sentences
     at once in ``_run_layout``'s step-major packing, longest first, in
@@ -445,9 +438,18 @@ def log_partition(a: Tensor, b: Tensor, lengths=None) -> Tensor:
     """
     av, bv = a.values, b.values
     if av.ndim != 2 or av.shape[0] == 0 or bv.shape != (av.shape[1] + 2,) * 2:
-        raise _shape_error("log_partition", av.shape, bv.shape)
-    steps, perm = _run_layout(av.shape[0], lengths, False, "log_partition")
-    k = av.shape[1]
+        raise _shape_error("crf_nll", av.shape, bv.shape)
+    steps, perm = _run_layout(av.shape[0], lengths, False, "crf_nll")
+    n_rows, k = av.shape
+    y = np.asarray(y)
+    if y.shape != (n_rows,) or y.dtype.kind not in "iu" or not (y.min() >= 0 and y.max() < k):
+        raise ValueError(f"crf_nll: gold labels {y.tolist()} are not {n_rows} ids in [0, {k})")
+    lens = np.array([n_rows] if lengths is None else lengths)
+    ends = np.cumsum(lens)
+    before = np.roll(y, 1)
+    before[ends - lens] = k
+    gold_pairs = (np.concatenate((before, y[ends - 1])), np.concatenate((y, np.full(len(ends), k + 1))))
+    gold = np.concatenate((av[np.arange(n_rows), y], bv[gold_pairs])).sum()
     em = np.asarray(av[perm], dtype=np.float64)
     b64 = np.asarray(bv, dtype=np.float64)
     trans, start, end = b64[:k, :k], b64[k, :k], b64[:k, k + 1]
@@ -491,9 +493,10 @@ def log_partition(a: Tensor, b: Tensor, lengths=None) -> Tensor:
             if done < n:
                 end_log_scale[done:n] = _logsumexp(np.log(hat[done:]) + end, axis=-1)
             prev = hat
-    out = np.asarray(log_scale.sum() + end_log_scale.sum(), dtype=np.result_type(av, bv))
-    saved = (em, b64, trans_exp, em_exp, alpha, scale, log_scale, redo, end_log_scale, steps, perm)
-    return _emit("log_partition", (a, b), out, saved)
+    log_z = np.asarray(log_scale.sum() + end_log_scale.sum(), dtype=np.result_type(av, bv))
+    saved = (em, b64, trans_exp, em_exp, alpha, scale, log_scale, redo, end_log_scale, steps, perm,
+             y, gold_pairs)
+    return _emit("crf_nll", (a, b), np.asarray(log_z - gold), saved)
 
 
 def _stop_gradient_values(values):
@@ -577,11 +580,6 @@ def _bwd_sum(node, g, grads, tensors):
     _acc(grads, tensors, node.input_ids[0], g)
 
 
-def _bwd_log_sum_exp(node, g, grads, tensors):
-    x, out = node.saved
-    _acc(grads, tensors, node.input_ids[0], np.exp(x - out[:, None]) * g[:, None])
-
-
 def _bwd_cosine(node, g, grads, tensors):
     av, bv, na, nb, dot = node.saved
     ea = (na + NORM_EPS)[:, None]
@@ -595,24 +593,21 @@ def _bwd_cosine(node, g, grads, tensors):
     _acc(grads, tensors, node.input_ids[1], gd * (av / (ea * eb) - (c / eb) * unit_b))
 
 
-def _scatter(buf, index, g):
-    """``buf[index] += g`` for a C-ordered ``buf``, repeated indices accumulating.
+def _scatter(buf, rows, g):
+    """``buf[rows] += g`` for a C-ordered matrix ``buf``, repeated rows accumulating.
 
-    The index is raveled into flat positions for one 1-D ``np.add.at``,
+    The rows are raveled into flat positions for one 1-D ``np.add.at``,
     several times faster than its n-D form. Both add each element's
     contributions one at a time in index order, so the sums are the same
     bit for bit.
     """
-    if len(index) == 1:
-        width = buf.shape[1]
-        flat = index[0].astype(np.intp)[..., None] * width + np.arange(width)
-    else:
-        flat = np.ravel_multi_index(index, buf.shape)
+    width = buf.shape[1]
+    flat = rows.astype(np.intp)[..., None] * width + np.arange(width)
     np.add.at(buf.reshape(-1), flat.reshape(-1), g.reshape(-1))
 
 
 def _bwd_pick_row(node, g, grads, tensors):
-    """Scatter ``g`` back; a first gradient picked by rows alone stays in row form.
+    """Scatter ``g`` back; a first gradient stays in row form.
 
     The row form holds each picked row's gradient summed in index order,
     as the dense scatter would. ``backward`` densifies it where a node
@@ -624,10 +619,10 @@ def _bwd_pick_row(node, g, grads, tensors):
     m = tensors[nid]
     if m.constant:
         return
-    if len(index) == 1 and grads[nid] is None:
-        rows, inverse = np.unique(index[0], return_inverse=True)
+    if grads[nid] is None:
+        rows, inverse = np.unique(index, return_inverse=True)
         values = np.zeros((len(rows), m.shape[1]), dtype=m.dtype)
-        _scatter(values, (inverse.reshape(index[0].shape),), g)
+        _scatter(values, inverse.reshape(index.shape), g)
         grads[nid] = RowGrad(rows, values, m.shape)
     else:
         _scatter(_grad_buffer(grads, tensors, nid), index, g)
@@ -675,8 +670,8 @@ def _bwd_lstm_sequence(node, g, grads, tensors):
     _acc(grads, tensors, b_id, d_pre.sum(axis=0))
 
 
-def _bwd_log_partition(node, g, grads, tensors):
-    """The scaled backward recursion, then g times the marginals to each score.
+def _bwd_crf_nll(node, g, grads, tensors):
+    """The scaled backward recursion; each score gets g times its marginal minus its gold count.
 
     ``beta`` is scaled by the forward pass's factors, so ``alpha * beta``
     is each position's label marginal. With ``w`` the next step's
@@ -685,7 +680,8 @@ def _bwd_log_partition(node, g, grads, tensors):
     ``T = exp(transitions - max)``. Rows the forward pass redid in log
     space are redone in log space here too.
     """
-    em, b64, trans_exp, em_exp, alpha, scale, log_scale, redo, end_log_scale, steps, perm = node.saved
+    (em, b64, trans_exp, em_exp, alpha, scale, log_scale, redo, end_log_scale, steps, perm,
+     y, gold_pairs) = node.saved
     k = em.shape[1]
     trans, end = b64[:k, :k], b64[:k, k + 1]
     beta = np.empty_like(alpha)
@@ -721,10 +717,14 @@ def _bwd_log_partition(node, g, grads, tensors):
     unary *= g
     d_em = np.empty_like(unary)
     d_em[perm] = unary
+    d_em[np.arange(len(y)), y] -= g
     db = np.zeros_like(b64)
     db[:k, :k] = (pairs * trans_exp + d_trans) * g
     db[k, :k] = unary[steps[0][0]].sum(axis=0)
     db[:k, k + 1] = d_end * g
+    gold_counts = np.zeros_like(b64)
+    np.add.at(gold_counts, gold_pairs, 1.0)
+    db -= gold_counts * g
     _acc(grads, tensors, node.input_ids[0], d_em)
     _acc(grads, tensors, node.input_ids[1], db)
 
@@ -741,11 +741,10 @@ _BACKWARD = {
     "sigmoid": _bwd_sigmoid,
     "concat": _bwd_concat,
     "sum": _bwd_sum,
-    "log_sum_exp": _bwd_log_sum_exp,
     "cosine_similarity": _bwd_cosine,
     "pick_row": _bwd_pick_row,
     "lstm_sequence": _bwd_lstm_sequence,
-    "log_partition": _bwd_log_partition,
+    "crf_nll": _bwd_crf_nll,
     "stop_gradient": _bwd_stop_gradient,
 }
 
@@ -755,7 +754,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray | RowGrad]:
 
     Returns the gradient for every reached node keyed by node id: an
     array, or a ``RowGrad`` for a leaf whose one gradient came from
-    ``pick_row`` by rows.
+    ``pick_row``.
     Non-constant leaf tensors (parameters) also get the result
     accumulated into their ``grad`` slot. The tape is consumed: each
     node's saved arrays are released as soon as the pass leaves it, so

@@ -215,21 +215,19 @@ def load_pretrained_embeddings(
     path,
     vocab: Vocabulary,
     dim: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     dtype=np.float32,
 ) -> np.ndarray:
     """Text-format vectors: one word then ``dim`` reals per line.
 
     An optional first line of two integers (count and width) is treated
     as a header. Vocabulary words found in the file take their stored
-    row; everything else, including the OOV row, starts as in
-    ``random_embeddings``. Returns the (n_words, dim) matrix, which
+    row; everything else, including the OOV row, is drawn from ``rng``
+    as in ``random_embeddings``. Returns the (n_words, dim) matrix, which
     replaces the model's word-embedding draw and keeps training. A
     vocabulary word's value that is not a finite number of ``dtype``
     (``nan``, ``inf`` or out of range) is an error naming its line.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     matrix = random_embeddings(rng, (vocab.n_words, dim), dtype)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

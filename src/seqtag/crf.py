@@ -10,13 +10,13 @@ last label into end. Transitions into start and out of end are never
 read by any scoring routine, which is equivalent to holding them at
 minus infinity.
 
-The negative log-likelihood is log Z, one ``autodiff.log_partition``
-node whose backward pass sends the forward-backward marginals to the
-scores, minus the gold path's score, gathered by one indexed read per
-score matrix and joined into one vector. A lattice may hold the
+The negative log-likelihood, log Z minus the gold path's score, is one
+``autodiff.crf_nll`` node whose backward pass sends the forward-backward
+marginals minus the gold counts to the scores. A lattice may hold the
 emission rows of several sentences back to back; ``crf_nll`` with their
-``lengths`` then gives the summed loss of all of them from the same
-fixed handful of nodes.
+``lengths`` then gives the summed loss of all of them from that one
+node. A per-token softmax is the case of one-token sentences with zero
+transitions.
 Decoding is plain numeric Viterbi with ties broken toward the
 lowest label index at every backpointer decision; the exhaustive oracle
 in the tests applies the same preference, which for enumeration order
@@ -27,17 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    concat,
-    const_like,
-    linear,
-    log_partition,
-    multiply,
-    pick_row,
-    reduce_sum,
-)
+from . import autodiff
+from .autodiff import Tensor, linear
 
 
 class LabelSet:
@@ -149,19 +140,7 @@ def crf_nll(lat: TagLattice, y, lengths=None) -> Tensor:
     result is the sum of the sentences' losses.
     """
     y = np.asarray(_check_sequence(lat, y), dtype=np.int64)
-    log_z = log_partition(lat.emissions, lat.transitions, lengths)  # also checks lengths
-    lens = np.array([lat.seq_len] if lengths is None else lengths)
-    ends = np.cumsum(lens)
-    # each token's transition comes from the label before it, or from start at a
-    # sentence's first token; each sentence's last label then moves to end
-    before = np.roll(y, 1)
-    before[ends - lens] = lat.start_index
-    gold_score = reduce_sum(concat((
-        pick_row(lat.emissions, (np.arange(lat.seq_len), y)),
-        pick_row(lat.transitions, (np.concatenate((before, y[ends - 1])),
-                                   np.concatenate((y, np.full(len(ends), lat.end_index))))),
-    ), axis=0))
-    return add(log_z, multiply(gold_score, const_like(-1.0, gold_score)))
+    return autodiff.crf_nll(lat.emissions, lat.transitions, y, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ bidirectional LSTM, narrow tanh layer, output scores):
                  to the training loss
 
 The output layer is either a per-token softmax or a linear-chain CRF.
+Both train through the one CRF loss node, ``crf.crf_nll``: a softmax
+is the CRF of one-token sentences with zero transitions (Sutton &
+McCallum, arXiv:1011.4088).
 
 Sentences flow through the pipeline as one (N, ·) matrix, one token per
 row, with a batch's sentences back to back. ``Model.batch_loss_parts``
@@ -48,16 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    const_like,
-    log_sum_exp,
-    multiply,
-    no_tape,
-    pick_row,
-    reduce_sum,
-)
+from .autodiff import Tensor, add, no_tape, pick_row
 from .charcomp import (
     char_aux_loss,
     combine_attention,
@@ -221,8 +215,8 @@ class Model:
         The loss is the sum of the per-sentence losses. The batch runs
         through the word level as one token matrix: one lookup, one
         composer pass, one BiLSTM run per direction over the sentences
-        back to back, one hidden and output layer, and one CRF loss over
-        all the sentences' score rows. The auxiliary term is a float,
+        back to back, one hidden and output layer, and one CRF loss node
+        over all the sentences' score rows. The auxiliary term is a float,
         already included in the loss.
         """
         sents = list(sents)
@@ -235,9 +229,12 @@ class Model:
         scores = self._emissions(inputs, lengths)
         gold = np.concatenate([sent.gold for sent in sents])
         if self.config.output == "crf":
-            total = crf_nll(TagLattice(scores, self.transitions), gold, lengths)
+            lattice = TagLattice(scores, self.transitions)
         else:
-            total = _softmax_nll(scores, gold)
+            k = scores.shape[1]
+            lattice = TagLattice(scores, Tensor(np.zeros((k + 2, k + 2), dtype=scores.dtype), constant=True))
+            lengths = [1] * len(gold)
+        total = crf_nll(lattice, gold, lengths)
         if self.config.architecture != "attention":
             return total, None
         aux = char_aux_loss(m, x, [flag for sent in sents for flag in self.oov_flags(sent)])
@@ -267,13 +264,6 @@ class Model:
         with no_tape():
             z = self._token_inputs([sent])[3]
         return [row.copy() for row in z.values]
-
-
-def _softmax_nll(scores: Tensor, gold) -> Tensor:
-    """Summed per-token cross-entropy of (T, K) label scores."""
-    log_norm = reduce_sum(log_sum_exp(scores))
-    gold_score = reduce_sum(pick_row(scores, (np.arange(scores.shape[0]), np.asarray(gold))))
-    return add(log_norm, multiply(gold_score, const_like(-1.0, gold_score)))
 
 
 def glorot_uniform(rng: np.random.Generator, shape, dtype) -> np.ndarray:

@@ -16,10 +16,9 @@ from seqtag.autodiff import (
     backward,
     concat,
     cosine_similarity,
+    crf_nll,
     dense_grad,
     linear,
-    log_partition,
-    log_sum_exp,
     lstm_sequence,
     multiply,
     pick_row,
@@ -67,27 +66,6 @@ def test_saturated_sigmoid_is_zero_without_overflow_warning():
         states = lstm_sequence(x, w_x, w_h, tensor(np.zeros(4), dtype=np.float32))
     assert out.dtype == np.float32 and np.array_equal(out.values, np.zeros(3))
     assert states.dtype == np.float32 and np.array_equal(states.values, np.zeros((2, 1)))
-
-
-def test_log_sum_exp_equal_entries():
-    out = log_sum_exp(t64(np.zeros((2, 3))))
-    assert np.allclose(out.values, [math.log(3.0)] * 2, rtol=0.0, atol=1e-12)
-
-
-def test_log_sum_exp_against_scipy():
-    from scipy.special import logsumexp as scipy_lse
-
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        x = rng.normal(size=int(rng.integers(1, 12))) * 20
-        assert log_sum_exp(t64(x[None, :])).values[0] == pytest.approx(scipy_lse(x), abs=1e-12)
-        m = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6)))) * 20
-        assert np.allclose(log_sum_exp(t64(m)).values, scipy_lse(m, axis=1), atol=1e-12)
-
-
-def test_log_sum_exp_preserves_float32():
-    m32 = tensor(np.ones((2, 3)), dtype=np.float32)
-    assert log_sum_exp(m32).dtype == np.float32
 
 
 def test_backward_sum_is_ones():
@@ -231,10 +209,6 @@ def _random_case(kind, rng, i):
     if kind == "sum":
         a = t64(rng.normal(size=(2, 3)) if i % 2 else rng.normal(size=4))
         return lambda: reduce_sum(a), [a]
-    if kind == "log_sum_exp":
-        shape = (1, int(rng.integers(1, 6))) if i % 2 else (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-        a = t64(rng.normal(size=shape))
-        return lambda: reduce_sum(log_sum_exp(a)), [a]
     if kind == "cosine_similarity":  # one row; _random_array_case takes several
         n = int(rng.integers(2, 6))
         a = t64(rng.normal(size=(1, n)) + 0.5)
@@ -259,11 +233,12 @@ def _random_case(kind, rng, i):
             lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights)),
             [x, w_x, w_h, b],
         )
-    if kind == "log_partition":
+    if kind == "crf_nll":
         steps, labels = 1 + i % 5, 1 + (i // 5) % 4  # every T in 1-5 with every K in 1-4
         a = t64(rng.normal(size=(steps, labels)))
         b = t64(rng.normal(size=(labels + 2, labels + 2)))
-        return lambda: log_partition(a, b), [a, b]
+        y = rng.integers(0, labels, size=steps)
+        return lambda: crf_nll(a, b, y), [a, b]
     raise AssertionError(kind)
 
 
@@ -291,17 +266,10 @@ def _random_array_case(kind, rng, i):
         b = t64(rng.normal(size=shape) - 0.5)
         weights = t64(rng.normal(size=shape[0]))
         return lambda: reduce_sum(multiply(cosine_similarity(a, b), weights)), [a, b]
-    if kind == "pick_row":
+    if kind == "pick_row":  # repeated rows accumulate
         rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        if i % 3 == 0:  # repeated rows accumulate
-            a = t64(rng.normal(size=(rows, cols)))
-            row = rng.integers(0, rows, size=(2, 3))
-        elif i % 3 == 1:
-            a = t64(rng.normal(size=(rows, cols)))
-            row = (rng.integers(0, rows, size=4), rng.integers(0, cols, size=4))
-        else:  # one column of several rows
-            a = t64(rng.normal(size=(rows, cols)))
-            row = (rng.integers(0, rows, size=4), int(rng.integers(0, cols)))
+        a = t64(rng.normal(size=(rows, cols)))
+        row = rng.integers(0, rows, size=(2, 3) if i % 2 else 5)
         weights = t64(rng.normal(size=a.values[row].shape))
         return lambda: reduce_sum(multiply(pick_row(a, row), weights)), [a]
     if kind == "lstm_sequence":  # ragged: sequences of different lengths back to back
@@ -318,17 +286,18 @@ def _random_array_case(kind, rng, i):
             lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights)),
             [x, w_x, w_h, b],
         )
-    if kind == "log_partition":  # ragged: 2-4 sentences of 1-6 tokens back to back
+    if kind == "crf_nll":  # ragged: 2-4 sentences of 1-6 tokens back to back
         labels = 1 + i % 4
         lengths = rng.integers(1, 7, size=2 + i % 3)
         lengths[i % len(lengths)] = 1 + (i % 2) * 5  # a length-1 or the longest sentence, in turn
         a = t64(rng.normal(size=(int(lengths.sum()), labels)))
         b = t64(rng.normal(size=(labels + 2, labels + 2)))
-        return lambda: log_partition(a, b, lengths), [a, b]
+        y = rng.integers(0, labels, size=int(lengths.sum()))
+        return lambda: crf_nll(a, b, y, lengths), [a, b]
     raise AssertionError(kind)
 
 
-@pytest.mark.parametrize("kind", ["concat", "cosine_similarity", "pick_row", "lstm_sequence", "log_partition"])
+@pytest.mark.parametrize("kind", ["concat", "cosine_similarity", "pick_row", "lstm_sequence", "crf_nll"])
 def test_primitive_gradients_random_array_forms(kind):
     rng = np.random.default_rng(2000 + OP_KINDS.index(kind))
     for i in range(100):
@@ -345,23 +314,19 @@ _SCATTER_VALUES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]), pairs=st.booleans(),
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
        rows=st.integers(1, 4), cols=st.integers(1, 4), picks=st.integers(0, 12))
-def test_flat_scatter_matches_add_at(data, dtype, pairs, rows, cols, picks):
+def test_flat_scatter_matches_add_at(data, dtype, rows, cols, picks):
     """``_scatter`` is ``np.add.at`` on the dense buffer, byte for byte, for
-    row arrays and (row, column) pairs with repeats, onto a buffer that may
-    already hold a gradient."""
+    row arrays with repeats, onto a buffer that may already hold a gradient."""
     def draw_values(shape, label):
         flat = data.draw(st.lists(_SCATTER_VALUES, min_size=math.prod(shape), max_size=math.prod(shape)),
                          label=label)
         return np.array(flat, dtype=dtype).reshape(shape)
 
-    index = (np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=picks, max_size=picks),
-                                label="rows"), dtype=np.int64),)
-    if pairs:
-        index += (np.array(data.draw(st.lists(st.integers(0, cols - 1), min_size=picks, max_size=picks),
-                                     label="cols"), dtype=np.int64),)
-    g = draw_values((picks,) if pairs else (picks, cols), "g")
+    index = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=picks, max_size=picks),
+                               label="rows"), dtype=np.int64)
+    g = draw_values((picks, cols), "g")
     start = draw_values((rows, cols), "start")
     want = start.copy()
     np.add.at(want, index, g)
@@ -418,7 +383,7 @@ def test_tape_replay_determinism():
         x, w = t64(x_vals), t64(w_vals)
         tape = Tape()
         with tape:
-            loss = reduce_sum(log_sum_exp(tanh(linear(x, w))))
+            loss = reduce_sum(sigmoid(tanh(linear(x, w))))
         backward(loss, tape)
         return float(loss.values), x.grad.copy(), w.grad.copy()
 
@@ -427,16 +392,6 @@ def test_tape_replay_determinism():
     assert l1 == l2
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8)
-)
-def test_log_sum_exp_shift_stability(values):
-    base = log_sum_exp(t64([values])).values[0]
-    shifted = log_sum_exp(t64([[v + 1000.0 for v in values]])).values[0]
-    assert shifted == pytest.approx(base + 1000.0, abs=1e-9)
 
 
 def test_stop_gradient_preserves_bits():
@@ -469,12 +424,12 @@ def test_distinct_tapes_on_distinct_threads():
         for _ in range(50):
             tape = Tape()
             with tape:
-                loss = reduce_sum(log_sum_exp(tanh(x)))
+                loss = reduce_sum(sigmoid(tanh(x)))
             backward(loss, tape)
             x.grad = None
         tape = Tape()
         with tape:
-            loss = reduce_sum(log_sum_exp(tanh(x)))
+            loss = reduce_sum(sigmoid(tanh(x)))
         backward(loss, tape)
         results[key] = (float(loss.values), x.grad.copy())
 
@@ -489,7 +444,7 @@ def test_distinct_tapes_on_distinct_threads():
         x = t64(rng.normal(size=(1, 64)))
         tape = Tape()
         with tape:
-            loss = reduce_sum(log_sum_exp(tanh(x)))
+            loss = reduce_sum(sigmoid(tanh(x)))
         backward(loss, tape)
         assert results[key][0] == float(loss.values)
         assert np.array_equal(results[key][1], x.grad)
@@ -561,19 +516,16 @@ def test_concat_rejects_inputs_that_do_not_join():
             concat([t64(p) for p in parts], axis=axis)
 
 
-def test_log_partition_shape_errors():
+def test_crf_nll_input_errors():
     for a, b in [((2, 3), (4, 4)), ((0, 2), (4, 4)), ((3,), (3, 3))]:
-        with pytest.raises(ValueError, match="log_partition"):
-            log_partition(t64(np.zeros(a)), t64(np.zeros(b)))
+        with pytest.raises(ValueError, match="crf_nll"):
+            crf_nll(t64(np.zeros(a)), t64(np.zeros(b)), np.zeros(a[0], dtype=np.int64))
     for lengths in ([], [2, 3], [4, 0], [5, -1]):
-        with pytest.raises(ValueError, match="log_partition: lengths"):
-            log_partition(t64(np.zeros((4, 2))), t64(np.zeros((4, 4))), lengths)
-
-
-def test_log_sum_exp_takes_only_matrices():
-    for bad in (np.zeros(3), np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError, match="log_sum_exp"):
-            log_sum_exp(t64(bad))
+        with pytest.raises(ValueError, match="crf_nll: lengths"):
+            crf_nll(t64(np.zeros((4, 2))), t64(np.zeros((4, 4))), [0, 1, 0, 1], lengths)
+    for y in ([0, 1, 0], [0, 1, 0, 1, 0], [0, 1, 2, 1], [0, -1, 0, 1], [0.0, 1.0, 0.0, 1.0], [[0, 1, 0, 1]]):
+        with pytest.raises(ValueError, match="crf_nll: gold labels"):
+            crf_nll(t64(np.zeros((4, 2))), t64(np.zeros((4, 4))), y, [3, 1])
 
 
 def test_cosine_similarity_takes_only_matrices():

@@ -300,14 +300,14 @@ def test_pretrained_header_dimension_mismatch(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("2 300\ndog " + " ".join(["0.0"] * 200) + "\n")
     with pytest.raises(ValueError, match="header dimension"):
-        load_pretrained_embeddings(path, _tiny_vocab(), dim=200)
+        load_pretrained_embeddings(path, _tiny_vocab(), dim=200, rng=np.random.default_rng(0))
 
 
 def test_pretrained_header_accepted(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("1 2\ndog 0.5 0.6\n")
     vocab = _tiny_vocab()
-    table = load_pretrained_embeddings(path, vocab, dim=2)
+    table = load_pretrained_embeddings(path, vocab, dim=2, rng=np.random.default_rng(0))
     assert np.allclose(table[vocab.word_id("dog")], [0.5, 0.6], atol=1e-7)
 
 
@@ -315,14 +315,14 @@ def test_pretrained_entry_width_error_names_line(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("dog 0.1 0.2\ncat 0.3\n")
     with pytest.raises(ValueError, match=r"vec\.txt:2"):
-        load_pretrained_embeddings(path, _tiny_vocab(), dim=2)
+        load_pretrained_embeddings(path, _tiny_vocab(), dim=2, rng=np.random.default_rng(0))
 
 
 def test_pretrained_malformed_value_names_line(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("dog 0.1 oops\n")
     with pytest.raises(ValueError, match=r"vec\.txt:1"):
-        load_pretrained_embeddings(path, _tiny_vocab(), dim=2)
+        load_pretrained_embeddings(path, _tiny_vocab(), dim=2, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
@@ -332,7 +332,7 @@ def test_pretrained_non_finite_value_names_line(tmp_path, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"vec\.txt:2: non-finite"):
-            load_pretrained_embeddings(path, _tiny_vocab(), dim=2)
+            load_pretrained_embeddings(path, _tiny_vocab(), dim=2, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

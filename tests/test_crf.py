@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqtag.autodiff import Tape, backward, log_partition, log_sum_exp, pick_row, reduce_sum, tensor
+from seqtag import autodiff
+from seqtag.autodiff import Tape, backward, no_tape, tensor
+from seqtag.corpus import Sentence, build_vocab
 from seqtag.crf import (
     LabelSet,
     TagLattice,
@@ -12,6 +16,8 @@ from seqtag.crf import (
     emission_scores,
     viterbi_decode,
 )
+from seqtag.layers import bilstm_run, dense_tanh
+from seqtag.model import ModelConfig, assemble_model
 
 from gradcheck import finite_difference_check
 from oracles import brute_force_oracle, crf_log_space, crossentropy_loss, softmax_predict
@@ -109,27 +115,32 @@ def test_crossentropy_alignment_errors():
 
 
 def test_softmax_gradient_is_probs_minus_onehot():
-    # the differentiable path trains on logits: loss = lse(logits) - logits[y]
-    from seqtag.autodiff import add, const_like, multiply
-
-    rng = np.random.default_rng(1)
-    logits = t64(rng.normal(size=(1, 4)))
-    gold = 2
-
-    def builder():
-        picked = pick_row(logits, (0, gold))
-        return add(reduce_sum(log_sum_exp(logits)), multiply(picked, const_like(-1.0, picked)))
+    """A softmax model's batch loss is the per-token cross-entropy of its
+    hidden states, and the gradient of its emission scores is probs - onehot."""
+    words = [["aa", "bb", "cc", "aa"], ["dd"], ["bb", "aa", "zz"], ["cc", "dd", "aa", "bb", "cc"]]
+    labels = [["O", "B-X", "I-X", "O"], ["B-X"], ["O", "O", "B-X"], ["O", "B-X", "I-X", "O", "O"]]
+    sents = [Sentence(w, w, lab) for w, lab in zip(words, labels)]
+    vocab = build_vocab(sents, min_count=2)
+    sents = vocab.encode_corpus(sents)
+    config = ModelConfig(architecture="word", output="softmax", word_dim=6, word_lstm_hidden=5, d_size=4,
+                         dtype="float64", seed=5)
+    model = assemble_model(config, vocab)
+    gold = np.concatenate([sent.gold for sent in sents])
+    with no_tape():
+        x = model.params["word_embeddings"].values[np.concatenate([sent.word_ids for sent in sents])]
+        states = bilstm_run(t64(x), model._lstm("word_lstm.fwd"), model._lstm("word_lstm.bwd"),
+                            [len(sent.word_ids) for sent in sents])
+        d = dense_tanh(states, model.params["hidden.w_d"]).values
+    probs = [softmax_predict(row, model.params["output.w_o"]) for row in d]
 
     tape = Tape()
     with tape:
-        loss = builder()
-    backward(loss, tape)
-    probs = softmax_predict(logits.values[0], np.eye(4))
-    onehot = np.zeros(4)
-    onehot[gold] = 1.0
-    assert np.allclose(logits.grad[0], probs - onehot, atol=1e-12)
-    report = finite_difference_check(builder, [logits], eps=1e-5)
-    assert report.max_rel_error < 1e-6, str(report)
+        loss, _ = model.batch_loss_parts(sents)
+    grads = backward(loss, tape)
+    (node,) = [n for n in tape.nodes if n.op == "crf_nll"]
+    assert float(loss.values) == pytest.approx(crossentropy_loss(probs, gold), rel=1e-12)
+    assert np.allclose(grads[node.input_ids[0]], np.stack(probs) - np.eye(len(vocab.label_set))[gold],
+                       rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +231,6 @@ def test_nll_partition_matches_brute_force():
     rng = np.random.default_rng(6)
     lat = random_lattice(rng, 4, 3)
     log_z, _ = brute_force_oracle(lat)
-    assert float(log_partition(lat.emissions, lat.transitions).values) == pytest.approx(log_z, abs=1e-8)
     y = [2, 0, 1, 1]
     nll = float(crf_nll(lat, y).values)
     assert nll == pytest.approx(log_z - crf_sequence_score(lat, y), abs=1e-8)
@@ -306,24 +316,56 @@ def test_batched_nll_adds_a_fixed_number_of_tape_nodes():
     assert len(counts) == 1, counts
 
 
-def _log_space_sum(em, tr, lengths):
-    """Summed log Z and its gradients, one oracle call per sentence."""
-    log_z, d_em, d_tr = 0.0, np.zeros(em.shape), np.zeros(tr.shape)
+def _log_space_nll(em, tr, y, lengths):
+    """Summed NLL and its gradients, one oracle call per sentence: log Z, the
+    marginals and the pair marginals in log space, less the gold path's
+    score and its counts, all in float64. Also returns the summed log Z, and
+    the sentences' summed magnitudes of log Z and of the gold score, the
+    scale the NLL's rounding error grows with."""
+    em, tr = np.asarray(em, dtype=np.float64), np.asarray(tr, dtype=np.float64)
+    nll, log_z, scale, d_em, d_tr = 0.0, 0.0, 0.0, np.zeros(em.shape), np.zeros(tr.shape)
+    k = em.shape[1]
     for end, n in zip(np.cumsum(lengths), lengths):
+        gold = [int(v) for v in y[end - n:end]]
         value, unary, pairs = crf_log_space(em[end - n:end], tr)
+        score = crf_sequence_score(TagLattice(em[end - n:end], tr), gold)
+        nll += value - score
         log_z += value
+        scale += abs(value) + abs(score)
         d_em[end - n:end] = unary
+        d_em[np.arange(end - n, end), gold] -= 1.0
         d_tr += pairs
-    return log_z, d_em, d_tr
+        for before, after in zip([k] + gold, gold + [k + 1]):
+            d_tr[before, after] -= 1.0
+    return nll, log_z, scale, d_em, d_tr
 
 
-def _log_partition_and_grads(em, tr, lengths):
+def _nll_and_grads(em, tr, y, lengths):
     a, b = tensor(em), tensor(tr)
     tape = Tape()
     with tape:
-        log_z = log_partition(a, b, lengths)
-    backward(log_z, tape)
-    return float(log_z.values), a.grad, b.grad
+        nll = autodiff.crf_nll(a, b, y, lengths)
+    backward(nll, tape)
+    return float(nll.values), a.grad, b.grad
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_crf_nll_node_matches_the_log_space_oracle(data, k, lengths):
+    """The node is the sentences' summed log Z less their gold scores, and its
+    gradients the marginals less the gold counts, for any float64 scores in ±50."""
+    n = sum(lengths)
+    scores = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    em = np.array(data.draw(st.lists(scores, min_size=n * k, max_size=n * k), label="em")).reshape(n, k)
+    tr = np.array(data.draw(st.lists(scores, min_size=(k + 2) ** 2, max_size=(k + 2) ** 2), label="tr"))
+    tr = tr.reshape(k + 2, k + 2)
+    y = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="y"))
+    nll, d_em, d_tr = _nll_and_grads(em, tr, y, lengths)
+    want, _, scale, want_em, want_tr = _log_space_nll(em, tr, y, lengths)
+    # the +1 floors the bound at the rounding of log Z's log(sum of scaled terms near 1)
+    assert abs(nll - want) <= 1e-12 * (scale + 1.0)
+    assert np.allclose(d_em, want_em, rtol=0.0, atol=1e-12)
+    assert np.allclose(d_tr, want_tr, rtol=0.0, atol=1e-12)
 
 
 def test_log_partition_float32_scores_spread_across_100_stay_exact():
@@ -333,11 +375,12 @@ def test_log_partition_float32_scores_spread_across_100_stay_exact():
         lengths = [int(n) for n in rng.integers(1, 12, size=int(rng.integers(1, 6)))]
         em = rng.uniform(-100.0, 100.0, size=(sum(lengths), k)).astype(np.float32)
         tr = rng.uniform(-100.0, 100.0, size=(k + 2, k + 2)).astype(np.float32)
-        log_z, d_em, d_tr = _log_partition_and_grads(em, tr, lengths)
-        want, want_em, want_tr = _log_space_sum(em, tr, lengths)
-        assert np.isfinite(log_z) and np.isfinite(d_em).all() and np.isfinite(d_tr).all()
+        y = rng.integers(0, k, size=sum(lengths))
+        nll, d_em, d_tr = _nll_and_grads(em, tr, y, lengths)
+        want, log_z, _, want_em, want_tr = _log_space_nll(em, tr, y, lengths)
+        assert np.isfinite(nll) and np.isfinite(d_em).all() and np.isfinite(d_tr).all()
         assert d_em.dtype == d_tr.dtype == np.float32
-        assert log_z == pytest.approx(want, rel=1e-6)
+        assert abs(nll - want) <= 1e-6 * abs(log_z)
         assert np.allclose(d_em, want_em, rtol=0.0, atol=1e-5)
         assert np.allclose(d_tr, want_tr, rtol=0.0, atol=1e-5)
 
@@ -353,10 +396,11 @@ def test_log_partition_redoes_an_underflowing_step_in_log_space(dtype):
     tr[2, :2] = [0.0, -700.0]
     em = np.array([[0.3, -1.0], [2.0, 0.5], [1.5, 0.0], [0.0, 0.0], [0.0, -50.0]])
     lengths = [3, 2]
-    log_z, d_em, d_tr = _log_partition_and_grads(em.astype(dtype), tr.astype(dtype), lengths)
-    want, want_em, want_tr = _log_space_sum(em, tr, lengths)
+    y = np.array([0, 1, 1, 0, 1])
+    nll, d_em, d_tr = _nll_and_grads(em.astype(dtype), tr.astype(dtype), y, lengths)
+    want, log_z, _, want_em, want_tr = _log_space_nll(em, tr, y, lengths)
     tol = 1e-12 if dtype == np.float64 else 1e-6
-    assert log_z == pytest.approx(want, rel=tol)
+    assert abs(nll - want) <= tol * abs(log_z)
     assert np.allclose(d_em, want_em, rtol=0.0, atol=tol)
     assert np.allclose(d_tr, want_tr, rtol=0.0, atol=tol)
 

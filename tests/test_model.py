@@ -195,8 +195,7 @@ def test_word_bilstm_is_two_nodes_per_batch(arch):
 # output layers), the loss of each output, and per architecture the character
 # composer, the combiner and the auxiliary term
 _WORD_OPS = Counter(pick_row=1, lstm_sequence=2, concat=1, linear=2, tanh=1)
-_OUTPUT_OPS = {"softmax": Counter(log_sum_exp=1, pick_row=1, sum=2, add=1, multiply=1),
-               "crf": Counter(log_partition=1, pick_row=2, concat=1, sum=1, add=1, multiply=1)}
+_OUTPUT_OPS = Counter(crf_nll=1)  # softmax and CRF alike
 _COMPOSER_OPS = Counter(pick_row=4, lstm_sequence=2, concat=1, linear=1, tanh=1)
 _ARCH_OPS = {
     "word": Counter(),
@@ -217,7 +216,7 @@ def test_batch_tape_op_mix(arch, output):
     tape = Tape()
     with tape:
         model.batch_loss_parts(enc)
-    assert Counter(n.op for n in tape.nodes) == _WORD_OPS + _OUTPUT_OPS[output] + _ARCH_OPS[arch]
+    assert Counter(n.op for n in tape.nodes) == _WORD_OPS + _OUTPUT_OPS + _ARCH_OPS[arch]
 
 
 def test_gates_require_attention_model():
