@@ -12,16 +12,16 @@ Shape rules per primitive kind::
 
     linear(x, w)           (m,n) and (p,n) -> (m,p): x @ w.T, the product
                            of every weighted layer with its weight matrix
-    add(a, b)              elementwise on equal shapes; either side may
-                           instead hold a single element, which is
-                           broadcast against the other
-    multiply(a, b)         same rule as add
+    add(a, b)              elementwise on equal shapes
+    mix(z, x, m)           z * x + (1 - z) * m elementwise on three equal
+                           shapes: the attention gate's convex mix
     tanh(t), sigmoid(t)    elementwise, any shape
     concat(ts, axis)       equal-rank inputs joined along the given
                            axis; all other dimensions must agree
     reduce_sum(t)          every entry summed to a scalar     (kind "sum")
-    cosine_similarity(a,b) (n,d) matrices -> (n,) row by row; each norm
-                           is guarded with +1e-8 so zero rows stay finite
+    cosine_distance(a, b)  (n,d) matrices -> (n,) row by row: 1 - cos;
+                           each norm is guarded with +1e-8 so zero rows
+                           stay finite
     pick_row(m, i)         m[i] of a matrix, copied: i is an int or an
                            integer array, rows gathered into shape
                            i.shape + (n,); repeated rows accumulate
@@ -63,12 +63,12 @@ NORM_EPS = 1e-8
 OP_KINDS = (
     "linear",
     "add",
-    "multiply",
+    "mix",
     "tanh",
     "sigmoid",
     "concat",
     "sum",
-    "cosine_similarity",
+    "cosine_distance",
     "pick_row",
     "lstm_sequence",
     "crf_nll",
@@ -134,11 +134,6 @@ def dense_grad(grad):
 
 def tensor(values, dtype=None) -> Tensor:
     return Tensor(np.asarray(values, dtype=dtype))
-
-
-def const_like(value, ref: Tensor) -> Tensor:
-    """Non-trainable scalar matching the dtype of ``ref``."""
-    return Tensor(np.array(value, dtype=ref.values.dtype), constant=True)
 
 
 class Node:
@@ -232,6 +227,18 @@ def _shape_error(op, *shapes):
     return ValueError(f"{op}: incompatible shapes {listed}")
 
 
+def _ids_error(what, ids, bound, count=None):
+    """Why ``ids`` are not integer ids in [0, bound), ``count`` of them in a
+    vector if given, in a message that names the first bad value, not the array."""
+    if count is not None and ids.shape != (count,):
+        got = f"got shape {ids.shape}"
+    elif ids.dtype.kind not in "iu":
+        got = f"got dtype {ids.dtype}"
+    else:
+        got = f"first bad value {ids[(ids < 0) | (ids >= bound)].flat[0]}"
+    return ValueError(f"{what}: expected {ids.size if count is None else count} integer ids in [0, {bound}), {got}")
+
+
 # ---------------------------------------------------------------------------
 # primitive forwards
 # ---------------------------------------------------------------------------
@@ -244,21 +251,18 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _emit("linear", (x, w), xv @ wv.T, (xv, wv))
 
 
-def _binary_check(op, a, b):
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise _shape_error(op, a.shape, b.shape)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_check("add", a, b)
-    return _emit("add", (a, b), a.values + b.values, (a.shape, b.shape))
+    if a.shape != b.shape:
+        raise _shape_error("add", a.shape, b.shape)
+    return _emit("add", (a, b), a.values + b.values)
 
 
-def multiply(a: Tensor, b: Tensor) -> Tensor:
-    _binary_check("multiply", a, b)
-    return _emit(
-        "multiply", (a, b), a.values * b.values, (a.values, b.values, a.shape, b.shape)
-    )
+def mix(z: Tensor, x: Tensor, m: Tensor) -> Tensor:
+    """``z * x + (1 - z) * m`` entry by entry: with every z in (0, 1), a convex mix of x and m."""
+    zv, xv, mv = z.values, x.values, m.values
+    if not zv.shape == xv.shape == mv.shape:
+        raise _shape_error("mix", zv.shape, xv.shape, mv.shape)
+    return _emit("mix", (z, x, m), zv * xv + (1 - zv) * mv, (zv, xv, mv))
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -304,15 +308,16 @@ def _logsumexp(v, axis):
     return np.squeeze(m + np.log(np.exp(v - m).sum(axis=axis, keepdims=True)), axis=axis)
 
 
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
+def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
+    """One minus the cosine of each row of ``a`` with the same row of ``b``."""
     av, bv = a.values, b.values
     if av.ndim != 2 or av.shape != bv.shape:
-        raise _shape_error("cosine_similarity", av.shape, bv.shape)
+        raise _shape_error("cosine_distance", av.shape, bv.shape)
     na = np.linalg.norm(av, axis=1)
     nb = np.linalg.norm(bv, axis=1)
     dot = (av * bv).sum(axis=1)
-    out = np.asarray(dot / ((na + NORM_EPS) * (nb + NORM_EPS)), dtype=np.result_type(av, bv))
-    return _emit("cosine_similarity", (a, b), out, (av, bv, na, nb, dot))
+    cos = np.asarray(dot / ((na + NORM_EPS) * (nb + NORM_EPS)), dtype=np.result_type(av, bv))
+    return _emit("cosine_distance", (a, b), 1 - cos, (av, bv, na, nb, dot))
 
 
 def pick_row(m: Tensor, i) -> Tensor:
@@ -321,7 +326,7 @@ def pick_row(m: Tensor, i) -> Tensor:
         raise _shape_error("pick_row", v.shape)
     rows = np.asarray(i)
     if rows.dtype.kind not in "iu" or (rows.size and not (rows.min() >= 0 and rows.max() < v.shape[0])):
-        raise ValueError(f"pick_row: index {rows.tolist()} out of range for shape {v.shape}")
+        raise _ids_error("pick_row: index out of range", rows, v.shape[0])
     return _emit("pick_row", (m,), np.array(v[rows]), (rows,))
 
 
@@ -443,7 +448,7 @@ def crf_nll(a: Tensor, b: Tensor, y, lengths=None) -> Tensor:
     n_rows, k = av.shape
     y = np.asarray(y)
     if y.shape != (n_rows,) or y.dtype.kind not in "iu" or not (y.min() >= 0 and y.max() < k):
-        raise ValueError(f"crf_nll: gold labels {y.tolist()} are not {n_rows} ids in [0, {k})")
+        raise _ids_error("crf_nll: gold labels", y, k, n_rows)
     lens = np.array([n_rows] if lengths is None else lengths)
     ends = np.cumsum(lens)
     before = np.roll(y, 1)
@@ -532,13 +537,6 @@ def _acc(grads, tensors, nid, contribution):
         buf += contribution
 
 
-def _acc_bcast(grads, tensors, nid, g, in_shape):
-    if g.shape == in_shape:
-        _acc(grads, tensors, nid, g)
-    else:
-        _acc(grads, tensors, nid, np.asarray(g.sum()).reshape(in_shape))
-
-
 def _bwd_linear(node, g, grads, tensors):
     x_id, w_id = node.input_ids
     xv, wv = node.saved
@@ -548,15 +546,18 @@ def _bwd_linear(node, g, grads, tensors):
 
 
 def _bwd_add(node, g, grads, tensors):
-    a_shape, b_shape = node.saved
-    _acc_bcast(grads, tensors, node.input_ids[0], g, a_shape)
-    _acc_bcast(grads, tensors, node.input_ids[1], g, b_shape)
+    for nid in node.input_ids:
+        _acc(grads, tensors, nid, g)
 
 
-def _bwd_multiply(node, g, grads, tensors):
-    av, bv, a_shape, b_shape = node.saved
-    _acc_bcast(grads, tensors, node.input_ids[0], g * bv, a_shape)
-    _acc_bcast(grads, tensors, node.input_ids[1], g * av, b_shape)
+def _bwd_mix(node, g, grads, tensors):
+    zv, xv, mv = node.saved
+    z_id, x_id, m_id = node.input_ids
+    dz = g * xv
+    dz -= g * mv
+    _acc(grads, tensors, z_id, dz)
+    _acc(grads, tensors, x_id, g * zv)
+    _acc(grads, tensors, m_id, g * (1 - zv))
 
 
 def _bwd_tanh(node, g, grads, tensors):
@@ -580,7 +581,7 @@ def _bwd_sum(node, g, grads, tensors):
     _acc(grads, tensors, node.input_ids[0], g)
 
 
-def _bwd_cosine(node, g, grads, tensors):
+def _bwd_cosine_distance(node, g, grads, tensors):
     av, bv, na, nb, dot = node.saved
     ea = (na + NORM_EPS)[:, None]
     eb = (nb + NORM_EPS)[:, None]
@@ -588,7 +589,7 @@ def _bwd_cosine(node, g, grads, tensors):
     # a zero row has zero entries, so dividing it by 1 instead of its norm gives 0
     unit_a = av / np.where(na > 0.0, na, 1.0)[:, None]
     unit_b = bv / np.where(nb > 0.0, nb, 1.0)[:, None]
-    gd = g[:, None]
+    gd = -g[:, None]  # the distance falls as the cosine rises
     _acc(grads, tensors, node.input_ids[0], gd * (bv / (ea * eb) - (c / ea) * unit_a))
     _acc(grads, tensors, node.input_ids[1], gd * (av / (ea * eb) - (c / eb) * unit_b))
 
@@ -736,12 +737,12 @@ def _bwd_stop_gradient(node, g, grads, tensors):
 _BACKWARD = {
     "linear": _bwd_linear,
     "add": _bwd_add,
-    "multiply": _bwd_multiply,
+    "mix": _bwd_mix,
     "tanh": _bwd_tanh,
     "sigmoid": _bwd_sigmoid,
     "concat": _bwd_concat,
     "sum": _bwd_sum,
-    "cosine_similarity": _bwd_cosine,
+    "cosine_distance": _bwd_cosine_distance,
     "pick_row": _bwd_pick_row,
     "lstm_sequence": _bwd_lstm_sequence,
     "crf_nll": _bwd_crf_nll,

@@ -7,13 +7,13 @@ a vector ``m`` the same length as the word embedding. Two ways to merge
 
 * concatenation, doubling the representation fed to the word-level LSTM
 * a sigmoid gate ``z`` predicted from both vectors, combining them as
-  ``z * x + (1 - z) * m`` feature by feature
+  ``z * x + (1 - z) * m`` feature by feature, in one ``mix`` node
 
 The gated variant comes with an auxiliary objective that pulls ``m``
 toward ``x`` for in-vocabulary tokens, summing ``1 - cos(m, x)`` over
-them. The word-embedding side enters through ``stop_gradient``, so the
-pull acts on the character composer only, and tokens mapped to the OOV
-row are skipped entirely.
+them: one ``cosine_distance`` node and its sum. The word-embedding side
+enters through ``stop_gradient``, so the pull acts on the character
+composer only, and tokens mapped to the OOV row are skipped entirely.
 
 ``compose_words`` composes a list of character sequences with one ragged
 ``lstm_sequence`` node per direction, whatever their lengths. The
@@ -32,11 +32,10 @@ from .autodiff import (
     Tensor,
     add,
     concat,
-    const_like,
-    cosine_similarity,
+    cosine_distance,
     linear,
     lstm_sequence,
-    multiply,
+    mix,
     pick_row,
     reduce_sum,
     sigmoid,
@@ -91,9 +90,7 @@ def combine_attention(x: Tensor, m: Tensor, w_z1: Tensor, w_z2: Tensor, w_z3: Te
     # row-vector form of z = sigmoid(W3 tanh(W1 x + W2 m)), one row per token
     hidden = tanh(add(linear(x, w_z1), linear(m, w_z2)))
     z = sigmoid(linear(hidden, w_z3))
-    one_minus_z = add(const_like(1.0, z), multiply(z, const_like(-1.0, z)))
-    combined = add(multiply(z, x), multiply(one_minus_z, m))
-    return combined, z
+    return mix(z, x, m), z
 
 
 def char_aux_loss(m: Tensor, x: Tensor, oov_mask) -> Tensor:
@@ -111,5 +108,4 @@ def char_aux_loss(m: Tensor, x: Tensor, oov_mask) -> Tensor:
     kept = np.flatnonzero(~oov_mask)
     if not kept.size:
         return Tensor(np.zeros((), dtype=m.values.dtype), constant=True)
-    cos = reduce_sum(cosine_similarity(pick_row(m, kept), stop_gradient(pick_row(x, kept))))
-    return add(const_like(float(kept.size), cos), multiply(cos, const_like(-1.0, cos)))
+    return reduce_sum(cosine_distance(pick_row(m, kept), stop_gradient(pick_row(x, kept))))

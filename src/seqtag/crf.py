@@ -139,8 +139,7 @@ def crf_nll(lat: TagLattice, y, lengths=None) -> Tensor:
     back, ``y`` holds their gold labels in the same order, and the
     result is the sum of the sentences' losses.
     """
-    y = np.asarray(_check_sequence(lat, y), dtype=np.int64)
-    return autodiff.crf_nll(lat.emissions, lat.transitions, y, lengths)
+    return autodiff.crf_nll(lat.emissions, lat.transitions, np.asarray(y), lengths)
 
 
 # ---------------------------------------------------------------------------

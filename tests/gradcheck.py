@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from seqtag import autodiff
-from seqtag.autodiff import Tape, Tensor, backward, dense_grad
+from seqtag.autodiff import Tape, Tensor, backward, dense_grad, mix, reduce_sum
 
 _NOT_DETERMINISTIC = "the loss builder is not deterministic"
 
@@ -44,6 +44,12 @@ def _stop_gradient_inputs(store: list, record: bool):
             raise ValueError(f"stop_gradient: call count shrank between evaluations; {_NOT_DETERMINISTIC}")
     finally:
         autodiff._stop_gradient_values = saved
+
+
+def weighted_sum(t: Tensor, w: Tensor) -> Tensor:
+    """The sum of ``t * w`` entry by entry, as ``mix(w, t, 0)``: a scalar loss
+    that reaches every entry of ``t`` with its own weight."""
+    return reduce_sum(mix(w, t, Tensor(np.zeros_like(t.values), constant=True)))
 
 
 @dataclass

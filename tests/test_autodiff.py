@@ -15,12 +15,12 @@ from seqtag.autodiff import (
     add,
     backward,
     concat,
-    cosine_similarity,
+    cosine_distance,
     crf_nll,
     dense_grad,
     linear,
     lstm_sequence,
-    multiply,
+    mix,
     pick_row,
     reduce_sum,
     sigmoid,
@@ -29,7 +29,7 @@ from seqtag.autodiff import (
     tensor,
 )
 
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, weighted_sum
 
 
 def t64(values):
@@ -114,6 +114,33 @@ def test_linear_gradient_random_2x2():
     check_grads(lambda: reduce_sum(linear(x, w)), [x, w])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mix_is_the_numpy_expression_bit_for_bit(dtype):
+    """Forward ``z*x + (1-z)*m``; backward ``g*x - g*m`` to z, ``g*z`` to x and
+    ``g*(1-z)`` to m, each as numpy computes it in the inputs' dtype."""
+    rng = np.random.default_rng(31)
+    z, x, m, g = (rng.normal(size=(4, 5)).astype(dtype) for _ in range(4))
+    z = 1.0 / (1.0 + np.exp(-z))  # a gate's values, strictly inside (0, 1)
+    leaves = [tensor(v) for v in (z, x, m)]
+    tape = Tape()
+    with tape:
+        out = mix(*leaves)
+        loss = weighted_sum(out, tensor(g))  # sends exactly g back to the mix
+    backward(loss, tape)
+    assert out.dtype == dtype and out.values.tobytes() == (z * x + (1 - z) * m).tobytes()
+    for leaf, want in zip(leaves, (g * x - g * m, g * z, g * (1 - z))):
+        assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, want)
+
+
+def test_add_and_mix_take_equal_shapes_only():
+    for a, b in [((3,), ()), ((), (3,)), ((2, 3), (3,)), ((2, 3), (3, 2))]:
+        with pytest.raises(ValueError, match="add"):
+            add(t64(np.ones(a)), t64(np.ones(b)))
+        for shapes in ((a, b, b), (b, a, b), (b, b, a)):
+            with pytest.raises(ValueError, match="mix"):
+                mix(*(t64(np.ones(s)) for s in shapes))
+
+
 # ---------------------------------------------------------------------------
 # stop_gradient
 # ---------------------------------------------------------------------------
@@ -130,7 +157,7 @@ def test_stop_gradient_blocks_one_side():
     y = t64(rng.normal(size=3))
     tape = Tape()
     with tape:
-        loss = reduce_sum(multiply(stop_gradient(x), y))
+        loss = weighted_sum(stop_gradient(x), y)
     backward(loss, tape)
     assert x.grad is None
     assert np.allclose(y.grad, x.values)
@@ -138,10 +165,10 @@ def test_stop_gradient_blocks_one_side():
 
 def test_fd_quadratic_exact():
     x = t64([1.0, 2.0])
-    report = check_grads(lambda: reduce_sum(multiply(x, x)), [x], tol=1e-9)
+    report = check_grads(lambda: weighted_sum(x, x), [x], tol=1e-9)
     tape = Tape()
     with tape:
-        loss = reduce_sum(multiply(x, x))
+        loss = weighted_sum(x, x)
     backward(loss, tape)
     assert np.allclose(x.grad, [2.0, 4.0], atol=1e-12)
     assert report.max_rel_error < 1e-9
@@ -152,7 +179,7 @@ def test_fd_blocked_path_numeric_and_analytic_zero():
     x = t64(rng.normal(size=3))
     y = t64(rng.normal(size=3))
     report = finite_difference_check(
-        lambda: reduce_sum(multiply(stop_gradient(x), y)), [x], eps=1e-5
+        lambda: weighted_sum(stop_gradient(x), y), [x], eps=1e-5
     )
     assert report.max_rel_error <= 1e-9
 
@@ -186,17 +213,15 @@ def _random_case(kind, rng, i):
             m, p = (m, 1) if i % 3 == 0 else (1, p)
         x, w = t64(rng.normal(size=(m, n))), t64(rng.normal(size=(p, n)))
         return lambda: reduce_sum(linear(x, w)), [x, w]
-    if kind in ("add", "multiply"):
-        op = add if kind == "add" else multiply
+    if kind == "add":  # vectors, scalars (the loss plus its auxiliary term), matrices
+        shape = ((int(rng.integers(1, 6)),), (), (2, int(rng.integers(1, 6))))[i % 3]
+        a, b = t64(rng.normal(size=shape)), t64(rng.normal(size=shape))
+        return lambda: reduce_sum(add(a, b)), [a, b]
+    if kind == "mix":  # vectors; _random_array_case takes matrices
         n = int(rng.integers(1, 6))
-        case = i % 3
-        if case == 0:
-            a, b = t64(rng.normal(size=n)), t64(rng.normal(size=n))
-        elif case == 1:
-            a, b = t64(rng.normal(size=n)), t64(rng.normal())
-        else:
-            a, b = t64(rng.normal(size=(2, n))), t64(rng.normal(size=(2, n)))
-        return lambda: reduce_sum(op(a, b)), [a, b]
+        z, x, m = (t64(rng.normal(size=n)) for _ in range(3))
+        weights = t64(rng.normal(size=z.shape))
+        return lambda: weighted_sum(mix(z, x, m), weights), [z, x, m]
     if kind in ("tanh", "sigmoid"):
         op = tanh if kind == "tanh" else sigmoid
         shape = (int(rng.integers(1, 6)),) if i % 2 else (2, int(rng.integers(1, 4)))
@@ -205,15 +230,15 @@ def _random_case(kind, rng, i):
     if kind == "concat":  # vectors joined into one, the form of the CRF's gold score
         parts = [t64(rng.normal(size=int(rng.integers(1, 4)))) for _ in range(1 + i % 4)]
         weights = t64(rng.normal(size=sum(p.size for p in parts)))
-        return lambda: reduce_sum(multiply(concat(parts, axis=0), weights)), parts
+        return lambda: weighted_sum(concat(parts, axis=0), weights), parts
     if kind == "sum":
         a = t64(rng.normal(size=(2, 3)) if i % 2 else rng.normal(size=4))
         return lambda: reduce_sum(a), [a]
-    if kind == "cosine_similarity":  # one row; _random_array_case takes several
+    if kind == "cosine_distance":  # one row; _random_array_case takes several
         n = int(rng.integers(2, 6))
         a = t64(rng.normal(size=(1, n)) + 0.5)
         b = t64(rng.normal(size=(1, n)) - 0.5)
-        return lambda: reduce_sum(cosine_similarity(a, b)), [a, b]
+        return lambda: reduce_sum(cosine_distance(a, b)), [a, b]
     if kind == "pick_row":
         rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = t64(rng.normal(size=(rows, cols)))
@@ -230,7 +255,7 @@ def _random_case(kind, rng, i):
         weights = t64(rng.normal(size=(x.shape[0], hid)))
         reverse = i % 4 >= 2
         return (
-            lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights)),
+            lambda: weighted_sum(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights),
             [x, w_x, w_h, b],
         )
     if kind == "crf_nll":
@@ -259,19 +284,24 @@ def _random_array_case(kind, rng, i):
         shapes = [(int(rng.integers(1, 4)), fixed)[:: 1 if axis == 0 else -1] for _ in range(3)]
         parts = [t64(rng.normal(size=shape)) for shape in shapes]
         weights = t64(rng.normal(size=np.concatenate([p.values for p in parts], axis=axis).shape))
-        return lambda: reduce_sum(multiply(concat(parts, axis=axis), weights)), parts
-    if kind == "cosine_similarity":
+        return lambda: weighted_sum(concat(parts, axis=axis), weights), parts
+    if kind == "mix":  # (tokens, features), the attention gate's form
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+        z, x, m = (t64(rng.normal(size=shape)) for _ in range(3))
+        weights = t64(rng.normal(size=shape))
+        return lambda: weighted_sum(mix(z, x, m), weights), [z, x, m]
+    if kind == "cosine_distance":
         shape = (int(rng.integers(1, 4)), int(rng.integers(2, 6)))
         a = t64(rng.normal(size=shape) + 0.5)
         b = t64(rng.normal(size=shape) - 0.5)
         weights = t64(rng.normal(size=shape[0]))
-        return lambda: reduce_sum(multiply(cosine_similarity(a, b), weights)), [a, b]
+        return lambda: weighted_sum(cosine_distance(a, b), weights), [a, b]
     if kind == "pick_row":  # repeated rows accumulate
         rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = t64(rng.normal(size=(rows, cols)))
         row = rng.integers(0, rows, size=(2, 3) if i % 2 else 5)
         weights = t64(rng.normal(size=a.values[row].shape))
-        return lambda: reduce_sum(multiply(pick_row(a, row), weights)), [a]
+        return lambda: weighted_sum(pick_row(a, row), weights), [a]
     if kind == "lstm_sequence":  # ragged: sequences of different lengths back to back
         dim, hid = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         lengths = rng.integers(1, 5, size=int(rng.integers(2, 5)))
@@ -283,7 +313,7 @@ def _random_array_case(kind, rng, i):
         weights = t64(rng.normal(size=(x.shape[0], hid)))
         reverse = i % 4 >= 2
         return (
-            lambda: reduce_sum(multiply(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights)),
+            lambda: weighted_sum(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights),
             [x, w_x, w_h, b],
         )
     if kind == "crf_nll":  # ragged: 2-4 sentences of 1-6 tokens back to back
@@ -297,7 +327,7 @@ def _random_array_case(kind, rng, i):
     raise AssertionError(kind)
 
 
-@pytest.mark.parametrize("kind", ["concat", "cosine_similarity", "pick_row", "lstm_sequence", "crf_nll"])
+@pytest.mark.parametrize("kind", ["mix", "concat", "cosine_distance", "pick_row", "lstm_sequence", "crf_nll"])
 def test_primitive_gradients_random_array_forms(kind):
     rng = np.random.default_rng(2000 + OP_KINDS.index(kind))
     for i in range(100):
@@ -353,7 +383,7 @@ def test_row_form_gradient_densifies_to_the_dense_gradient(other):
         tape = Tape()
         with tape:
             terms = [linear(m, t64(v)) if kind == "matmul" else pick_row(m, v) for kind, v, _ in parts]
-            sums = [reduce_sum(multiply(t, t64(w))) for t, (_, _, w) in zip(terms, parts)]
+            sums = [weighted_sum(t, t64(w)) for t, (_, _, w) in zip(terms, parts)]
             loss = sums[0] if len(sums) == 1 else add(*sums)
         backward(loss, tape)
         want = np.zeros_like(m.values)
@@ -465,6 +495,11 @@ def test_linear_shape_error_names_op_and_shapes():
 def test_pick_row_range_error():
     with pytest.raises(ValueError, match="pick_row"):
         pick_row(t64(np.zeros((2, 2))), 2)
+    rows = np.zeros(5000, dtype=np.int64)
+    rows[-1] = 2
+    with pytest.raises(ValueError, match=r"expected 5000 integer ids in \[0, 2\), first bad value 2") as err:
+        pick_row(t64(np.zeros((2, 2))), rows)
+    assert len(str(err.value)) < 120  # the index array is not printed
 
 
 def test_pick_row_takes_only_matrices():
@@ -528,10 +563,10 @@ def test_crf_nll_input_errors():
             crf_nll(t64(np.zeros((4, 2))), t64(np.zeros((4, 4))), y, [3, 1])
 
 
-def test_cosine_similarity_takes_only_matrices():
+def test_cosine_distance_takes_only_matrices():
     for a, b in [((3,), (3,)), ((2, 3), (2, 4)), ((1, 2, 3), (1, 2, 3))]:
-        with pytest.raises(ValueError, match="cosine_similarity"):
-            cosine_similarity(t64(np.ones(a)), t64(np.ones(b)))
+        with pytest.raises(ValueError, match="cosine_distance"):
+            cosine_distance(t64(np.ones(a)), t64(np.ones(b)))
 
 
 def test_every_op_kind_has_one_backward_and_no_other():

@@ -9,9 +9,7 @@ from seqtag.autodiff import (
     Tape,
     backward,
     dense_grad,
-    multiply,
     pick_row,
-    reduce_sum,
     tensor,
 )
 from seqtag.charcomp import (
@@ -23,7 +21,7 @@ from seqtag.charcomp import (
 from seqtag.corpus import Sentence, build_vocab
 from seqtag.model import ModelConfig, assemble_model, glorot_uniform, lstm_bias
 
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, weighted_sum
 from oracles import lstm_step
 
 
@@ -125,7 +123,7 @@ def test_batched_composer_gradient_matches_finite_differences():
     weights = t64(rng.normal(size=(len(seqs), 4)))
 
     def builder():
-        return reduce_sum(multiply(compose_words(seqs, *p), weights))
+        return weighted_sum(compose_words(seqs, *p), weights)
 
     params = [p.char_emb, *p.fwd, *p.bwd, p.w_m]
     report = finite_difference_check(builder, params, eps=1e-5)

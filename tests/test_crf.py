@@ -204,6 +204,22 @@ def test_sequence_score_validates_input():
         crf_sequence_score(lat, [0, 2])
 
 
+def test_nll_rejects_bad_gold_labels_in_a_short_message():
+    """The node checks the ids once; its message names the first bad value,
+    never the whole label array, however long the batch."""
+    n, k = 5000, 3
+    lat = TagLattice(np.zeros((n, k)), np.zeros((k + 2, k + 2)))
+    good = np.zeros(n, dtype=np.int64)
+    wrong_length, too_high, negative = good[1:], good.copy(), good.copy()
+    too_high[7] = k
+    negative[9] = -2
+    for y, detail in ((wrong_length, "shape"), (too_high, f"first bad value {k}"),
+                      (negative, "first bad value -2"), (good.astype(np.float64), "dtype")):
+        with pytest.raises(ValueError, match=f"crf_nll: gold labels: expected {n} .*{detail}") as err:
+            crf_nll(lat, y)
+        assert len(str(err.value)) < 120
+
+
 # ---------------------------------------------------------------------------
 # negative log-likelihood
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from seqtag.autodiff import (
     backward,
     dense_grad,
     lstm_sequence,
-    multiply,
     pick_row,
     reduce_sum,
     tensor,
@@ -17,7 +16,7 @@ from seqtag.autodiff import (
 from seqtag.layers import bilstm_run, dense_tanh
 from seqtag.model import glorot_uniform, lstm_bias
 
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, weighted_sum
 from oracles import lstm_step
 
 
@@ -163,7 +162,7 @@ def test_lstm_sequence_gradient_all_inputs(length, batch, reverse):
 
     def builder():
         states = lstm_sequence(x, *p, reverse=reverse, lengths=lengths)
-        return reduce_sum(multiply(states, weights))
+        return weighted_sum(states, weights)
 
     report = finite_difference_check(builder, [x, *p], eps=1e-5,
                                      names=["x", "w_x", "w_h", "b"])
@@ -203,7 +202,7 @@ def test_ragged_lstm_sequence_matches_one_run_per_sequence(reverse):
             tape = Tape()
             with tape:
                 out = lstm_sequence(inputs, *p, reverse=reverse, lengths=lens)
-                loss = reduce_sum(multiply(out, t64(weights[rows])))
+                loss = weighted_sum(out, t64(weights[rows]))
             grads = backward(loss, tape)
             return out.values, [grads[t.node_id] for t in (inputs, *params[1:])]
 

@@ -200,8 +200,8 @@ _COMPOSER_OPS = Counter(pick_row=4, lstm_sequence=2, concat=1, linear=1, tanh=1)
 _ARCH_OPS = {
     "word": Counter(),
     "concat": _COMPOSER_OPS + Counter(concat=1),
-    "attention": _COMPOSER_OPS + Counter(linear=3, add=5, tanh=1, sigmoid=1, multiply=4, pick_row=2,
-                                         stop_gradient=1, cosine_similarity=1, sum=1),
+    "attention": _COMPOSER_OPS + Counter(linear=3, add=2, tanh=1, sigmoid=1, mix=1, cosine_distance=1, sum=1,
+                                         stop_gradient=1, pick_row=2),
 }
 
 
