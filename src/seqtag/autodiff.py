@@ -48,6 +48,12 @@ in the test suite relies on that for its many loss evaluations, and
 swaps ``_stop_gradient_values`` to freeze every ``stop_gradient`` input
 at its baseline value while perturbing, so that the numeric derivative
 measures exactly the quantity the analytic backward pass computes.
+
+``backward`` walks the tape once, from the last node to the first, and
+frees memory as it goes: once a node's backward has run, the tape drops
+the node's output tensor and that output's gradient, and the node its
+saved arrays. A training step's working set is thus about its forward
+tape. Only the loss's seed and the leaves' gradients survive the pass.
 """
 
 from __future__ import annotations
@@ -152,12 +158,12 @@ class Tape:
     Nodes are topologically ordered by construction and ids are dense:
     every tensor touched while the tape is active gets one. Use as a
     context manager; tapes may be nested, the innermost one records.
+    ``backward`` consumes the tape, dropping each produced tensor.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self._tensors: list[Tensor] = []
-        self._produced: list[bool] = []
         self._consumed = False
 
     def __len__(self):
@@ -169,15 +175,12 @@ class Tape:
             return nid
         nid = len(self._tensors)
         self._tensors.append(t)
-        self._produced.append(False)
         t.node_id = nid
         return nid
 
     def _record(self, op, inputs, out, saved):
         ids = tuple(self._ensure_id(t) for t in inputs)
-        out_id = self._ensure_id(out)
-        self._produced[out_id] = True
-        self.nodes.append(Node(op, ids, out_id, saved))
+        self.nodes.append(Node(op, ids, self._ensure_id(out), saved))
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -371,6 +374,11 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
     cell update uses, so its states equal those of the stepwise cell bit
     for bit; several sequences project in one GEMM, which is several
     times faster at training shapes.
+
+    The node keeps the post-activation gates and the cell states. Its
+    backward gathers the packed inputs and hidden states back from the
+    values of ``x`` and of the result, and takes the local derivatives
+    one step at a time on (k, H) blocks.
     """
     xv, wx, wh, bv = x.values, w_x.values, w_h.values, b.values
     hid = wh.shape[0]
@@ -387,7 +395,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
     gates = np.matmul(xs[:, None, :], wx)[:, 0] if steps[0][1] == 1 else xs @ wx
     # the projections turn into the post-activation gates i, f, g, o step by step
     cells = np.empty((xv.shape[0], hid), dtype=gates.dtype)
-    hidden = np.empty_like(cells)
+    out = np.empty_like(cells)
     h = np.zeros((steps[0][1], hid), dtype=gates.dtype)
     c = h
     cand = slice(2 * hid, 3 * hid)
@@ -404,10 +412,8 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
             c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, cand]
             h = act[:, 3 * hid :] * np.tanh(c)
             cells[rows] = c
-            hidden[rows] = h
-    out = np.empty_like(hidden)
-    out[perm] = hidden
-    return _emit("lstm_sequence", (x, w_x, w_h, b), out, (xs, wx, wh, gates, cells, hidden, steps, perm))
+            out[perm[rows]] = h
+    return _emit("lstm_sequence", (x, w_x, w_h, b), out, (wx, wh, gates, cells, steps, perm))
 
 
 # A forward step whose row scale falls below this is redone in log space for
@@ -630,43 +636,47 @@ def _bwd_pick_row(node, g, grads, tensors):
 
 
 def _bwd_lstm_sequence(node, g, grads, tensors):
-    """Backpropagation through time, then one GEMM per weight gradient."""
-    xs, wx, wh, gates, cells, hidden, steps, perm = node.saved
+    """Backpropagation through time, then one GEMM per weight gradient.
+
+    The packed inputs and hidden states are gathered back through
+    ``perm`` from the values of the node's input and output, which the
+    tape still holds. The local derivatives are taken step by step on
+    (k, H) blocks, so the only (N, H) array besides the gradients is the
+    hidden state entering each step, which the ``w_h`` gradient needs.
+    """
+    wx, wh, gates, cells, steps, perm = node.saved
+    x_id, wx_id, wh_id, b_id = node.input_ids
     hid = wh.shape[0]
-    g = g[perm]
-    # states entering each step: a prefix of the previous step's, zero at the start
-    h_prev = np.zeros_like(hidden)
-    c_prev = np.zeros_like(cells)
-    for (prev, _), (rows, k) in zip(steps, steps[1:]):
-        h_prev[rows] = hidden[prev][:k]
-        c_prev[rows] = cells[prev][:k]
-    gi, gf, gg, go = (gates[:, j * hid : (j + 1) * hid] for j in range(4))
-    tanh_c = np.tanh(cells)
-    dh_dc = go * (1.0 - tanh_c * tanh_c)
-    # local derivative of c (gates i, f, g) or h (gate o) by each pre-activation,
-    # scaled in place by dc or dh once the recursion reaches its step
     d_pre = np.empty_like(gates)
-    local = d_pre.reshape(-1, 4, hid)
-    np.multiply(gg * gi, 1.0 - gi, out=local[:, 0])
-    np.multiply(c_prev * gf, 1.0 - gf, out=local[:, 1])
-    np.multiply(gi, 1.0 - gg * gg, out=local[:, 2])
-    np.multiply(tanh_c * go, 1.0 - go, out=local[:, 3])
     dh_next = np.zeros((steps[0][1], hid), dtype=g.dtype)
     dc_next = np.zeros_like(dh_next)
     wh_t = wh.T
-    for rows, k in reversed(steps):
-        dh = g[rows] + dh_next[:k]
-        dc = dc_next[:k] + dh * dh_dc[rows]
-        d = local[rows]
+    for t in range(len(steps) - 1, -1, -1):
+        rows, k = steps[t]
+        c_prev = cells[steps[t - 1][0]][:k] if t else 0.0  # the cell state entering the step
+        gi, gf, gg, go = (gates[rows, j * hid : (j + 1) * hid] for j in range(4))
+        tanh_c = np.tanh(cells[rows])
+        dh = g[perm[rows]] + dh_next[:k]
+        dc = dc_next[:k] + dh * (go * (1.0 - tanh_c * tanh_c))
+        # local derivative of c (gates i, f, g) or h (gate o) by each pre-activation, times dc or dh
+        d = d_pre[rows].reshape(k, 4, hid)
+        np.multiply(gg * gi, 1.0 - gi, out=d[:, 0])
+        np.multiply(c_prev * gf, 1.0 - gf, out=d[:, 1])
+        np.multiply(gi, 1.0 - gg * gg, out=d[:, 2])
+        np.multiply(tanh_c * go, 1.0 - go, out=d[:, 3])
         d[:, :3] *= dc[:, None]
         d[:, 3] *= dh
-        np.multiply(dc, gf[rows], out=dc_next[:k])
+        np.multiply(dc, gf, out=dc_next[:k])
         np.matmul(d_pre[rows], wh_t, out=dh_next[:k])
-    x_id, wx_id, wh_id, b_id = node.input_ids
     buf = _grad_buffer(grads, tensors, x_id)
     if buf is not None:
         buf[perm] += d_pre @ wx.T
-    _acc(grads, tensors, wx_id, xs.T @ d_pre)
+    _acc(grads, tensors, wx_id, tensors[x_id].values[perm].T @ d_pre)
+    # the hidden states entering each step: a prefix of the previous step's, zero at the start
+    out = tensors[node.out_id].values
+    h_prev = np.zeros_like(cells)
+    for (prev, _), (rows, k) in zip(steps, steps[1:]):
+        h_prev[rows] = out[perm[prev][:k]]
     _acc(grads, tensors, wh_id, h_prev.T @ d_pre)
     _acc(grads, tensors, b_id, d_pre.sum(axis=0))
 
@@ -753,36 +763,42 @@ _BACKWARD = {
 def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray | RowGrad]:
     """Propagate gradients of a scalar loss back through the tape.
 
-    Returns the gradient for every reached node keyed by node id: an
-    array, or a ``RowGrad`` for a leaf whose one gradient came from
-    ``pick_row``.
-    Non-constant leaf tensors (parameters) also get the result
-    accumulated into their ``grad`` slot. The tape is consumed: each
-    node's saved arrays are released as soon as the pass leaves it, so
-    a second call on the same tape raises ``ValueError``.
+    The pass walks the nodes from last to first and releases memory as
+    it goes: once a node's backward has run, the tape drops the node's
+    output tensor and that output's gradient, and the node drops its
+    saved arrays. So a step's working set is about its forward tape.
+
+    Returns the gradients that survive, keyed by node id: the loss's
+    seed (ones) and the gradient of every reached leaf, an array, or a
+    ``RowGrad`` for a leaf whose one gradient came from ``pick_row``.
+    Non-constant leaf tensors (parameters) also get theirs accumulated
+    into their ``grad`` slot. The tape is consumed: a second call on it
+    raises ``ValueError``.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    nid = loss.node_id
-    if nid is None or nid >= len(tape._tensors) or tape._tensors[nid] is not loss:
-        raise ValueError("backward: loss is not recorded on this tape")
     if tape._consumed:
         raise ValueError("backward: this tape was already backpropagated")
+    tensors = tape._tensors
+    nid = loss.node_id
+    if nid is None or nid >= len(tensors) or tensors[nid] is not loss:
+        raise ValueError("backward: loss is not recorded on this tape")
     tape._consumed = True
-    grads: list = [None] * len(tape._tensors)
-    grads[nid] = np.ones_like(loss.values)
+    grads: list = [None] * len(tensors)
+    seed = grads[nid] = np.ones_like(loss.values)
     for node in reversed(tape.nodes):
-        g = grads[node.out_id]
+        out_id = node.out_id
+        g = grads[out_id]
         if g is not None:
-            g = grads[node.out_id] = dense_grad(g)  # a node reads its output's gradient whole
-            _BACKWARD[node.op](node, g, grads, tape._tensors)
-        node.saved = None
-    result = {}
+            grads[out_id] = None
+            _BACKWARD[node.op](node, dense_grad(g), grads, tensors)  # a node reads its output's gradient whole
+        tensors[out_id] = node.saved = None
+    result = {nid: seed}
     for i, g in enumerate(grads):
         if g is None:
             continue
         result[i] = g
-        t = tape._tensors[i]
-        if not tape._produced[i] and not t.constant:
+        t = tensors[i]
+        if not t.constant:
             t.grad = g if t.grad is None else dense_grad(t.grad) + dense_grad(g)
     return result

@@ -313,7 +313,7 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
             if aux is not None:
                 epoch_aux += aux
             backward(total, tape)
-            del tape  # frees the recorded values before the optimizer step
+            del tape  # backward freed each node's values and gradients; this drops the node records
             if not opt.step():
                 rejected += 1
             model.zero_grad()

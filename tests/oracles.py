@@ -3,8 +3,9 @@
 None of these run in training or tagging: they are exhaustive,
 closed-form or stepwise oracles (CRF enumeration, the CRF forward-backward
 recursion in log space, per-token softmax and cross-entropy, rendering
-spans back to IOB labels, one LSTM cell update in plain numpy, the
-dense AdaDelta update, vocabulary building and encoding token by token).
+spans back to IOB labels, one LSTM cell update in plain numpy, a ragged
+LSTM run with its gradients over whole arrays, the dense AdaDelta update,
+vocabulary building and encoding token by token).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import Counter
 
 import numpy as np
 
+from seqtag.autodiff import _run_layout, _sigmoid
 from seqtag.corpus import OOV_CHAR, OOV_TOKEN
 from seqtag.crf import TagLattice
 
@@ -193,3 +195,65 @@ def encode_oracle(vocab, sent) -> tuple:
     if all(lab in vocab.label_set for lab in sent.labels):
         gold = [vocab.label_set.id(lab) for lab in sent.labels]
     return word_ids, char_ids, gold
+
+
+def lstm_sequence_oracle(x, w_x, w_h, b, g, reverse=False, lengths=None):
+    """States and gradients of ``lstm_sequence`` in its whole-array form.
+
+    ``x``, the weights and the output gradient ``g`` are arrays. The
+    forward keeps the packed inputs and hidden states; the backward builds
+    the entering states, ``tanh(c)``, ``dh/dc`` and the four local products
+    over all N rows before the recursion through time. Returns (states,
+    (dx, dw_x, dw_h, db)), which the node's must equal bit for bit.
+    """
+    hid = w_h.shape[0]
+    steps, perm = _run_layout(x.shape[0], lengths, reverse)
+    xs = x[perm]
+    gates = np.matmul(xs[:, None, :], w_x)[:, 0] if steps[0][1] == 1 else xs @ w_x
+    cells = np.empty((x.shape[0], hid), dtype=gates.dtype)
+    hidden = np.empty_like(cells)
+    h = c = np.zeros((steps[0][1], hid), dtype=gates.dtype)
+    with np.errstate(over="ignore"):
+        for rows, k in steps:
+            h, c = h[:k], c[:k]
+            a = h @ w_h
+            a += gates[rows]
+            a += b
+            act = gates[rows]
+            act[...] = _sigmoid(a)
+            act[:, 2 * hid : 3 * hid] = np.tanh(a[:, 2 * hid : 3 * hid])
+            c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, 2 * hid : 3 * hid]
+            h = act[:, 3 * hid :] * np.tanh(c)
+            cells[rows] = c
+            hidden[rows] = h
+    states = np.empty_like(hidden)
+    states[perm] = hidden
+
+    g = g[perm]
+    h_prev = np.zeros_like(hidden)
+    c_prev = np.zeros_like(cells)
+    for (prev, _), (rows, k) in zip(steps, steps[1:]):
+        h_prev[rows] = hidden[prev][:k]
+        c_prev[rows] = cells[prev][:k]
+    gi, gf, gg, go = (gates[:, j * hid : (j + 1) * hid] for j in range(4))
+    tanh_c = np.tanh(cells)
+    dh_dc = go * (1.0 - tanh_c * tanh_c)
+    d_pre = np.empty_like(gates)
+    local = d_pre.reshape(-1, 4, hid)
+    np.multiply(gg * gi, 1.0 - gi, out=local[:, 0])
+    np.multiply(c_prev * gf, 1.0 - gf, out=local[:, 1])
+    np.multiply(gi, 1.0 - gg * gg, out=local[:, 2])
+    np.multiply(tanh_c * go, 1.0 - go, out=local[:, 3])
+    dh_next = np.zeros((steps[0][1], hid), dtype=g.dtype)
+    dc_next = np.zeros_like(dh_next)
+    for rows, k in reversed(steps):
+        dh = g[rows] + dh_next[:k]
+        dc = dc_next[:k] + dh * dh_dc[rows]
+        d = local[rows]
+        d[:, :3] *= dc[:, None]
+        d[:, 3] *= dh
+        np.multiply(dc, gf[rows], out=dc_next[:k])
+        np.matmul(d_pre[rows], w_h.T, out=dh_next[:k])
+    dx = np.zeros_like(x)
+    dx[perm] += d_pre @ w_x.T
+    return states, (dx, xs.T @ d_pre, h_prev.T @ d_pre, d_pre.sum(axis=0))

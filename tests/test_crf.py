@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtag import autodiff
-from seqtag.autodiff import Tape, backward, no_tape, tensor
+from seqtag.autodiff import Tape, Tensor, backward, no_tape, tensor
 from seqtag.corpus import Sentence, build_vocab
 from seqtag.crf import (
     LabelSet,
@@ -116,7 +116,12 @@ def test_crossentropy_alignment_errors():
 
 def test_softmax_gradient_is_probs_minus_onehot():
     """A softmax model's batch loss is the per-token cross-entropy of its
-    hidden states, and the gradient of its emission scores is probs - onehot."""
+    hidden states, and the gradient of its emission scores is probs - onehot.
+
+    The backward pass keeps only leaves' gradients, so the identity is read
+    on a leaf copy of the scores through the softmax's one-token lattice,
+    and through the model in the output weights' gradient, its chain-rule
+    image ``(probs - onehot).T @ d``."""
     words = [["aa", "bb", "cc", "aa"], ["dd"], ["bb", "aa", "zz"], ["cc", "dd", "aa", "bb", "cc"]]
     labels = [["O", "B-X", "I-X", "O"], ["B-X"], ["O", "O", "B-X"], ["O", "B-X", "I-X", "O", "O"]]
     sents = [Sentence(w, w, lab) for w, lab in zip(words, labels)]
@@ -125,22 +130,32 @@ def test_softmax_gradient_is_probs_minus_onehot():
     config = ModelConfig(architecture="word", output="softmax", word_dim=6, word_lstm_hidden=5, d_size=4,
                          dtype="float64", seed=5)
     model = assemble_model(config, vocab)
+    w_o = model.params["output.w_o"]
     gold = np.concatenate([sent.gold for sent in sents])
+    k = len(vocab.label_set)
     with no_tape():
         x = model.params["word_embeddings"].values[np.concatenate([sent.word_ids for sent in sents])]
         states = bilstm_run(t64(x), model._lstm("word_lstm.fwd"), model._lstm("word_lstm.bwd"),
                             [len(sent.word_ids) for sent in sents])
         d = dense_tanh(states, model.params["hidden.w_d"]).values
-    probs = [softmax_predict(row, model.params["output.w_o"]) for row in d]
+        scores = t64(emission_scores(t64(d), w_o).values)
+    probs = [softmax_predict(row, w_o) for row in d]
+    want = np.stack(probs) - np.eye(k)[gold]
 
     tape = Tape()
     with tape:
         loss, _ = model.batch_loss_parts(sents)
-    grads = backward(loss, tape)
-    (node,) = [n for n in tape.nodes if n.op == "crf_nll"]
+    backward(loss, tape)
     assert float(loss.values) == pytest.approx(crossentropy_loss(probs, gold), rel=1e-12)
-    assert np.allclose(grads[node.input_ids[0]], np.stack(probs) - np.eye(len(vocab.label_set))[gold],
-                       rtol=0.0, atol=1e-12)
+    assert np.allclose(w_o.grad, want.T @ d, rtol=0.0, atol=1e-12)
+
+    tape = Tape()
+    with tape:
+        zero = Tensor(np.zeros((k + 2, k + 2)), constant=True)
+        nll = crf_nll(TagLattice(scores, zero), gold, [1] * len(gold))
+    backward(nll, tape)
+    assert float(nll.values) == float(loss.values)
+    assert np.allclose(scores.grad, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from seqtag import autodiff
 from seqtag.autodiff import (
     Tape,
     add,
@@ -17,7 +19,7 @@ from seqtag.layers import bilstm_run, dense_tanh
 from seqtag.model import glorot_uniform, lstm_bias
 
 from gradcheck import finite_difference_check, weighted_sum
-from oracles import lstm_step
+from oracles import lstm_sequence_oracle, lstm_step
 
 
 def t64(values):
@@ -185,6 +187,62 @@ def test_lstm_sequence_takes_matrices_and_lengths_that_split_them():
             lstm_sequence(t64(np.zeros((4, 2))), *p, lengths=lengths)
     with pytest.raises(TypeError, match="integer"):
         lstm_sequence(t64(np.zeros((4, 2))), *p, lengths=[2.0, 2.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("lengths", [None, [6], [1, 1, 1], [4, 4, 4], [5, 1, 3, 7, 2], [1, 9, 1, 2]])
+def test_lstm_sequence_matches_whole_array_oracle_bit_for_bit(lengths, reverse, dtype):
+    """The stepwise backward computes each entry by the same expression as
+    the whole-array form, so states and all four gradients are equal."""
+    rng = np.random.default_rng(71 + (len(lengths) if lengths else 0) + 13 * reverse)
+    n = sum(lengths) if lengths else 5
+    x = rng.normal(size=(n, 3)).astype(dtype)
+    p = [w.values.astype(dtype) for w in random_lstm(rng, 3, 4, scale=2.0)]
+    g = rng.normal(size=(n, 4)).astype(dtype)
+    leaves = [tensor(v) for v in (x, *p)]
+    tape = Tape()
+    with tape:
+        out = lstm_sequence(*leaves, reverse=reverse, lengths=lengths)
+        loss = weighted_sum(out, tensor(g))  # sends exactly g back to the node
+    backward(loss, tape)
+    states, want = lstm_sequence_oracle(x, *p, g, reverse=reverse, lengths=lengths)
+    assert out.dtype == dtype and np.array_equal(out.values, states)
+    for leaf, w in zip(leaves, want):
+        assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, w)
+
+
+def test_lstm_backward_allocates_no_other_n_by_h_array():
+    """Beside the gate gradients (N, 4H), the hidden states entering each
+    step (N, H) and the gradients it returns, the backward allocates only
+    (N, D) products and (k, H) blocks per step: less than one more (N, H)."""
+    rng = np.random.default_rng(67)
+    lengths = [300, 40, 260, 90, 1, 180, 60, 230, 120, 20]  # ragged, N·H far above every other term
+    n, d, hid, k0 = sum(lengths), 2, 32, len(lengths)
+    x = t64(rng.normal(size=(n, d)))
+    tape = Tape()
+    with tape:
+        lstm_sequence(x, *random_lstm(rng, d, hid), lengths=lengths)
+    (node,) = tape.nodes
+    g = rng.normal(size=(n, hid))
+    grads = [None] * len(tape._tensors)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        autodiff._BACKWARD["lstm_sequence"](node, g, grads, tape._tensors)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    item = g.itemsize
+    returned = sum(grad.nbytes for grad in grads if grad is not None)
+    assert returned == item * (n * d + d * 4 * hid + hid * 4 * hid + 4 * hid)
+    kept = item * (n * 4 * hid + n * hid)  # the gate gradients and the entering hidden states
+    # the gathered inputs and the x-gradient product, a weight-gradient product
+    # before it is added, and a few (k, H) blocks of one step
+    transient = item * (2 * n * d + (d + hid + 1) * 4 * hid + 16 * k0 * hid)
+    assert transient < item * n * hid / 2
+    assert peak <= kept + returned + transient
 
 
 @pytest.mark.parametrize("reverse", [False, True])

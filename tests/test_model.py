@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import struct
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -217,6 +218,24 @@ def test_batch_tape_op_mix(arch, output):
     with tape:
         model.batch_loss_parts(enc)
     assert Counter(n.op for n in tape.nodes) == _WORD_OPS + _OUTPUT_OPS + _ARCH_OPS[arch]
+
+
+def test_backward_frees_every_intermediate_tensor():
+    """Once ``backward`` returns, the values of every tensor a node produced
+    but the loss are freed; the caller's loss and every parameter's
+    gradient remain."""
+    vocab, _ = tiny_vocab()
+    enc = vocab.encode_corpus(batch_sentences())
+    model = assemble_model(toy_config(architecture="attention"), vocab)
+    tape = Tape()
+    with tape:
+        loss, _ = model.batch_loss_parts(enc)
+    refs = [weakref.ref(tape._tensors[n.out_id].values) for n in tape.nodes[:-1]]
+    backward(loss, tape)
+    assert tape.nodes[-1].out_id == loss.node_id and len(refs) == len(tape.nodes) - 1
+    assert all(r() is None for r in refs)
+    assert np.isfinite(loss.values)
+    assert all(p.grad is not None for p in model.params.values())
 
 
 def test_gates_require_attention_model():
