@@ -38,9 +38,11 @@ Shape rules per primitive kind::
                            the given lengths stored back to back,
                            (K+2,K+2) transitions and N gold label ids ->
                            the summed CRF negative log-likelihood, log Z
-                           minus the gold paths' score, as one node; its
-                           backward sends the marginals minus the gold
-                           counts
+                           minus the gold paths' score, as one node: its
+                           forward runs forward-backward, scaled or, past
+                           a bound on the scores' spread, in log space,
+                           and its backward sends the marginals minus the
+                           gold counts
 
 Recording is scoped by a ``Tape`` used as a context manager; outside any
 tape the same functions run forward-only. The finite-difference checker
@@ -416,9 +418,14 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
     return _emit("lstm_sequence", (x, w_x, w_h, b), out, (wx, wh, gates, cells, steps, perm))
 
 
-# A forward step whose row scale falls below this is redone in log space for
-# that row: no scale that float64 cannot hold to full precision reaches log.
-MIN_SCALE = 1e-250
+# The scaled recursions are exact to rounding while every scaled entry is a
+# normal float64. Take S as the spread (max - min) of the transition, start and
+# end scores plus the largest spread of one emission row. A scaled forward
+# vector sums to 1, so its largest entry is at least 1 / K, and a step's terms
+# are at most 1: so each entry is at least exp(-S) / K**2 of its row's sum, and
+# each scaled backward entry at most K**2 * exp(S). For S below 600 both stay
+# within float64's normal range, exp(+-708), for any K up to e**54.
+MAX_SCALED_SPREAD = 600.0
 
 
 def crf_nll(a: Tensor, b: Tensor, y, lengths=None) -> Tensor:
@@ -435,17 +442,13 @@ def crf_nll(a: Tensor, b: Tensor, y, lengths=None) -> Tensor:
     start at a sentence's first token), then each sentence's move from
     its last label to end.
 
-    The scaled forward algorithm (Rabiner 1989) runs over all sentences
-    at once in ``_run_layout``'s step-major packing, longest first, in
-    float64 whatever the input dtype. With ``exp(transitions - max)`` and
-    ``exp(emissions - row max)`` taken once, a step is one (k, K) @ (K, K)
-    product whose rows are then divided by their sums, the scales; log Z
-    is the sum of the logs of the scales and of the shifts, plus each
-    sentence's move to the end state, taken in log space. A row whose
-    scale falls below ``MIN_SCALE`` is redone in log space for that step.
-    The result is exact to rounding as long as no label that matters
-    later is less likely than the best one at its position by a factor
-    float64 cannot hold (about exp(-700)).
+    Forward-backward runs over all sentences at once in ``_run_layout``'s
+    packing, in float64 whatever the input dtype, and the node saves its
+    gradient, the marginals minus the gold counts. One bound on the scores
+    picks the algorithm for the whole call: the scaled recursions below
+    ``MAX_SCALED_SPREAD``, else the log-space ones. So the result is exact
+    to rounding at any score range; non-finite scores give a non-finite
+    loss and gradient.
     """
     av, bv = a.values, b.values
     if av.ndim != 2 or av.shape[0] == 0 or bv.shape != (av.shape[1] + 2,) * 2:
@@ -464,50 +467,96 @@ def crf_nll(a: Tensor, b: Tensor, y, lengths=None) -> Tensor:
     em = np.asarray(av[perm], dtype=np.float64)
     b64 = np.asarray(bv, dtype=np.float64)
     trans, start, end = b64[:k, :k], b64[k, :k], b64[:k, k + 1]
+    spread = np.ptp(np.concatenate((trans.ravel(), start, end))) + (em.max(axis=1) - em.min(axis=1)).max()
+    run = _crf_scaled if spread < MAX_SCALED_SPREAD else _crf_log_space
+    log_z, unary, pairs, d_end = run(em, trans, start, end, steps)
+    d_em = unary[np.argsort(perm)]
+    d_em[np.arange(n_rows), y] -= 1.0
+    db = np.zeros_like(b64)
+    db[:k, :k], db[k, :k], db[:k, k + 1] = pairs, unary[steps[0][0]].sum(axis=0), d_end
+    db -= np.bincount(np.ravel_multi_index(gold_pairs, db.shape), minlength=db.size).reshape(db.shape)
+    return _emit("crf_nll", (a, b), np.asarray(log_z.astype(np.result_type(av, bv)) - gold), (d_em, db))
+
+
+def _crf_scaled(em, trans, start, end, steps):
+    """log Z and the label, transition and end marginals, by scaling (Rabiner 1989).
+
+    A forward step is one (n, K) @ (K, K) product with ``T = exp(transitions
+    - max)``, times ``exp(emissions - row max)``, its rows then divided by
+    their sums, the scales. ``beta`` is scaled by the same factors, so
+    ``alpha * beta`` is the label marginal; with ``w = beta * exp(emissions
+    - row max) / scale``, a backward step is ``w @ T.T``.
+    """
     top = trans.max()
     trans_exp = np.exp(trans - top)
     row_max = em.max(axis=1)
     em_exp = np.exp(em - row_max[:, None])
-    # per packed row: the forward vector divided by its sum, that sum (the
-    # scale), the log of everything divided out, and whether log space was used
     alpha = np.empty_like(em)
     scale = np.empty(len(em))
     log_scale = np.empty(len(em))
-    redo = np.zeros(len(em), dtype=bool)
     end_log_scale = np.empty(steps[0][1])  # per sentence, longest first
-    prev = None
-    with np.errstate(divide="ignore"):
-        for t, (rows, n) in enumerate(steps):
-            if prev is None:
-                shift = start.max()
-                hat = np.exp(start - shift) * em_exp[rows]
-            else:
-                shift = top
-                hat = (prev[:n] @ trans_exp) * em_exp[rows]
-            sums = hat.sum(axis=1)
-            low = sums < MIN_SCALE
-            np.maximum(sums, MIN_SCALE, out=sums)
-            hat /= sums[:, None]
-            logs = shift + row_max[rows] + np.log(sums)
-            if low.any():
-                if prev is None:
-                    log_hat = start + em[rows][low]
-                else:
-                    log_hat = _logsumexp(np.log(prev[:n][low])[:, None, :] + trans.T, axis=-1)
-                    log_hat += em[rows][low]
-                logs[low] = _logsumexp(log_hat, axis=-1)
-                hat[low] = np.exp(log_hat - logs[low][:, None])
-                redo[rows] = low
-            alpha[rows], scale[rows], log_scale[rows] = hat, sums, logs
-            # sentences whose last step this is: the rows past those still running
-            done = steps[t + 1][1] if t + 1 < len(steps) else 0
-            if done < n:
-                end_log_scale[done:n] = _logsumexp(np.log(hat[done:]) + end, axis=-1)
-            prev = hat
-    log_z = np.asarray(log_scale.sum() + end_log_scale.sum(), dtype=np.result_type(av, bv))
-    saved = (em, b64, trans_exp, em_exp, alpha, scale, log_scale, redo, end_log_scale, steps, perm,
-             y, gold_pairs)
-    return _emit("crf_nll", (a, b), np.asarray(log_z - gold), saved)
+    for t, (rows, n) in enumerate(steps):
+        if t == 0:
+            shift = start.max()
+            hat = np.exp(start - shift) * em_exp[rows]
+        else:
+            shift = top
+            hat = (alpha[steps[t - 1][0]][:n] @ trans_exp) * em_exp[rows]
+        sums = hat.sum(axis=1)
+        hat /= sums[:, None]
+        alpha[rows], scale[rows] = hat, sums
+        log_scale[rows] = shift + row_max[rows] + np.log(sums)
+        # sentences whose last step this is: the rows past those still running
+        done = steps[t + 1][1] if t + 1 < len(steps) else 0
+        end_log_scale[done:n] = _logsumexp(np.log(hat[done:]) + end, axis=-1)
+    beta = np.empty_like(alpha)
+    pairs = np.zeros_like(trans)  # sum of alpha_{t-1}.T @ w_t
+    d_end = np.zeros_like(end)
+    for t in range(len(steps) - 1, -1, -1):
+        rows, n = steps[t]
+        done = steps[t + 1][1] if t + 1 < len(steps) else 0
+        b_t = beta[rows]
+        b_t[done:] = np.exp(end - end_log_scale[done:n, None])
+        d_end += (alpha[rows][done:] * b_t[done:]).sum(axis=0)
+        if t == 0:
+            break
+        w = b_t * em_exp[rows]
+        w /= scale[rows][:, None]
+        pairs += alpha[steps[t - 1][0]][:n].T @ w
+        beta[steps[t - 1][0]][:n] = w @ trans_exp.T
+    return log_scale.sum() + end_log_scale.sum(), alpha * beta, pairs * trans_exp, d_end
+
+
+def _crf_log_space(em, trans, start, end, steps):
+    """``_crf_scaled``'s results by log-space recursions, exact at any score range.
+
+    A step in either direction is one (n, K, K) log-sum-exp, and a
+    marginal is ``exp(log alpha + log beta - log Z)`` of its sentence.
+    """
+    la = np.empty_like(em)
+    log_z = np.empty(steps[0][1])  # per sentence, longest first
+    for t, (rows, n) in enumerate(steps):
+        if t == 0:
+            la[rows] = start + em[rows]
+        else:
+            la[rows] = _logsumexp(la[steps[t - 1][0]][:n, :, None] + trans, axis=1) + em[rows]
+        done = steps[t + 1][1] if t + 1 < len(steps) else 0
+        log_z[done:n] = _logsumexp(la[rows][done:] + end, axis=-1)
+    lb = np.empty_like(em)
+    pairs = np.zeros_like(trans)
+    d_end = np.zeros_like(end)
+    for t in range(len(steps) - 1, -1, -1):
+        rows, n = steps[t]
+        done = steps[t + 1][1] if t + 1 < len(steps) else 0
+        lb[rows][done:] = end
+        d_end += np.exp(la[rows][done:] + end - log_z[done:n, None]).sum(axis=0)
+        if t == 0:
+            break
+        w = em[rows] + lb[rows]
+        pairs += np.exp(la[steps[t - 1][0]][:n, :, None] + trans + (w - log_z[:n, None])[:, None, :]).sum(axis=0)
+        lb[steps[t - 1][0]][:n] = _logsumexp(trans + w[:, None, :], axis=-1)
+    row_log_z = np.concatenate([log_z[:n] for _, n in steps])
+    return log_z.sum(), np.exp(la + lb - row_log_z[:, None]), pairs, d_end
 
 
 def _stop_gradient_values(values):
@@ -682,62 +731,10 @@ def _bwd_lstm_sequence(node, g, grads, tensors):
 
 
 def _bwd_crf_nll(node, g, grads, tensors):
-    """The scaled backward recursion; each score gets g times its marginal minus its gold count.
-
-    ``beta`` is scaled by the forward pass's factors, so ``alpha * beta``
-    is each position's label marginal. With ``w`` the next step's
-    ``beta * exp(emissions - row max) / scale``, a step is ``w @ T.T``
-    and the transition gradient is ``T * sum(alpha.T @ w)``, for
-    ``T = exp(transitions - max)``. Rows the forward pass redid in log
-    space are redone in log space here too.
-    """
-    (em, b64, trans_exp, em_exp, alpha, scale, log_scale, redo, end_log_scale, steps, perm,
-     y, gold_pairs) = node.saved
-    k = em.shape[1]
-    trans, end = b64[:k, :k], b64[:k, k + 1]
-    beta = np.empty_like(alpha)
-    pairs = np.zeros((k, k))  # sum of alpha_{t-1}.T @ w_t over the scaled rows
-    d_trans = np.zeros((k, k))  # pair marginals of the rows redone in log space
-    d_end = np.zeros(k)
-    carried = None  # beta of the previous position, for the sentences still running
-    # w may overflow in a row redone in log space; that row's w is then discarded
-    with np.errstate(divide="ignore", over="ignore"):
-        for t in range(len(steps) - 1, -1, -1):
-            rows, n = steps[t]
-            done = steps[t + 1][1] if t + 1 < len(steps) else 0
-            b_t = np.empty((n, k))
-            b_t[:done] = carried
-            b_t[done:] = np.exp(end - end_log_scale[done:n, None])
-            d_end += (alpha[rows][done:] * b_t[done:]).sum(axis=0)
-            beta[rows] = b_t
-            if t == 0:
-                break
-            a_prev = alpha[steps[t - 1][0]][:n]
-            low = redo[rows]
-            w = b_t * em_exp[rows]
-            w /= scale[rows][:, None]
-            w[low] = 0.0
-            pairs += a_prev.T @ w
-            carried = w @ trans_exp.T
-            if low.any():
-                log_w = np.log(b_t[low]) + em[rows][low] - log_scale[rows][low][:, None]
-                log_pair = np.log(a_prev[low])[:, :, None] + trans + log_w[:, None, :]
-                d_trans += np.exp(log_pair).sum(axis=0)
-                carried[low] = np.exp(_logsumexp(trans + log_w[:, None, :], axis=-1))
-    unary = alpha * beta
-    unary *= g
-    d_em = np.empty_like(unary)
-    d_em[perm] = unary
-    d_em[np.arange(len(y)), y] -= g
-    db = np.zeros_like(b64)
-    db[:k, :k] = (pairs * trans_exp + d_trans) * g
-    db[k, :k] = unary[steps[0][0]].sum(axis=0)
-    db[:k, k + 1] = d_end * g
-    gold_counts = np.zeros_like(b64)
-    np.add.at(gold_counts, gold_pairs, 1.0)
-    db -= gold_counts * g
-    _acc(grads, tensors, node.input_ids[0], d_em)
-    _acc(grads, tensors, node.input_ids[1], db)
+    """Each score gets g times its saved gradient, the marginals minus the gold counts."""
+    d_em, db = node.saved
+    _acc(grads, tensors, node.input_ids[0], d_em * g)
+    _acc(grads, tensors, node.input_ids[1], db * g)
 
 
 def _bwd_stop_gradient(node, g, grads, tensors):

@@ -191,6 +191,8 @@ def cmd_tag(args) -> int:
 
 def cmd_inspect_gates(args) -> int:
     model = load_model(args.model)
+    if model.config.architecture != "attention":  # before --out is opened, so also for an empty input
+        raise ValueError(f"inspect-gates: model architecture is {model.config.architecture!r}, not 'attention'")
     sentences = model.vocab.encode_corpus(load_conll(args.input, args.token_column, label_column=None))
     dim = model.config.word_dim
     with atomic_open(args.out, "w", encoding="utf-8") as fh:

@@ -1,22 +1,22 @@
 """Output layer: per-token emission scores and a linear-chain CRF.
 
-A sentence's scores live in a ``TagLattice``: an emission matrix with
-one row per token and a square transition matrix over the label set
-plus two boundary states (index K is the virtual start state, K + 1 the
-virtual end state). The score of a label sequence is the sum of its
-emissions, the transition from start into its first label, the
-transitions between consecutive labels, and the transition from its
-last label into end. Transitions into start and out of end are never
-read by any scoring routine, which is equivalent to holding them at
-minus infinity.
+Scores live in a ``TagLattice``: an emission matrix with one row per
+token, of one sentence or of several back to back, and a square
+transition matrix over the label set plus two boundary states (index K
+is the virtual start state, K + 1 the virtual end state). The score of
+a label sequence is the sum of its emissions, the transition from start
+into its first label, the transitions between consecutive labels, and
+the transition from its last label into end. Transitions into start
+and out of end are never read by any scoring routine, which is
+equivalent to holding them at minus infinity.
 
 The negative log-likelihood, log Z minus the gold path's score, is one
 ``autodiff.crf_nll`` node whose backward pass sends the forward-backward
-marginals minus the gold counts to the scores. A lattice may hold the
-emission rows of several sentences back to back; ``crf_nll`` with their
-``lengths`` then gives the summed loss of all of them from that one
-node. A per-token softmax is the case of one-token sentences with zero
-transitions.
+marginals minus the gold counts to the scores; with the sentences'
+``lengths`` it gives the summed loss of all of them. The node runs the
+scaled recursions, or the log-space ones where the scores spread too far
+for scaling, so it is exact at any score range. A per-token softmax is
+the case of one-token sentences with zero transitions.
 Decoding is plain numeric Viterbi with ties broken toward the
 lowest label index at every backpointer decision; the exhaustive oracle
 in the tests applies the same preference, which for enumeration order
@@ -69,7 +69,7 @@ def _as_tensor(x) -> Tensor:
 
 
 class TagLattice:
-    """Emission scores for one sentence plus the shared transition matrix."""
+    """Emission rows of one sentence, or of several back to back, and the shared transitions."""
 
     def __init__(self, emissions, transitions):
         self.emissions = _as_tensor(emissions)

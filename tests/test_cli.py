@@ -415,12 +415,16 @@ def test_inspect_gates_reads_one_column_input(trained_dir, data_dir, tmp_path):
 
 
 def test_inspect_gates_rejects_word_model(trained_dir, data_dir, tmp_path, capsys):
-    code = main([
-        "inspect-gates", "--model", str(trained_dir / "word" / "model.bin"),
-        "--input", str(data_dir / "test.conll"), "--out", str(tmp_path / "g.tsv"),
-    ])
-    assert code == 1
-    assert "attention" in capsys.readouterr().err
+    empty = tmp_path / "empty.conll"
+    empty.write_text("")
+    for source in (data_dir / "test.conll", empty):
+        code = main([
+            "inspect-gates", "--model", str(trained_dir / "word" / "model.bin"),
+            "--input", str(source), "--out", str(tmp_path / "g.tsv"),
+        ])
+        assert code == 1, source
+        assert "attention" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.conll"]
 
 
 def test_count_params_matches_library(data_dir, capsys):

@@ -18,6 +18,7 @@ from seqtag.crf import (
 )
 from seqtag.layers import bilstm_run, dense_tanh
 from seqtag.model import ModelConfig, assemble_model
+from seqtag.training import AdaDelta
 
 from gradcheck import finite_difference_check
 from oracles import brute_force_oracle, crf_log_space, crossentropy_loss, softmax_predict
@@ -399,7 +400,80 @@ def test_crf_nll_node_matches_the_log_space_oracle(data, k, lengths):
     assert np.allclose(d_tr, want_tr, rtol=0.0, atol=1e-12)
 
 
-def test_log_partition_float32_scores_spread_across_100_stay_exact():
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       log_spread=st.floats(math.log(50.0), math.log(1e4)))
+def test_crf_nll_node_matches_the_log_space_oracle_at_any_spread(data, k, lengths, log_spread):
+    """As above, for float64 scores in ±s with s log-uniform in [50, 1e4]: both the
+    scaled and the log-space regime of the node are drawn. The NLL and every
+    gradient entry must lie within 1e-12 * (scale + 1) of the oracle's, where
+    scale is the sentences' summed |log Z| + |gold score|: an exponent off by
+    one rounding of a term that large moves a marginal by about that much."""
+    n, s = sum(lengths), math.exp(log_spread)
+    scores = st.floats(-s, s, allow_nan=False, allow_infinity=False)
+    em = np.array(data.draw(st.lists(scores, min_size=n * k, max_size=n * k), label="em")).reshape(n, k)
+    tr = np.array(data.draw(st.lists(scores, min_size=(k + 2) ** 2, max_size=(k + 2) ** 2), label="tr"))
+    tr = tr.reshape(k + 2, k + 2)
+    y = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="y"))
+    nll, d_em, d_tr = _nll_and_grads(em, tr, y, lengths)
+    want, _, scale, want_em, want_tr = _log_space_nll(em, tr, y, lengths)
+    tol = 1e-12 * (scale + 1.0)
+    assert abs(nll - want) <= tol
+    assert np.isfinite(d_em).all() and np.isfinite(d_tr).all()
+    assert np.allclose(d_em, want_em, rtol=0.0, atol=tol)
+    assert np.allclose(d_tr, want_tr, rtol=0.0, atol=tol)
+
+
+def test_crf_nll_matches_brute_force_enumeration_at_any_spread():
+    """Against the max-shifted enumeration of every path, which shares no
+    recursion with either regime of the node."""
+    rng = np.random.default_rng(17)
+    for spread in (1.0, 50.0, 350.0, 1e3, 1e4):
+        for _ in range(40):
+            k, t_len = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            lat = TagLattice(rng.uniform(-spread, spread, size=(t_len, k)),
+                             rng.uniform(-spread, spread, size=(k + 2, k + 2)))
+            y = rng.integers(0, k, size=t_len)
+            log_z, _ = brute_force_oracle(lat)
+            score = crf_sequence_score(lat, y)
+            nll = float(crf_nll(lat, y).values)
+            assert abs(nll - (log_z - score)) <= 1e-12 * (abs(log_z) + abs(score) + 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_crf_nll_of_a_nan_or_inf_score_is_non_finite_and_the_step_is_rejected(bad, dtype):
+    rng = np.random.default_rng(18)
+    em = rng.normal(size=(5, 3)).astype(dtype)
+    em[1, 0] = bad
+    a, b = Tensor(em), Tensor(rng.normal(size=(5, 5)).astype(dtype))
+    tape = Tape()
+    with tape, np.errstate(invalid="ignore"):  # inf - inf in the log-sum-exps
+        nll = autodiff.crf_nll(a, b, np.array([0, 1, 2, 0, 1]), [3, 2])
+        backward(nll, tape)
+    assert not np.isfinite(nll.values)
+    assert not (np.isfinite(a.grad).all() and np.isfinite(b.grad).all())
+    assert not AdaDelta({"a": a, "b": b}).step()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_crf_nll_of_a_minus_inf_score_is_finite_and_gives_its_label_no_mass(dtype):
+    rng = np.random.default_rng(19)
+    em = rng.normal(size=(5, 3)).astype(dtype)
+    em[1, 0] = -np.inf
+    tr = rng.normal(size=(5, 5)).astype(dtype)
+    y = np.array([0, 1, 2, 0, 1])
+    nll, d_em, d_tr = _nll_and_grads(em, tr, y, [3, 2])
+    assert np.isfinite(nll) and np.isfinite(d_em).all() and np.isfinite(d_tr).all()
+    assert d_em[1, 0] == 0.0  # not gold there, and its marginal is exactly 0
+    finite = em.copy()
+    finite[1, 0] = -1e3  # exp(-1e3) is 0 in float64: the same lattice
+    want, _, _, want_em, _ = _log_space_nll(finite, tr, y, [3, 2])
+    assert nll == pytest.approx(want, rel=1e-6)
+    assert np.allclose(d_em, want_em, rtol=0.0, atol=1e-6)
+
+
+def test_crf_nll_float32_scores_spread_across_100_stay_exact():
     rng = np.random.default_rng(16)
     for trial in range(40):
         k = int(rng.integers(1, 10))
@@ -417,11 +491,11 @@ def test_log_partition_float32_scores_spread_across_100_stay_exact():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_log_partition_redoes_an_underflowing_step_in_log_space(dtype):
+def test_crf_nll_is_exact_where_a_scaled_step_would_underflow(dtype):
     # the second sentence starts in label 0 (label 1 is exp(-700) as likely), and
     # every way on from label 0 scores 800 below the best transition, every way on
-    # from label 1 another 50: the scaled sum of its second step is exp(-750),
-    # zero in float64, so that step must be recomputed in log space
+    # from label 1 another 50: the scaled sum of its second step would be
+    # exp(-750), zero in float64
     tr = np.zeros((4, 4))
     tr[:2, :2] = [[-800.0, -800.0], [-50.0, 0.0]]
     tr[2, :2] = [0.0, -700.0]
