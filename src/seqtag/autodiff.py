@@ -1,12 +1,11 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
 The engine is deliberately small: eleven primitive kinds, picked as
-the minimal set the tagging models in this package need, plus a
-gradient blocking marker. Each primitive takes the one shape form the
-models use, mostly matrices. Values are dense numpy arrays of zero to
-two dimensions. float32 is the training precision; float64 is the
-verification precision (finite-difference checks are unreliable in
-float32).
+the minimal set the tagging models in this package need. Each
+primitive takes the one shape form the models use, mostly matrices.
+Values are dense numpy arrays of zero to two dimensions. float32 is the
+training precision; float64 is the verification precision
+(finite-difference checks are unreliable in float32).
 
 Shape rules per primitive kind::
 
@@ -45,17 +44,21 @@ Shape rules per primitive kind::
                            gold counts
 
 Recording is scoped by a ``Tape`` used as a context manager; outside any
-tape the same functions run forward-only. The finite-difference checker
-in the test suite relies on that for its many loss evaluations, and
+tape the same functions run forward-only. A tape is a list of nodes, and
+each node holds the tensors it read and the one it made. A constant
+tensor takes no gradient; ``stop_gradient`` returns its input's values as
+a constant, so it records nothing. The finite-difference checker in the
+test suite relies on forward-only runs for its many loss evaluations, and
 swaps ``_stop_gradient_values`` to freeze every ``stop_gradient`` input
 at its baseline value while perturbing, so that the numeric derivative
 measures exactly the quantity the analytic backward pass computes.
 
-``backward`` walks the tape once, from the last node to the first, and
-frees memory as it goes: once a node's backward has run, the tape drops
-the node's output tensor and that output's gradient, and the node its
-saved arrays. A training step's working set is thus about its forward
-tape. Only the loss's seed and the leaves' gradients survive the pass.
+``backward`` walks the tape once, from the last node to the first. Every
+gradient accumulates in the ``grad`` of its tensor. The pass frees memory
+as it goes: once a node's backward has run, its output's gradient is
+dropped and the node lets go of its tensors and saved arrays. A training
+step's working set is thus about its forward tape. Only the gradients of
+the leaves the loss reached survive the pass.
 """
 
 from __future__ import annotations
@@ -84,17 +87,17 @@ OP_KINDS = (
 
 
 class Tensor:
-    """Dense numeric array with an optional gradient and tape linkage.
+    """Dense numeric array with an optional gradient.
 
-    ``grad`` is None, an array of the tensor's shape, or a ``RowGrad``.
+    ``grad`` is None, an array of the tensor's shape, or a ``RowGrad``;
+    ``backward`` accumulates into it. A ``constant`` tensor never takes one.
     """
 
-    __slots__ = ("values", "grad", "node_id", "constant")
+    __slots__ = ("values", "grad", "constant")
 
     def __init__(self, values, constant: bool = False):
         self.values = np.asarray(values)
         self.grad = None
-        self.node_id = None
         self.constant = constant
 
     @property
@@ -145,44 +148,32 @@ def tensor(values, dtype=None) -> Tensor:
 
 
 class Node:
-    __slots__ = ("op", "input_ids", "out_id", "saved")
+    """One primitive application: its kind, its input tensors, its output
+    tensor and the arrays its backward reads."""
 
-    def __init__(self, op, input_ids, out_id, saved):
+    __slots__ = ("op", "inputs", "out", "saved")
+
+    def __init__(self, op, inputs, out, saved):
         self.op = op
-        self.input_ids = input_ids
-        self.out_id = out_id
+        self.inputs = inputs
+        self.out = out
         self.saved = saved
 
 
 class Tape:
-    """Append-only record of primitive applications.
+    """Append-only record of primitive applications, in ``nodes``.
 
-    Nodes are topologically ordered by construction and ids are dense:
-    every tensor touched while the tape is active gets one. Use as a
-    context manager; tapes may be nested, the innermost one records.
-    ``backward`` consumes the tape, dropping each produced tensor.
+    Nodes are topologically ordered by construction. Use as a context
+    manager; tapes may be nested, the innermost one records. ``backward``
+    consumes the tape: afterwards each node keeps only its ``op``.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._tensors: list[Tensor] = []
         self._consumed = False
 
     def __len__(self):
         return len(self.nodes)
-
-    def _ensure_id(self, t: Tensor) -> int:
-        nid = t.node_id
-        if nid is not None and nid < len(self._tensors) and self._tensors[nid] is t:
-            return nid
-        nid = len(self._tensors)
-        self._tensors.append(t)
-        t.node_id = nid
-        return nid
-
-    def _record(self, op, inputs, out, saved):
-        ids = tuple(self._ensure_id(t) for t in inputs)
-        self.nodes.append(Node(op, ids, self._ensure_id(out), saved))
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -223,7 +214,7 @@ def _emit(op, inputs, out_values, saved=()):
     out = Tensor(out_values)
     tape = active_tape()
     if tape is not None:
-        tape._record(op, inputs, out, saved)
+        tape.nodes.append(Node(op, inputs, out, saved))
     return out
 
 
@@ -565,78 +556,78 @@ def _stop_gradient_values(values):
 
 
 def stop_gradient(t: Tensor) -> Tensor:
-    """Identity forward; the backward pass sends nothing through here."""
-    return _emit("stop_gradient", (t,), _stop_gradient_values(t.values), ())
+    """The values of ``t`` as a constant: no node is recorded, so no gradient flows back."""
+    return Tensor(_stop_gradient_values(t.values), constant=True)
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
 
-def _grad_buffer(grads, tensors, nid):
-    t = tensors[nid]
+def _grad_buffer(t: Tensor):
+    """The dense array that gradients of ``t`` accumulate in, None for a constant."""
     if t.constant:
         return None
-    buf = grads[nid]
+    buf = t.grad
     if buf is None:
         # C order whatever the values' layout, so that _scatter can work on a flat view
-        buf = grads[nid] = np.zeros(t.shape, dtype=t.dtype)
+        buf = t.grad = np.zeros(t.shape, dtype=t.dtype)
     elif isinstance(buf, RowGrad):
-        buf = grads[nid] = buf.dense()
+        buf = t.grad = buf.dense()
     return buf
 
 
-def _acc(grads, tensors, nid, contribution):
-    buf = _grad_buffer(grads, tensors, nid)
+def _acc(t: Tensor, contribution):
+    buf = _grad_buffer(t)
     if buf is not None:
         buf += contribution
 
 
-def _bwd_linear(node, g, grads, tensors):
-    x_id, w_id = node.input_ids
+def _bwd_linear(node, g):
+    x, w = node.inputs
     xv, wv = node.saved
-    _acc(grads, tensors, x_id, g @ wv)
+    _acc(x, g @ wv)
     # as (x.T @ g).T: g.T @ x may round differently, which would move trained weights in the last bits
-    _acc(grads, tensors, w_id, (xv.T @ g).T)
+    _acc(w, (xv.T @ g).T)
 
 
-def _bwd_add(node, g, grads, tensors):
-    for nid in node.input_ids:
-        _acc(grads, tensors, nid, g)
+def _bwd_add(node, g):
+    for t in node.inputs:
+        _acc(t, g)
 
 
-def _bwd_mix(node, g, grads, tensors):
+def _bwd_mix(node, g):
     zv, xv, mv = node.saved
-    z_id, x_id, m_id = node.input_ids
+    z, x, m = node.inputs
     dz = g * xv
     dz -= g * mv
-    _acc(grads, tensors, z_id, dz)
-    _acc(grads, tensors, x_id, g * zv)
-    _acc(grads, tensors, m_id, g * (1 - zv))
+    _acc(z, dz)
+    _acc(x, g * zv)
+    _acc(m, g * (1 - zv))
 
 
-def _bwd_tanh(node, g, grads, tensors):
+def _bwd_tanh(node, g):
     (y,) = node.saved
-    _acc(grads, tensors, node.input_ids[0], g * (1.0 - y * y))
+    _acc(node.inputs[0], g * (1.0 - y * y))
 
 
-def _bwd_sigmoid(node, g, grads, tensors):
+def _bwd_sigmoid(node, g):
     (y,) = node.saved
-    _acc(grads, tensors, node.input_ids[0], g * (y * (1.0 - y)))
+    _acc(node.inputs[0], g * (y * (1.0 - y)))
 
 
-def _bwd_concat(node, g, grads, tensors):
+def _bwd_concat(node, g):
     axis, shapes = node.saved
     pieces = np.split(g, np.cumsum([s[axis] for s in shapes])[:-1], axis=axis)
-    for nid, piece in zip(node.input_ids, pieces):
-        _acc(grads, tensors, nid, piece)
+    for t, piece in zip(node.inputs, pieces):
+        _acc(t, piece)
 
 
-def _bwd_sum(node, g, grads, tensors):
-    _acc(grads, tensors, node.input_ids[0], g)
+def _bwd_sum(node, g):
+    _acc(node.inputs[0], g)
 
 
-def _bwd_cosine_distance(node, g, grads, tensors):
+def _bwd_cosine_distance(node, g):
     av, bv, na, nb, dot = node.saved
     ea = (na + NORM_EPS)[:, None]
     eb = (nb + NORM_EPS)[:, None]
@@ -645,8 +636,8 @@ def _bwd_cosine_distance(node, g, grads, tensors):
     unit_a = av / np.where(na > 0.0, na, 1.0)[:, None]
     unit_b = bv / np.where(nb > 0.0, nb, 1.0)[:, None]
     gd = -g[:, None]  # the distance falls as the cosine rises
-    _acc(grads, tensors, node.input_ids[0], gd * (bv / (ea * eb) - (c / ea) * unit_a))
-    _acc(grads, tensors, node.input_ids[1], gd * (av / (ea * eb) - (c / eb) * unit_b))
+    _acc(node.inputs[0], gd * (bv / (ea * eb) - (c / ea) * unit_a))
+    _acc(node.inputs[1], gd * (av / (ea * eb) - (c / eb) * unit_b))
 
 
 def _scatter(buf, rows, g):
@@ -662,7 +653,7 @@ def _scatter(buf, rows, g):
     np.add.at(buf.reshape(-1), flat.reshape(-1), g.reshape(-1))
 
 
-def _bwd_pick_row(node, g, grads, tensors):
+def _bwd_pick_row(node, g):
     """Scatter ``g`` back; a first gradient stays in row form.
 
     The row form holds each picked row's gradient summed in index order,
@@ -671,30 +662,29 @@ def _bwd_pick_row(node, g, grads, tensors):
     second gradient arrives.
     """
     (index,) = node.saved
-    nid = node.input_ids[0]
-    m = tensors[nid]
+    (m,) = node.inputs
     if m.constant:
         return
-    if grads[nid] is None:
+    if m.grad is None:
         rows, inverse = np.unique(index, return_inverse=True)
         values = np.zeros((len(rows), m.shape[1]), dtype=m.dtype)
         _scatter(values, inverse.reshape(index.shape), g)
-        grads[nid] = RowGrad(rows, values, m.shape)
+        m.grad = RowGrad(rows, values, m.shape)
     else:
-        _scatter(_grad_buffer(grads, tensors, nid), index, g)
+        _scatter(_grad_buffer(m), index, g)
 
 
-def _bwd_lstm_sequence(node, g, grads, tensors):
+def _bwd_lstm_sequence(node, g):
     """Backpropagation through time, then one GEMM per weight gradient.
 
     The packed inputs and hidden states are gathered back through
     ``perm`` from the values of the node's input and output, which the
-    tape still holds. The local derivatives are taken step by step on
+    node still holds. The local derivatives are taken step by step on
     (k, H) blocks, so the only (N, H) array besides the gradients is the
     hidden state entering each step, which the ``w_h`` gradient needs.
     """
     wx, wh, gates, cells, steps, perm = node.saved
-    x_id, wx_id, wh_id, b_id = node.input_ids
+    x, w_x, w_h, b = node.inputs
     hid = wh.shape[0]
     d_pre = np.empty_like(gates)
     dh_next = np.zeros((steps[0][1], hid), dtype=g.dtype)
@@ -717,28 +707,24 @@ def _bwd_lstm_sequence(node, g, grads, tensors):
         d[:, 3] *= dh
         np.multiply(dc, gf, out=dc_next[:k])
         np.matmul(d_pre[rows], wh_t, out=dh_next[:k])
-    buf = _grad_buffer(grads, tensors, x_id)
+    buf = _grad_buffer(x)
     if buf is not None:
         buf[perm] += d_pre @ wx.T
-    _acc(grads, tensors, wx_id, tensors[x_id].values[perm].T @ d_pre)
+    _acc(w_x, x.values[perm].T @ d_pre)
     # the hidden states entering each step: a prefix of the previous step's, zero at the start
-    out = tensors[node.out_id].values
+    out = node.out.values
     h_prev = np.zeros_like(cells)
     for (prev, _), (rows, k) in zip(steps, steps[1:]):
         h_prev[rows] = out[perm[prev][:k]]
-    _acc(grads, tensors, wh_id, h_prev.T @ d_pre)
-    _acc(grads, tensors, b_id, d_pre.sum(axis=0))
+    _acc(w_h, h_prev.T @ d_pre)
+    _acc(b, d_pre.sum(axis=0))
 
 
-def _bwd_crf_nll(node, g, grads, tensors):
+def _bwd_crf_nll(node, g):
     """Each score gets g times its saved gradient, the marginals minus the gold counts."""
     d_em, db = node.saved
-    _acc(grads, tensors, node.input_ids[0], d_em * g)
-    _acc(grads, tensors, node.input_ids[1], db * g)
-
-
-def _bwd_stop_gradient(node, g, grads, tensors):
-    pass
+    _acc(node.inputs[0], d_em * g)
+    _acc(node.inputs[1], db * g)
 
 
 _BACKWARD = {
@@ -753,49 +739,41 @@ _BACKWARD = {
     "pick_row": _bwd_pick_row,
     "lstm_sequence": _bwd_lstm_sequence,
     "crf_nll": _bwd_crf_nll,
-    "stop_gradient": _bwd_stop_gradient,
 }
 
 
-def backward(loss: Tensor, tape: Tape) -> dict[int, np.ndarray | RowGrad]:
+def backward(loss: Tensor, tape: Tape) -> None:
     """Propagate gradients of a scalar loss back through the tape.
 
-    The pass walks the nodes from last to first and releases memory as
-    it goes: once a node's backward has run, the tape drops the node's
-    output tensor and that output's gradient, and the node drops its
-    saved arrays. So a step's working set is about its forward tape.
+    Every gradient lives in the ``grad`` of its tensor. The pass first
+    clears ``grad`` on each output of the tape, so a gradient another
+    tape's backward left on one is not carried in, then seeds the loss
+    with ones and walks the nodes from last to first, handing each output's
+    gradient to its node. It releases memory as it goes: once a node's
+    backward has run, the output's gradient is dropped and the node lets
+    go of its input, output and saved arrays, keeping only its ``op``.
+    So a step's working set is about its forward tape.
 
-    Returns the gradients that survive, keyed by node id: the loss's
-    seed (ones) and the gradient of every reached leaf, an array, or a
-    ``RowGrad`` for a leaf whose one gradient came from ``pick_row``.
-    Non-constant leaf tensors (parameters) also get theirs accumulated
-    into their ``grad`` slot. The tape is consumed: a second call on it
-    raises ``ValueError``.
+    Afterwards a tensor holds a gradient only if it is a leaf the loss
+    reached and not a constant: an array, or a ``RowGrad`` for a leaf
+    whose one gradient came from ``pick_row``. A leaf that already held
+    a gradient has this pass's added to it. The tape is consumed: a
+    second call on it raises ``ValueError``.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if tape._consumed:
         raise ValueError("backward: this tape was already backpropagated")
-    tensors = tape._tensors
-    nid = loss.node_id
-    if nid is None or nid >= len(tensors) or tensors[nid] is not loss:
+    if not any(node.out is loss for node in tape.nodes):
         raise ValueError("backward: loss is not recorded on this tape")
     tape._consumed = True
-    grads: list = [None] * len(tensors)
-    seed = grads[nid] = np.ones_like(loss.values)
+    for node in tape.nodes:
+        node.out.grad = None
+    loss.grad = np.ones_like(loss.values)
     for node in reversed(tape.nodes):
-        out_id = node.out_id
-        g = grads[out_id]
+        out = node.out
+        g = out.grad
         if g is not None:
-            grads[out_id] = None
-            _BACKWARD[node.op](node, dense_grad(g), grads, tensors)  # a node reads its output's gradient whole
-        tensors[out_id] = node.saved = None
-    result = {nid: seed}
-    for i, g in enumerate(grads):
-        if g is None:
-            continue
-        result[i] = g
-        t = tensors[i]
-        if not t.constant:
-            t.grad = g if t.grad is None else dense_grad(t.grad) + dense_grad(g)
-    return result
+            out.grad = None
+            _BACKWARD[node.op](node, dense_grad(g))  # a node reads its output's gradient whole
+        node.inputs = node.out = node.saved = None

@@ -87,12 +87,14 @@ def test_backward_tanh_prime_at_zero():
 
 
 def test_backward_loss_grad_wrt_itself_is_one():
+    """The seed of one reaches a leaf through a sum unchanged, and is dropped once used."""
     x = t64([2.0])
     tape = Tape()
     with tape:
         loss = reduce_sum(x)
-    grads = backward(loss, tape)
-    assert float(grads[loss.node_id]) == 1.0
+    backward(loss, tape)
+    assert float(x.grad[0]) == 1.0
+    assert loss.grad is None
 
 
 def test_backward_unreachable_tensor_gets_no_entry():
@@ -100,11 +102,38 @@ def test_backward_unreachable_tensor_gets_no_entry():
     y = t64([3.0])
     tape = Tape()
     with tape:
-        loss = reduce_sum(x)
-        reduce_sum(y)  # on the tape but not feeding the loss
-    grads = backward(loss, tape)
-    assert y.grad is None
-    assert y.node_id not in grads
+        hidden = tanh(x)
+        loss = reduce_sum(hidden)
+        off_path = reduce_sum(y)  # on the tape but not feeding the loss
+    backward(loss, tape)
+    assert y.grad is None and off_path.grad is None
+    assert hidden.grad is None  # only leaves keep a gradient
+    assert x.grad is not None
+
+
+def test_nested_tapes_give_the_outer_pass_its_own_gradients():
+    """An inner tape's backward leaves a gradient on a tensor the outer tape
+    made; the outer backward over that tensor does not carry it in."""
+    rng = np.random.default_rng(19)
+    w_vals, x_vals = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+
+    def outer_pass(inner):
+        w, x = t64(w_vals), t64(x_vals)
+        outer = Tape()
+        with outer:
+            h = tanh(linear(x, w))  # shared: made on the outer tape
+            if inner:
+                tape = Tape()
+                with tape:
+                    inner_loss = reduce_sum(sigmoid(h))
+                backward(inner_loss, tape)
+                assert h.grad is not None and w.grad is None
+            loss = reduce_sum(tanh(h))
+        backward(loss, outer)
+        return w.grad, x.grad
+
+    for got, want in zip(outer_pass(inner=True), outer_pass(inner=False)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_linear_gradient_random_2x2():
@@ -147,8 +176,11 @@ def test_add_and_mix_take_equal_shapes_only():
 
 def test_stop_gradient_forward_identity():
     x = t64([1.5, -2.0])
-    out = stop_gradient(x)
+    tape = Tape()
+    with tape:
+        out = stop_gradient(x)
     assert np.array_equal(out.values, x.values)
+    assert out.constant and len(tape) == 0  # a constant, not a node
 
 
 def test_stop_gradient_blocks_one_side():
@@ -430,17 +462,19 @@ def test_stop_gradient_preserves_bits():
     assert out.values.tobytes() == vals.tobytes()
 
 
-def test_tape_ids_dense_and_topologically_ordered():
+def test_tape_nodes_topologically_ordered():
+    """Each node reads leaves or outputs of earlier nodes; the loss is the last output."""
     x = t64([[1.0, 2.0]])
     w = t64(np.eye(2))
     tape = Tape()
     with tape:
         loss = reduce_sum(tanh(linear(x, w)))
-    ids = [t.node_id for t in tape._tensors]
-    assert ids == list(range(len(ids)))
+    made = []
     for node in tape.nodes:
-        assert all(i < node.out_id for i in node.input_ids)
-    assert loss.node_id == len(ids) - 1
+        assert all(any(t is s for s in (x, w, *made)) for t in node.inputs)
+        made.append(node.out)
+    assert [n.op for n in tape.nodes] == ["linear", "tanh", "sum"]
+    assert made[-1] is loss
 
 
 def test_distinct_tapes_on_distinct_threads():
@@ -570,4 +604,4 @@ def test_cosine_distance_takes_only_matrices():
 
 
 def test_every_op_kind_has_one_backward_and_no_other():
-    assert set(_BACKWARD) == set(OP_KINDS) | {"stop_gradient"}
+    assert set(_BACKWARD) == set(OP_KINDS)

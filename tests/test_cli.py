@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -252,6 +255,24 @@ def test_tag_preserves_input_columns(trained_dir, tmp_path, capsys):
     assert out_lines[3].startswith("gammaic Z extra3\t")
     labels = [l.rsplit("\t", 1)[1] for l in out_lines if l]
     assert all(lab.startswith("C") for lab in labels)
+
+
+def test_tag_into_a_closed_pipe_exits_quietly(trained_dir, tmp_path):
+    """A reader that stops after one line, as `seqtag tag ... | head -n 1` does,
+    ends the command with status 0 and nothing on stderr."""
+    src = tmp_path / "big.conll"
+    src.write_text("alphaan X\nbetaeb Y\n\n" * 6000)  # about 130 KiB of output, past a pipe's buffer
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seqtag.cli", "tag", "--model", str(trained_dir / "word" / "model.bin"),
+         "--input", str(src)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"alphaan X\t")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_tag_short_row_names_file_and_line(trained_dir, tmp_path, capsys):

@@ -225,17 +225,16 @@ def test_lstm_backward_allocates_no_other_n_by_h_array():
         lstm_sequence(x, *random_lstm(rng, d, hid), lengths=lengths)
     (node,) = tape.nodes
     g = rng.normal(size=(n, hid))
-    grads = [None] * len(tape._tensors)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        autodiff._BACKWARD["lstm_sequence"](node, g, grads, tape._tensors)
+        autodiff._BACKWARD["lstm_sequence"](node, g)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     item = g.itemsize
-    returned = sum(grad.nbytes for grad in grads if grad is not None)
+    returned = sum(t.grad.nbytes for t in node.inputs)
     assert returned == item * (n * d + d * 4 * hid + hid * 4 * hid + 4 * hid)
     kept = item * (n * 4 * hid + n * hid)  # the gate gradients and the entering hidden states
     # the gathered inputs and the x-gradient product, a weight-gradient product
@@ -261,8 +260,11 @@ def test_ragged_lstm_sequence_matches_one_run_per_sequence(reverse):
             with tape:
                 out = lstm_sequence(inputs, *p, reverse=reverse, lengths=lens)
                 loss = weighted_sum(out, t64(weights[rows]))
-            grads = backward(loss, tape)
-            return out.values, [grads[t.node_id] for t in (inputs, *params[1:])]
+            leaves = (inputs, *params[1:])
+            for t in leaves:
+                t.grad = None
+            backward(loss, tape)
+            return out.values, [t.grad for t in leaves]
 
         states, grads = run(x, lengths, slice(None))
         want_weights = [np.zeros_like(t.values) for t in params[1:]]
