@@ -292,7 +292,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed the pipe (as `| head` does): end quietly, with stdout on
         # the null device so that the flush at interpreter exit fails neither
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -263,15 +263,15 @@ def test_tag_into_a_closed_pipe_exits_quietly(trained_dir, tmp_path):
     src = tmp_path / "big.conll"
     src.write_text("alphaan X\nbetaeb Y\n\n" * 6000)  # about 130 KiB of output, past a pipe's buffer
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "seqtag.cli", "tag", "--model", str(trained_dir / "word" / "model.bin"),
          "--input", str(src)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline().startswith(b"alphaan X\t")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"alphaan X\t")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert err == b""
 
 
