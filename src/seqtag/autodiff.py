@@ -30,8 +30,9 @@ Shape rules per primitive kind::
                            (N,D) -> (N,H) for one sequence, or several of
                            the given lengths stored back to back: the
                            hidden state after every position of whole
-                           LSTM runs, as one node with a hand-written
-                           backward pass through time
+                           LSTM runs, their inputs projected in one GEMM,
+                           as one node with a hand-written backward pass
+                           through time
     crf_nll(a, b, y, lengths)
                            (N,K) emissions of one sentence, or several of
                            the given lengths stored back to back,
@@ -360,13 +361,10 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
     row with ``x``: the state after that position of its own sequence.
     With ``reverse`` each run starts at its sequence's last position.
     Gate order and cell equations are those documented in
-    ``seqtag.layers``. All runs advance together, one ``h @ w_h``
-    product per step over the sequences still running (see
-    ``_run_layout``). For a single sequence the input projection takes
-    each position as its own vector-matrix product, the kernel a single
-    cell update uses, so its states equal those of the stepwise cell bit
-    for bit; several sequences project in one GEMM, which is several
-    times faster at training shapes.
+    ``seqtag.layers``. The inputs of every call, one sequence or many,
+    are projected in one GEMM, ``xs @ w_x``; then all runs advance
+    together, one ``h @ w_h`` product per step over the sequences still
+    running (see ``_run_layout``).
 
     The node keeps the post-activation gates and the cell states. Its
     backward gathers the packed inputs and hidden states back from the
@@ -385,7 +383,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
         raise _shape_error("lstm_sequence", xv.shape, wx.shape, wh.shape, bv.shape)
     steps, perm = _run_layout(xv.shape[0], lengths, reverse)
     xs = xv[perm]
-    gates = np.matmul(xs[:, None, :], wx)[:, 0] if steps[0][1] == 1 else xs @ wx
+    gates = xs @ wx
     # the projections turn into the post-activation gates i, f, g, o step by step
     cells = np.empty((xv.shape[0], hid), dtype=gates.dtype)
     out = np.empty_like(cells)

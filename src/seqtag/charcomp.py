@@ -108,4 +108,4 @@ def char_aux_loss(m: Tensor, x: Tensor, oov_mask) -> Tensor:
     kept = np.flatnonzero(~oov_mask)
     if not kept.size:
         return Tensor(np.zeros((), dtype=m.values.dtype), constant=True)
-    return reduce_sum(cosine_distance(pick_row(m, kept), stop_gradient(pick_row(x, kept))))
+    return reduce_sum(cosine_distance(pick_row(m, kept), stop_gradient(Tensor(x.values[kept]))))

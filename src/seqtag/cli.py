@@ -27,16 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (
-    Sentence,
-    build_vocab,
-    dataset_stats,
-    load_conll,
-    load_pretrained_embeddings,
-    preprocess_token,
-    split_row,
-)
-from .model import ModelConfig, atomic_open, count_parameters, load_model, save_model
+from .corpus import build_vocab, dataset_stats, load_conll, load_pretrained_embeddings, read_conll
+from .model import ARCHITECTURES, METRICS, OUTPUTS, ModelConfig, atomic_open, count_parameters, load_model, save_model
 from .training import TrainingFailed, evaluate, train
 
 
@@ -161,32 +153,12 @@ def cmd_tag(args) -> int:
     model = load_model(args.model)
     # a file is replaced only once every sentence is tagged
     with atomic_open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-        block: list = []
-
-        def flush():
-            if not block:
-                return
-            tokens = [
-                split_row(line, args.input, lineno, args.token_column)[args.token_column]
-                for lineno, line in block
-            ]
-            sent = model.vocab.encode(
-                Sentence(tokens, [preprocess_token(t) for t in tokens], [""] * len(tokens))
-            )
-            labels = model.predict_labels(sent)
-            for (_, line), label in zip(block, labels):
-                out.write(f"{line}\t{label}\n")
-            block.clear()
-
-        with open(args.input, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    flush()
-                    out.write("\n")
-                    continue
-                block.append((lineno, line))
-        flush()
+        for rows, sent in read_conll(args.input, args.token_column, label_column=None):
+            if rows is None:
+                out.write("\n")
+                continue
+            labels = model.predict_labels(model.vocab.encode(sent))
+            out.writelines(f"{row}\t{label}\n" for row, label in zip(rows, labels))
     return 0
 
 
@@ -242,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arch", choices=("word", "concat", "attention"))
-    p.add_argument("--output", dest="output_layer", choices=("softmax", "crf"))
+    p.add_argument("--arch", choices=ARCHITECTURES)
+    p.add_argument("--output", dest="output_layer", choices=OUTPUTS)
     p.add_argument("--seed", type=int)
     p.add_argument("--embeddings", help="pretrained word vectors, text format")
     _add_column_args(p)
@@ -252,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--metric", required=True, choices=("acc", "span-f1", "f0.5"))
+    p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--positive-label", default="")
     _add_column_args(p)
     p.set_defaults(func=cmd_evaluate)

@@ -10,6 +10,11 @@ lookup but their characters still feed the character-level components.
 The character inventory carries its own OOV entry for characters first
 seen at test time.
 
+Every command reads its data through ``read_conll``, a generator that
+streams the file and yields each sentence together with its rows as
+read, and a marker for each blank line; ``load_conll`` keeps the
+sentences, and ``seqtag tag`` writes each row back with its label.
+
 Counting and encoding work per word type, not per token: ``build_vocab``
 counts the normalized tokens and takes the characters from the counted
 types, and ``Vocabulary.encode_corpus`` looks each distinct normalized
@@ -23,7 +28,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -78,40 +83,35 @@ def split_row(line: str, path, lineno: int, token_column: int, label_column: int
     return cols
 
 
-def load_conll(path, token_column: int = 0, label_column: int | None = -1):
-    """Read whitespace-separated columns, one token per line.
+def read_conll(path, token_column: int = 0, label_column: int | None = -1):
+    """Stream a file of whitespace-separated columns, one token per line.
 
-    Blank lines separate sentences. ``label_column`` may be negative
-    (counted from the right) or None for unlabeled input. A row too
-    short for the requested columns, or one whose label column resolves
-    to its token column, is rejected with its line number.
+    Yields ``(rows, sentence)`` for each run of data rows, with the rows
+    as read less their line ends, and ``(None, None)`` for each blank
+    (or whitespace-only) line, in file order. ``label_column`` may be
+    negative (counted from the right) or None for unlabeled input, whose
+    labels are then empty strings. A row too short for the requested
+    columns, or one whose label column resolves to its token column, is
+    rejected with its line number before its sentence is yielded.
     """
-    sentences = []
-    tokens: list = []
-    labels: list = []
-
-    def flush():
-        if tokens:
-            sentences.append(
-                Sentence(
-                    surface=list(tokens),
-                    normalized=[preprocess_token(t) for t in tokens],
-                    labels=list(labels),
-                )
-            )
-            tokens.clear()
-            labels.clear()
-
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                flush()
+        for is_data, lines in groupby(enumerate(fh, start=1), key=lambda item: bool(item[1].strip())):
+            if not is_data:
+                for _ in lines:
+                    yield None, None
                 continue
-            cols = split_row(line, path, lineno, token_column, label_column)
-            tokens.append(cols[token_column])
-            labels.append(cols[label_column] if label_column is not None else "")
-    flush()
-    return sentences
+            rows, tokens, labels = [], [], []
+            for lineno, line in lines:
+                cols = split_row(line, path, lineno, token_column, label_column)
+                rows.append(line.rstrip("\n"))
+                tokens.append(cols[token_column])
+                labels.append(cols[label_column] if label_column is not None else "")
+            yield rows, Sentence(tokens, [preprocess_token(t) for t in tokens], labels)
+
+
+def load_conll(path, token_column: int = 0, label_column: int | None = -1):
+    """The sentences ``read_conll`` yields, as a list."""
+    return [sent for rows, sent in read_conll(path, token_column, label_column) if rows]
 
 
 class Vocabulary:

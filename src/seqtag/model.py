@@ -64,6 +64,7 @@ from .layers import bilstm_run, dense_tanh
 
 ARCHITECTURES = ("word", "concat", "attention")
 OUTPUTS = ("softmax", "crf")
+METRICS = ("acc", "span-f1", "f0.5")
 
 MODEL_MAGIC = b"SQTG"
 MODEL_FORMAT_VERSION = 2
@@ -114,8 +115,8 @@ class ModelConfig:
             raise ValueError("rho must lie in [0, 1)")
         if not (0 < self.epsilon < math.inf and 0 < self.learning_rate < math.inf):
             raise ValueError("epsilon and learning_rate must be positive and finite")
-        if self.dev_metric not in ("acc", "span-f1", "f0.5"):
-            raise ValueError(f"dev_metric must be acc, span-f1 or f0.5, got {self.dev_metric!r}")
+        if self.dev_metric not in METRICS:
+            raise ValueError(f"dev_metric must be one of {METRICS}, got {self.dev_metric!r}")
         if self.dev_metric == "f0.5" and not self.positive_label:
             raise ValueError("dev_metric f0.5 needs a positive label: set positive_label")
         if self.dtype not in ("float32", "float64"):

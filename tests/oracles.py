@@ -209,7 +209,7 @@ def lstm_sequence_oracle(x, w_x, w_h, b, g, reverse=False, lengths=None):
     hid = w_h.shape[0]
     steps, perm = _run_layout(x.shape[0], lengths, reverse)
     xs = x[perm]
-    gates = np.matmul(xs[:, None, :], w_x)[:, 0] if steps[0][1] == 1 else xs @ w_x
+    gates = xs @ w_x
     cells = np.empty((x.shape[0], hid), dtype=gates.dtype)
     hidden = np.empty_like(cells)
     h = c = np.zeros((steps[0][1], hid), dtype=gates.dtype)

@@ -242,19 +242,21 @@ def test_evaluate_f05_needs_positive_label(trained_dir, data_dir, capsys):
 
 
 def test_tag_preserves_input_columns(trained_dir, tmp_path, capsys):
+    """Every input row comes back in order as the first tab field, and every
+    blank line (leading, repeated or whitespace-only) as an empty line, also
+    when the last row has no line end."""
+    rows = ["", "", "alphaan X extra1", "betaeb Y extra2", " \t ", "", "", "gammaic Z extra3"]
     src = tmp_path / "in.conll"
-    src.write_text("alphaan X extra1\nbetaeb Y extra2\n\ngammaic Z extra3\n\n")
+    src.write_text("\n".join(rows))
     code = main([
         "tag", "--model", str(trained_dir / "word" / "model.bin"), "--input", str(src),
     ])
     assert code == 0
-    out_lines = capsys.readouterr().out.splitlines()
-    assert out_lines[0].startswith("alphaan X extra1\t")
-    assert out_lines[1].startswith("betaeb Y extra2\t")
-    assert out_lines[2] == ""
-    assert out_lines[3].startswith("gammaic Z extra3\t")
-    labels = [l.rsplit("\t", 1)[1] for l in out_lines if l]
-    assert all(lab.startswith("C") for lab in labels)
+    out_lines = capsys.readouterr().out.split("\n")
+    assert out_lines.pop() == ""  # the last row's line gets its line end
+    assert [line.split("\t")[0] for line in out_lines] == [row if row.strip() else "" for row in rows]
+    tagged = [line.split("\t") for line in out_lines if line]
+    assert len(tagged) == 3 and all(len(cells) == 2 and cells[1].startswith("C") for cells in tagged)
 
 
 def test_tag_into_a_closed_pipe_exits_quietly(trained_dir, tmp_path):

@@ -148,9 +148,9 @@ def test_lstm_sequence_matches_stepwise_oracle(length, batch, reverse):
     assert out.shape == (x.shape[0], 4)
     for seq, states in zip(x.values.reshape(-1, length, 3), out.values.reshape(-1, length, 4)):
         want = stepwise_states(seq, p, reverse=reverse)
-        if (batch or 1) == 1:
+        if length == 1 and (batch or 1) == 1:
             assert np.array_equal(states, want)
-        else:  # h @ w_h of several rows at once is a GEMM, which rounds differently
+        else:  # the input projection and h @ w_h of several rows are GEMMs, which round differently
             assert np.allclose(states, want, rtol=0.0, atol=1e-12)
 
 
@@ -331,9 +331,9 @@ def test_bilstm_matches_reference_loop():
     for t in (2, 1, 0):
         h, c = lstm_step(xs[t], h, c, bwd)
         bwd_states[t] = h
-    for t in range(3):
-        assert np.array_equal(
-            out.values[t], np.concatenate([fwd_states[t], bwd_states[t]])
+    for t in range(3):  # the input projection is a GEMM, which rounds differently from the cell's
+        assert np.allclose(
+            out.values[t], np.concatenate([fwd_states[t], bwd_states[t]]), rtol=0.0, atol=1e-12
         )
 
 

@@ -202,7 +202,7 @@ _ARCH_OPS = {
     "word": Counter(),
     "concat": _COMPOSER_OPS + Counter(concat=1),
     "attention": _COMPOSER_OPS + Counter(linear=3, add=2, tanh=1, sigmoid=1, mix=1, cosine_distance=1, sum=1,
-                                         pick_row=2),
+                                         pick_row=1),
 }
 
 
