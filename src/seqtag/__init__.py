@@ -6,15 +6,11 @@ from .autodiff import (
     Tape,
     Tensor,
     backward,
+    crf_nll,
     lstm_sequence,
     stop_gradient,
 )
-from .charcomp import (
-    char_aux_loss,
-    combine_attention,
-    combine_concat,
-    compose_words,
-)
+from .charcomp import char_aux_loss, combine_attention, compose_words
 from .corpus import (
     Sentence,
     Vocabulary,
@@ -27,17 +23,16 @@ from .corpus import (
 from .crf import (
     LabelSet,
     TagLattice,
-    crf_nll,
     crf_sequence_score,
     emission_scores,
     viterbi_decode,
 )
-from .layers import bilstm_run, dense_tanh
 from .metrics import MetricResult, Span, extract_spans, f_beta_binary, span_f1, token_accuracy
 from .model import (
     Model,
     ModelConfig,
     assemble_model,
+    bilstm_run,
     count_parameters,
     load_model,
     parameter_table,

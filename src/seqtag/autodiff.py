@@ -15,8 +15,8 @@ Shape rules per primitive kind::
     mix(z, x, m)           z * x + (1 - z) * m elementwise on three equal
                            shapes: the attention gate's convex mix
     tanh(t), sigmoid(t)    elementwise, any shape
-    concat(ts, axis)       equal-rank inputs joined along the given
-                           axis; all other dimensions must agree
+    concat(ts)             matrices with equal row counts joined
+                           column-wise
     reduce_sum(t)          every entry summed to a scalar     (kind "sum")
     cosine_distance(a, b)  (n,d) matrices -> (n,) row by row: 1 - cos;
                            each norm is guarded with +1e-8 so zero rows
@@ -26,16 +26,15 @@ Shape rules per primitive kind::
                            i.shape + (n,); repeated rows accumulate
                            gradient; a leaf whose one gradient comes
                            from a pick gets it as a ``RowGrad``
-    lstm_sequence(x, w_x, w_h, b, reverse, lengths)
-                           (N,D) -> (N,H) for one sequence, or several of
-                           the given lengths stored back to back: the
-                           hidden state after every position of whole
-                           LSTM runs, their inputs projected in one GEMM,
-                           as one node with a hand-written backward pass
-                           through time
+    lstm_sequence(x, w_x, w_h, b, lengths, reverse)
+                           (N,D) -> (N,H) for sequences of the given
+                           lengths stored back to back: the hidden state
+                           after every position of whole LSTM runs, their
+                           inputs projected in one GEMM, as one node with
+                           a hand-written backward pass through time
     crf_nll(a, b, y, lengths)
-                           (N,K) emissions of one sentence, or several of
-                           the given lengths stored back to back,
+                           (N,K) emissions of sentences of the given
+                           lengths stored back to back,
                            (K+2,K+2) transitions and N gold label ids ->
                            the summed CRF negative log-likelihood, log Z
                            minus the gold paths' score, as one node: its
@@ -279,17 +278,14 @@ def sigmoid(t: Tensor) -> Tensor:
     return _emit("sigmoid", (t,), out, (out,))
 
 
-def concat(ts, axis: int) -> Tensor:
+def concat(ts) -> Tensor:
+    """Matrices with equal row counts joined column-wise."""
     ts = tuple(ts)
-    if not ts:
-        raise ValueError("concat: need at least one input")
     shapes = tuple(t.shape for t in ts)
-    ndim = len(shapes[0])
-    rest = [s[:axis] + s[axis + 1 :] for s in shapes]
-    if not 0 <= axis < ndim or any(len(s) != ndim or r != rest[0] for s, r in zip(shapes, rest)):
-        raise _shape_error(f"concat(axis={axis})", *shapes)
-    out = np.concatenate([t.values for t in ts], axis=axis)
-    return _emit("concat", ts, out, (axis, shapes))
+    if not ts or any(len(s) != 2 or s[0] != shapes[0][0] for s in shapes):
+        raise _shape_error("concat", *shapes)
+    out = np.concatenate([t.values for t in ts], axis=1)
+    return _emit("concat", ts, out, tuple(s[1] for s in shapes))
 
 
 def reduce_sum(t: Tensor) -> Tensor:
@@ -337,7 +333,7 @@ def _run_layout(n_rows: int, lengths, reverse: bool, op: str = "lstm_sequence"):
     first, so step t is a contiguous block of the sequences still
     running and no padded position exists.
     """
-    lens = [n_rows] if lengths is None else [operator.index(v) for v in lengths]
+    lens = [operator.index(v) for v in lengths]
     if not lens or min(lens) < 1 or sum(lens) != n_rows:
         raise ValueError(f"{op}: lengths {lens} do not split {n_rows} rows")
     lens = np.array(lens)
@@ -352,19 +348,25 @@ def _run_layout(n_rows: int, lengths, reverse: bool, op: str = "lstm_sequence"):
     return [(slice(e - k, e), k) for e, k in zip(ends, counts)], perm
 
 
-def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool = False,
-                  lengths=None) -> Tensor:
+def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, lengths, reverse: bool = False) -> Tensor:
     """Hidden states of LSTM runs over whole sequences from zero states.
 
-    ``x`` is (N, D): one sequence, or with ``lengths`` several stored
-    back to back (``lengths`` sums to N). The result is (N, H), row for
-    row with ``x``: the state after that position of its own sequence.
-    With ``reverse`` each run starts at its sequence's last position.
-    Gate order and cell equations are those documented in
-    ``seqtag.layers``. The inputs of every call, one sequence or many,
-    are projected in one GEMM, ``xs @ w_x``; then all runs advance
-    together, one ``h @ w_h`` product per step over the sequences still
-    running (see ``_run_layout``).
+    ``x`` is (N, D): sequences of the given ``lengths`` stored back to
+    back (``lengths`` sums to N; ``[N]`` is one sequence). The result is
+    (N, H), row for row with ``x``: the state after that position of its
+    own sequence. With ``reverse`` each run starts at its sequence's last
+    position. The cell is the standard forget-gate LSTM without
+    peepholes. ``w_x``, ``w_h`` and ``b`` are (D, 4H), (H, 4H) and (4H,),
+    and the gates are packed into one pre-activation ``x @ w_x + h_prev
+    @ w_h + b`` in the order input, forget, candidate, output::
+
+        i = sigmoid(.)   f = sigmoid(.)   g = tanh(.)   o = sigmoid(.)
+        c = f * c_prev + i * g
+        h = o * tanh(c)
+
+    The inputs of every call are projected in one GEMM, ``xs @ w_x``;
+    then all runs advance together, one ``h @ w_h`` product per step over
+    the sequences still running (see ``_run_layout``).
 
     The node keeps the post-activation gates and the cell states. Its
     backward gathers the packed inputs and hidden states back from the
@@ -417,11 +419,11 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, reverse: bool 
 MAX_SCALED_SPREAD = 600.0
 
 
-def crf_nll(a: Tensor, b: Tensor, y, lengths=None) -> Tensor:
+def crf_nll(a: Tensor, b: Tensor, y, lengths) -> Tensor:
     """Summed CRF negative log-likelihood of one or several sentences, as one node.
 
-    ``a`` is (N, K): the emission scores of one sentence, or with
-    ``lengths`` of several stored back to back; ``b`` holds the shared
+    ``a`` is (N, K): the emission scores of sentences of the given
+    ``lengths`` stored back to back; ``b`` holds the shared
     transitions laid out as in ``seqtag.crf.TagLattice``; ``y`` holds the
     N gold label ids in the same order. The result is log Z minus the
     gold paths' summed score.
@@ -447,7 +449,7 @@ def crf_nll(a: Tensor, b: Tensor, y, lengths=None) -> Tensor:
     y = np.asarray(y)
     if y.shape != (n_rows,) or y.dtype.kind not in "iu" or not (y.min() >= 0 and y.max() < k):
         raise _ids_error("crf_nll: gold labels", y, k, n_rows)
-    lens = np.array([n_rows] if lengths is None else lengths)
+    lens = np.array(lengths)
     ends = np.cumsum(lens)
     before = np.roll(y, 1)
     before[ends - lens] = k
@@ -615,8 +617,7 @@ def _bwd_sigmoid(node, g):
 
 
 def _bwd_concat(node, g):
-    axis, shapes = node.saved
-    pieces = np.split(g, np.cumsum([s[axis] for s in shapes])[:-1], axis=axis)
+    pieces = np.split(g, np.cumsum(node.saved)[:-1], axis=1)
     for t, piece in zip(node.inputs, pieces):
         _acc(t, piece)
 

@@ -1,11 +1,12 @@
-"""Character-level word representations and word/char combination.
+"""Character-level word representations and the attention gate.
 
 A word's characters run through their own bidirectional LSTM; the final
 state of each direction is concatenated and projected through tanh into
 a vector ``m`` the same length as the word embedding. Two ways to merge
 ``m`` with the word embedding ``x``:
 
-* concatenation, doubling the representation fed to the word-level LSTM
+* concatenation, doubling the representation fed to the word-level LSTM:
+  the model's own ``concat((x, m))``
 * a sigmoid gate ``z`` predicted from both vectors, combining them as
   ``z * x + (1 - z) * m`` feature by feature, in one ``mix`` node
 
@@ -17,8 +18,9 @@ composer only, and tokens mapped to the OOV row are skipped entirely.
 
 ``compose_words`` composes a list of character sequences with one ragged
 ``lstm_sequence`` node per direction, whatever their lengths. The
-combiners and the auxiliary loss take (N, dim) matrices with one token
-per row, a whole batch of sentences at once. Parameters come in as
+gate and the auxiliary loss take (N, dim) matrices with one token per
+row, a whole batch of sentences at once; the primitives they call check
+the shapes. Parameters come in as
 plain tensors: the composer takes the character table, a
 ``(w_x, w_h, b)`` triple per direction and the projection ``w_m``; the
 gate takes its three square matrices.
@@ -62,17 +64,10 @@ def compose_words(char_seqs, char_emb: Tensor, fwd, bwd, w_m: Tensor) -> Tensor:
         raise ValueError("compose_words: empty character sequence")
     ends = np.cumsum(lengths)
     chars = pick_row(char_emb, np.concatenate(seqs))
-    forward = lstm_sequence(chars, *fwd, lengths=lengths)
-    backward = lstm_sequence(chars, *bwd, reverse=True, lengths=lengths)
-    h_star = concat((pick_row(forward, ends - 1), pick_row(backward, ends - lengths)), axis=1)
+    forward = lstm_sequence(chars, *fwd, lengths)
+    backward = lstm_sequence(chars, *bwd, lengths, reverse=True)
+    h_star = concat((pick_row(forward, ends - 1), pick_row(backward, ends - lengths)))
     return tanh(linear(h_star, w_m))
-
-
-def combine_concat(x: Tensor, m: Tensor) -> Tensor:
-    """Join (N, dim) matrices x and m feature-wise, row by row."""
-    if x.shape != m.shape:
-        raise ValueError(f"combine_concat: length mismatch {x.shape} vs {m.shape}")
-    return concat((x, m), axis=1)
 
 
 def combine_attention(x: Tensor, m: Tensor, w_z1: Tensor, w_z2: Tensor, w_z3: Tensor):
@@ -83,10 +78,6 @@ def combine_attention(x: Tensor, m: Tensor, w_z1: Tensor, w_z2: Tensor, w_z3: Te
     a per-feature convex mix of x and m. z is returned so callers can
     export and inspect it.
     """
-    if x.shape != m.shape or x.values.ndim != 2 or x.shape[1] != w_z1.shape[0]:
-        raise ValueError(
-            f"combine_attention: got x {x.shape}, m {m.shape} for gate weights {w_z1.shape}"
-        )
     # row-vector form of z = sigmoid(W3 tanh(W1 x + W2 m)), one row per token
     hidden = tanh(add(linear(x, w_z1), linear(m, w_z2)))
     z = sigmoid(linear(hidden, w_z3))

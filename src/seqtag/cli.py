@@ -173,7 +173,7 @@ def cmd_inspect_gates(args) -> int:
         fh.write("\t".join(header) + "\n")
         for sent in sentences:
             gates = model.gates(sent)
-            flags = model.oov_flags(sent)
+            flags = np.equal(sent.word_ids, model.vocab.oov_word_id)
             for token, oov, z in zip(sent.surface, flags, gates):
                 cells = [token, str(int(oov)), f"{z.mean():.8f}"]
                 cells.extend(f"{v:.8f}" for v in z)

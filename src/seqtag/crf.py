@@ -1,22 +1,19 @@
-"""Output layer: per-token emission scores and a linear-chain CRF.
+"""Output layer: per-token emission scores, CRF path scores and decoding.
 
 Scores live in a ``TagLattice``: an emission matrix with one row per
-token, of one sentence or of several back to back, and a square
-transition matrix over the label set plus two boundary states (index K
-is the virtual start state, K + 1 the virtual end state). The score of
-a label sequence is the sum of its emissions, the transition from start
-into its first label, the transitions between consecutive labels, and
-the transition from its last label into end. Transitions into start
-and out of end are never read by any scoring routine, which is
-equivalent to holding them at minus infinity.
+token and a square transition matrix over the label set plus two
+boundary states (index K is the virtual start state, K + 1 the virtual
+end state). The score of a label sequence is the sum of its emissions,
+the transition from start into its first label, the transitions between
+consecutive labels, and the transition from its last label into end.
+Transitions into start and out of end are never read by any scoring
+routine, which is equivalent to holding them at minus infinity.
 
-The negative log-likelihood, log Z minus the gold path's score, is one
-``autodiff.crf_nll`` node whose backward pass sends the forward-backward
-marginals minus the gold counts to the scores; with the sentences'
-``lengths`` it gives the summed loss of all of them. The node runs the
-scaled recursions, or the log-space ones where the scores spread too far
-for scaling, so it is exact at any score range. A per-token softmax is
-the case of one-token sentences with zero transitions.
+The training loss, log Z minus the gold path's score, is not here: it
+is the ``autodiff.crf_nll`` node, which takes the emission and
+transition tensors in this layout and the sentences' ``lengths``, and
+whose backward pass sends the forward-backward marginals minus the gold
+counts to the scores.
 Decoding is plain numeric Viterbi with ties broken toward the
 lowest label index at every backpointer decision; the exhaustive oracle
 in the tests applies the same preference, which for enumeration order
@@ -27,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff
 from .autodiff import Tensor, linear
 
 
@@ -69,7 +65,7 @@ def _as_tensor(x) -> Tensor:
 
 
 class TagLattice:
-    """Emission rows of one sentence, or of several back to back, and the shared transitions."""
+    """Emission rows of one sentence and the transitions."""
 
     def __init__(self, emissions, transitions):
         self.emissions = _as_tensor(emissions)
@@ -106,8 +102,6 @@ def _check_sequence(lat: TagLattice, y) -> list:
 
 def emission_scores(d: Tensor, w_o: Tensor) -> Tensor:
     """Emission rows W_o @ d_t for a (T, d) matrix of token states, as one (T, K) tensor."""
-    if d.values.ndim != 2 or d.shape[0] == 0:
-        raise ValueError(f"emission_scores: expected a non-empty (T, d) sequence, got {d.shape}")
     return linear(d, w_o)
 
 
@@ -130,16 +124,6 @@ def crf_sequence_score(lat: TagLattice, y) -> float:
         s = s + a[t, y[t]]
     s = s + b[y[-1], lat.end_index]
     return float(s)
-
-
-def crf_nll(lat: TagLattice, y, lengths=None) -> Tensor:
-    """Negative log-likelihood of the gold sequence; never below zero.
-
-    With ``lengths`` the lattice's rows are several sentences back to
-    back, ``y`` holds their gold labels in the same order, and the
-    result is the sum of the sentences' losses.
-    """
-    return autodiff.crf_nll(lat.emissions, lat.transitions, np.asarray(y), lengths)
 
 
 # ---------------------------------------------------------------------------

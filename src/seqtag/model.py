@@ -1,7 +1,8 @@
 """Model assembly, parameter accounting and persistence.
 
 Three architectures share one word-level pipeline (embedding lookup,
-bidirectional LSTM, narrow tanh layer, output scores):
+bidirectional LSTM, narrow tanh layer, output scores), built here from
+the tape primitives of ``seqtag.autodiff``:
 
 * ``word``       feeds word embeddings straight in
 * ``concat``     appends the character-composed vector, doubling the
@@ -11,9 +12,9 @@ bidirectional LSTM, narrow tanh layer, output scores):
                  to the training loss
 
 The output layer is either a per-token softmax or a linear-chain CRF.
-Both train through the one CRF loss node, ``crf.crf_nll``: a softmax
-is the CRF of one-token sentences with zero transitions (Sutton &
-McCallum, arXiv:1011.4088).
+Both train through the one CRF loss node, ``autodiff.crf_nll``: a
+softmax is the CRF of one-token sentences with zero transitions (Sutton
+& McCallum, arXiv:1011.4088).
 
 Sentences flow through the pipeline as one (N, ·) matrix, one token per
 row, with a batch's sentences back to back. ``Model.batch_loss_parts``
@@ -51,16 +52,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, no_tape, pick_row
-from .charcomp import (
-    char_aux_loss,
-    combine_attention,
-    combine_concat,
-    compose_words,
-)
+from .autodiff import Tensor, add, concat, crf_nll, linear, lstm_sequence, no_tape, pick_row, tanh
+from .charcomp import char_aux_loss, combine_attention, compose_words
 from .corpus import Sentence, Vocabulary, random_embeddings
-from .crf import TagLattice, crf_nll, emission_scores, viterbi_decode
-from .layers import bilstm_run, dense_tanh
+from .crf import TagLattice, emission_scores, viterbi_decode
 
 ARCHITECTURES = ("word", "concat", "attention")
 OUTPUTS = ("softmax", "crf")
@@ -138,6 +133,19 @@ class ModelConfig:
         return cls(**d).validate()
 
 
+def bilstm_run(inputs: Tensor, fwd, bwd, lengths) -> Tensor:
+    """Both directions of an LSTM, each a ``(w_x, w_h, b)`` triple, from zero states.
+
+    ``inputs`` is (N, D): sequences of the given ``lengths`` stored back
+    to back, each run on its own. Row i of the (N, 2H) result joins the
+    forward state after position i of its sequence with the backward
+    state after scanning back to it.
+    """
+    forward = lstm_sequence(inputs, *fwd, lengths)
+    backward = lstm_sequence(inputs, *bwd, lengths, reverse=True)
+    return concat((forward, backward))
+
+
 class Model:
     """The parameter tensors by name, plus the batch loss and per-sentence prediction."""
 
@@ -178,9 +186,6 @@ class Model:
         if need_gold and sent.gold is None:
             raise ValueError("sentence has no gold label ids")
 
-    def oov_flags(self, sent: Sentence) -> list:
-        return [wid == self.vocab.oov_word_id for wid in sent.word_ids]
-
     def _compose(self, sents):
         """Character vectors for the distinct word types of ``sents``, each
         composed once, and per sentence the row each of its tokens reads."""
@@ -194,21 +199,22 @@ class Model:
         return m, token_rows
 
     def _token_inputs(self, sents):
-        """(word-LSTM input, x, m, z) for sentences stacked one token per row."""
-        x = pick_row(self.params["word_embeddings"], np.concatenate([sent.word_ids for sent in sents]))
+        """(word-LSTM input, word ids, x, m, z) for sentences stacked one token per row."""
+        ids = np.concatenate([sent.word_ids for sent in sents])
+        x = pick_row(self.params["word_embeddings"], ids)
         arch = self.config.architecture
         if arch == "word":
-            return x, x, None, None
+            return x, ids, x, None, None
         m_all, token_rows = self._compose(sents)
         m = pick_row(m_all, np.concatenate(token_rows))
         if arch == "concat":
-            return combine_concat(x, m), x, m, None
+            return concat((x, m)), ids, x, m, None
         combined, z = combine_attention(x, m, *(self.params[f"attn.w_z{i}"] for i in (1, 2, 3)))
-        return combined, x, m, z
+        return combined, ids, x, m, z
 
     def _emissions(self, inputs, lengths) -> Tensor:
         states = bilstm_run(inputs, self._lstm("word_lstm.fwd"), self._lstm("word_lstm.bwd"), lengths)
-        return emission_scores(dense_tanh(states, self.params["hidden.w_d"]), self.params["output.w_o"])
+        return emission_scores(tanh(linear(states, self.params["hidden.w_d"])), self.params["output.w_o"])
 
     def batch_loss_parts(self, sents):
         """(summed loss, summed auxiliary term or None) over a batch of sentences.
@@ -226,26 +232,25 @@ class Model:
         for sent in sents:
             self._require_encoded(sent, need_gold=True)
         lengths = [len(sent.word_ids) for sent in sents]
-        inputs, x, m, _ = self._token_inputs(sents)
+        inputs, ids, x, m, _ = self._token_inputs(sents)
         scores = self._emissions(inputs, lengths)
         gold = np.concatenate([sent.gold for sent in sents])
-        if self.config.output == "crf":
-            lattice = TagLattice(scores, self.transitions)
-        else:
+        transitions = self.transitions
+        if transitions is None:
             k = scores.shape[1]
-            lattice = TagLattice(scores, Tensor(np.zeros((k + 2, k + 2), dtype=scores.dtype), constant=True))
+            transitions = Tensor(np.zeros((k + 2, k + 2), dtype=scores.dtype), constant=True)
             lengths = [1] * len(gold)
-        total = crf_nll(lattice, gold, lengths)
+        total = crf_nll(scores, transitions, gold, lengths)
         if self.config.architecture != "attention":
             return total, None
-        aux = char_aux_loss(m, x, [flag for sent in sents for flag in self.oov_flags(sent)])
+        aux = char_aux_loss(m, x, ids == self.vocab.oov_word_id)
         return add(total, aux), float(aux.values)
 
     def predict(self, sent: Sentence) -> list:
         """Label ids for one sentence; never records on a tape."""
         self._require_encoded(sent, need_gold=False)
         with no_tape():
-            scores = self._emissions(self._token_inputs([sent])[0], None)
+            scores = self._emissions(self._token_inputs([sent])[0], [len(sent)])
             if self.config.output == "crf":
                 path, _ = viterbi_decode(TagLattice(scores, self.transitions))
                 return path
@@ -263,7 +268,7 @@ class Model:
             )
         self._require_encoded(sent, need_gold=False)
         with no_tape():
-            z = self._token_inputs([sent])[3]
+            z = self._token_inputs([sent])[4]
         return [row.copy() for row in z.values]
 
 

@@ -143,7 +143,7 @@ def render_labels(spans, length: int) -> list:
 
 
 def lstm_step(x, h_prev, c_prev, p):
-    """One cell update of vectors, by the equations in ``seqtag.layers``,
+    """One cell update of vectors, by the equations in ``autodiff.lstm_sequence``,
     with ``p`` a ``(w_x, w_h, b)`` triple of tensors; returns (h, c)."""
     w_x, w_h, b = (t.values for t in p)
     h = w_h.shape[0]
@@ -197,7 +197,7 @@ def encode_oracle(vocab, sent) -> tuple:
     return word_ids, char_ids, gold
 
 
-def lstm_sequence_oracle(x, w_x, w_h, b, g, reverse=False, lengths=None):
+def lstm_sequence_oracle(x, w_x, w_h, b, g, lengths, reverse=False):
     """States and gradients of ``lstm_sequence`` in its whole-array form.
 
     ``x``, the weights and the output gradient ``g`` are arrays. The

@@ -11,16 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqtag.autodiff import Tape, add, backward, dense_grad, pick_row, tensor
+from seqtag.autodiff import Tape, add, backward, crf_nll, dense_grad, pick_row, tensor
 from seqtag.charcomp import char_aux_loss, compose_words
 from seqtag.cli import main
 from seqtag.corpus import Sentence, build_vocab
-from seqtag.crf import (
-    TagLattice,
-    crf_nll,
-    crf_sequence_score,
-    viterbi_decode,
-)
+from seqtag.crf import TagLattice, crf_sequence_score, viterbi_decode
 from seqtag.metrics import extract_spans, f_beta_binary, span_f1, token_accuracy
 from seqtag.model import ModelConfig, assemble_model, count_parameters, parameter_table, save_model
 from seqtag.training import evaluate
@@ -71,7 +66,8 @@ def test_c01_crf_oracle_equivalence():
         lat = TagLattice(em, tr)
         oracle_log_z, oracle_path = brute_force_oracle(lat)
         y = paths.integers(0, k, size=t_len)
-        gap = abs(float(crf_nll(lat, y).values) - (oracle_log_z - crf_sequence_score(lat, y)))
+        nll = float(crf_nll(lat.emissions, lat.transitions, y, [t_len]).values)
+        gap = abs(nll - (oracle_log_z - crf_sequence_score(lat, y)))
         worst = max(worst, gap)
         path, score = viterbi_decode(lat)
         assert gap < 1e-8
@@ -117,7 +113,7 @@ def test_c03_one_directional_auxiliary_loss():
         ms = compose_words(sent.char_ids, model.params["char_embeddings"], model._lstm("char_lstm.fwd"),
                            model._lstm("char_lstm.bwd"), model.params["char_proj.w_m"])
         xs = pick_row(model.params["word_embeddings"], np.array(sent.word_ids))
-        aux = char_aux_loss(ms, xs, model.oov_flags(sent))
+        aux = char_aux_loss(ms, xs, np.equal(sent.word_ids, model.vocab.oov_word_id))
     backward(aux, tape)
 
     emb = model.params["word_embeddings"]
@@ -146,7 +142,7 @@ def test_c04_softmax_crf_reduction():
         em = rng.normal(size=(1, k))
         lat = TagLattice(em, np.zeros((k + 2, k + 2)))
         y = int(rng.integers(0, k))
-        nll = float(crf_nll(lat, [y]).values)
+        nll = float(crf_nll(lat.emissions, lat.transitions, [y], [1]).values)
         ce = crossentropy_loss([softmax_predict(em[0], np.eye(k))], [y])
         worst = max(worst, abs(nll - ce))
         assert abs(nll - ce) < 1e-9

@@ -63,7 +63,7 @@ def test_saturated_sigmoid_is_zero_without_overflow_warning():
         x = tensor(np.full((2, 1), -1000.0), dtype=np.float32)
         w_x = tensor(np.ones((1, 4)), dtype=np.float32)
         w_h = tensor(np.zeros((1, 4)), dtype=np.float32)
-        states = lstm_sequence(x, w_x, w_h, tensor(np.zeros(4), dtype=np.float32))
+        states = lstm_sequence(x, w_x, w_h, tensor(np.zeros(4), dtype=np.float32), [2])
     assert out.dtype == np.float32 and np.array_equal(out.values, np.zeros(3))
     assert states.dtype == np.float32 and np.array_equal(states.values, np.zeros((2, 1)))
 
@@ -259,10 +259,10 @@ def _random_case(kind, rng, i):
         shape = (int(rng.integers(1, 6)),) if i % 2 else (2, int(rng.integers(1, 4)))
         a = t64(rng.normal(size=shape))
         return lambda: reduce_sum(op(a)), [a]
-    if kind == "concat":  # vectors joined into one, the form of the CRF's gold score
-        parts = [t64(rng.normal(size=int(rng.integers(1, 4)))) for _ in range(1 + i % 4)]
-        weights = t64(rng.normal(size=sum(p.size for p in parts)))
-        return lambda: weighted_sum(concat(parts, axis=0), weights), parts
+    if kind == "concat":  # one row; _random_array_case takes several
+        parts = [t64(rng.normal(size=(1, int(rng.integers(1, 4))))) for _ in range(1 + i % 4)]
+        weights = t64(rng.normal(size=(1, sum(p.size for p in parts))))
+        return lambda: weighted_sum(concat(parts), weights), parts
     if kind == "sum":
         a = t64(rng.normal(size=(2, 3)) if i % 2 else rng.normal(size=4))
         return lambda: reduce_sum(a), [a]
@@ -278,16 +278,16 @@ def _random_case(kind, rng, i):
         return lambda: reduce_sum(pick_row(a, row)), [a]
     if kind == "lstm_sequence":
         dim, hid, steps = (int(rng.integers(1, 4)) for _ in range(3))
-        batch = None if i % 2 else int(rng.integers(1, 4))  # equal-length runs back to back
-        lengths = None if batch is None else [steps] * batch
-        x = t64(rng.normal(size=((batch or 1) * steps, dim)))
+        batch = 1 if i % 2 else int(rng.integers(1, 4))  # one run, or equal-length runs back to back
+        lengths = [steps] * batch
+        x = t64(rng.normal(size=(batch * steps, dim)))
         w_x = t64(rng.normal(size=(dim, 4 * hid)) * 0.7)
         w_h = t64(rng.normal(size=(hid, 4 * hid)) * 0.7)
         b = t64(rng.normal(size=4 * hid) * 0.5)
         weights = t64(rng.normal(size=(x.shape[0], hid)))
         reverse = i % 4 >= 2
         return (
-            lambda: weighted_sum(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights),
+            lambda: weighted_sum(lstm_sequence(x, w_x, w_h, b, lengths, reverse), weights),
             [x, w_x, w_h, b],
         )
     if kind == "crf_nll":
@@ -295,7 +295,7 @@ def _random_case(kind, rng, i):
         a = t64(rng.normal(size=(steps, labels)))
         b = t64(rng.normal(size=(labels + 2, labels + 2)))
         y = rng.integers(0, labels, size=steps)
-        return lambda: crf_nll(a, b, y), [a, b]
+        return lambda: crf_nll(a, b, y, [steps]), [a, b]
     raise AssertionError(kind)
 
 
@@ -309,14 +309,13 @@ def test_primitive_gradients_random(kind):
 
 def _random_array_case(kind, rng, i):
     """Build (loss builder, params) for one instance of a form of a
-    primitive that ``_random_case`` does not build: matrices joined along
-    either axis, several rows, gathers by index arrays, ragged runs."""
-    if kind == "concat":
-        axis, fixed = i % 2, int(rng.integers(1, 4))
-        shapes = [(int(rng.integers(1, 4)), fixed)[:: 1 if axis == 0 else -1] for _ in range(3)]
-        parts = [t64(rng.normal(size=shape)) for shape in shapes]
-        weights = t64(rng.normal(size=np.concatenate([p.values for p in parts], axis=axis).shape))
-        return lambda: weighted_sum(concat(parts, axis=axis), weights), parts
+    primitive that ``_random_case`` does not build: several rows, gathers
+    by index arrays, ragged runs."""
+    if kind == "concat":  # the word BiLSTM's two directions, or the concat model's x and m
+        rows = int(rng.integers(1, 4))
+        parts = [t64(rng.normal(size=(rows, int(rng.integers(1, 4))))) for _ in range(2 + i % 2)]
+        weights = t64(rng.normal(size=(rows, sum(p.shape[1] for p in parts))))
+        return lambda: weighted_sum(concat(parts), weights), parts
     if kind == "mix":  # (tokens, features), the attention gate's form
         shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)))
         z, x, m = (t64(rng.normal(size=shape)) for _ in range(3))
@@ -345,7 +344,7 @@ def _random_array_case(kind, rng, i):
         weights = t64(rng.normal(size=(x.shape[0], hid)))
         reverse = i % 4 >= 2
         return (
-            lambda: weighted_sum(lstm_sequence(x, w_x, w_h, b, reverse, lengths), weights),
+            lambda: weighted_sum(lstm_sequence(x, w_x, w_h, b, lengths, reverse), weights),
             [x, w_x, w_h, b],
         )
     if kind == "crf_nll":  # ragged: 2-4 sentences of 1-6 tokens back to back
@@ -574,21 +573,22 @@ def test_backward_rejects_foreign_loss():
 
 
 def test_concat_rejects_inputs_that_do_not_join():
-    for parts, axis in [
-        ([], 0),
-        ([np.zeros((2, 2))], 2),
-        ([np.zeros((2, 2)), np.zeros((3, 3))], 0),
-        ([np.zeros((2, 2)), np.zeros(2)], 0),
-        ([np.zeros(()), np.zeros(())], 0),
+    for parts in [
+        [],
+        [np.zeros(2)],
+        [np.zeros((2, 2, 2))],
+        [np.zeros((2, 2)), np.zeros((3, 2))],
+        [np.zeros((2, 2)), np.zeros(2)],
+        [np.zeros(()), np.zeros(())],
     ]:
         with pytest.raises(ValueError, match="concat"):
-            concat([t64(p) for p in parts], axis=axis)
+            concat([t64(p) for p in parts])
 
 
 def test_crf_nll_input_errors():
     for a, b in [((2, 3), (4, 4)), ((0, 2), (4, 4)), ((3,), (3, 3))]:
         with pytest.raises(ValueError, match="crf_nll"):
-            crf_nll(t64(np.zeros(a)), t64(np.zeros(b)), np.zeros(a[0], dtype=np.int64))
+            crf_nll(t64(np.zeros(a)), t64(np.zeros(b)), np.zeros(a[0], dtype=np.int64), [a[0]])
     for lengths in ([], [2, 3], [4, 0], [5, -1]):
         with pytest.raises(ValueError, match="crf_nll: lengths"):
             crf_nll(t64(np.zeros((4, 2))), t64(np.zeros((4, 4))), [0, 1, 0, 1], lengths)

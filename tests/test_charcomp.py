@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from seqtag.autodiff import (
     Tape,
     backward,
+    concat,
     dense_grad,
     pick_row,
     tensor,
@@ -15,7 +16,6 @@ from seqtag.autodiff import (
 from seqtag.charcomp import (
     char_aux_loss,
     combine_attention,
-    combine_concat,
     compose_words,
 )
 from seqtag.corpus import Sentence, build_vocab
@@ -171,31 +171,31 @@ def test_composer_is_one_run_per_direction_whatever_the_lengths(n_lengths):
 
 
 # ---------------------------------------------------------------------------
-# combiners
+# combiners: the concat model's concat((x, m)), and the attention gate
 # ---------------------------------------------------------------------------
 
 def test_concat_combiner_definition():
-    out = combine_concat(t64([[1.0, 2.0], [5.0, 6.0]]), t64([[3.0, 4.0], [7.0, 8.0]]))
+    out = concat((t64([[1.0, 2.0], [5.0, 6.0]]), t64([[3.0, 4.0], [7.0, 8.0]])))
     assert np.array_equal(out.values, [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
 
 
 def test_concat_combiner_zero_char_half():
     x = t64([[1.0, -1.0]])
-    out = combine_concat(x, t64(np.zeros((1, 2))))
+    out = concat((x, t64(np.zeros((1, 2)))))
     assert np.array_equal(out.values, [[1.0, -1.0, 0.0, 0.0]])
 
 
 def test_concat_combiner_doubles_standard_width():
     x = t64(np.ones((4, 300)))
     m = t64(np.zeros((4, 300)))
-    assert combine_concat(x, m).shape == (4, 600)
+    assert concat((x, m)).shape == (4, 600)
 
 
 def test_concat_combiner_rejects_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        combine_concat(t64([[1.0]]), t64([[1.0, 2.0]]))
     with pytest.raises(ValueError, match="concat"):
-        combine_concat(t64([1.0, 2.0]), t64([3.0, 4.0]))
+        concat((t64([[1.0]]), t64([[1.0], [2.0]])))
+    with pytest.raises(ValueError, match="concat"):
+        concat((t64([1.0, 2.0]), t64([3.0, 4.0])))
 
 
 def test_attention_zero_weights_averages():
@@ -238,7 +238,7 @@ def test_attention_rejects_mismatch():
     rng = np.random.default_rng(8)
     p = make_attention(rng, dim=3)
     for bad in (np.zeros((2, 4)), np.zeros(3)):
-        with pytest.raises(ValueError, match="combine_attention"):
+        with pytest.raises(ValueError, match="linear"):
             combine_attention(t64(bad), t64(bad), *p)
 
 

@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtag import autodiff
-from seqtag.autodiff import Tape, Tensor, backward, no_tape, tensor
+from seqtag.autodiff import Tape, Tensor, backward, crf_nll, linear, no_tape, tanh, tensor
 from seqtag.corpus import Sentence, build_vocab
 from seqtag.crf import (
     LabelSet,
     TagLattice,
-    crf_nll,
     crf_sequence_score,
     emission_scores,
     viterbi_decode,
 )
-from seqtag.layers import bilstm_run, dense_tanh
-from seqtag.model import ModelConfig, assemble_model
+from seqtag.model import ModelConfig, assemble_model, bilstm_run
 from seqtag.training import AdaDelta
 
 from gradcheck import finite_difference_check
@@ -138,7 +135,7 @@ def test_softmax_gradient_is_probs_minus_onehot():
         x = model.params["word_embeddings"].values[np.concatenate([sent.word_ids for sent in sents])]
         states = bilstm_run(t64(x), model._lstm("word_lstm.fwd"), model._lstm("word_lstm.bwd"),
                             [len(sent.word_ids) for sent in sents])
-        d = dense_tanh(states, model.params["hidden.w_d"]).values
+        d = tanh(linear(states, model.params["hidden.w_d"])).values
         scores = t64(emission_scores(t64(d), w_o).values)
     probs = [softmax_predict(row, w_o) for row in d]
     want = np.stack(probs) - np.eye(k)[gold]
@@ -153,7 +150,7 @@ def test_softmax_gradient_is_probs_minus_onehot():
     tape = Tape()
     with tape:
         zero = Tensor(np.zeros((k + 2, k + 2)), constant=True)
-        nll = crf_nll(TagLattice(scores, zero), gold, [1] * len(gold))
+        nll = crf_nll(scores, zero, gold, [1] * len(gold))
     backward(nll, tape)
     assert float(nll.values) == float(loss.values)
     assert np.allclose(scores.grad, want, rtol=0.0, atol=1e-12)
@@ -232,7 +229,7 @@ def test_nll_rejects_bad_gold_labels_in_a_short_message():
     for y, detail in ((wrong_length, "shape"), (too_high, f"first bad value {k}"),
                       (negative, "first bad value -2"), (good.astype(np.float64), "dtype")):
         with pytest.raises(ValueError, match=f"crf_nll: gold labels: expected {n} .*{detail}") as err:
-            crf_nll(lat, y)
+            crf_nll(lat.emissions, lat.transitions, y, [n])
         assert len(str(err.value)) < 120
 
 
@@ -242,7 +239,7 @@ def test_nll_rejects_bad_gold_labels_in_a_short_message():
 
 def test_nll_uniform_zero_lattice():
     lat = TagLattice(np.zeros((3, 2)), np.zeros((4, 4)))
-    val = float(crf_nll(lat, [0, 1, 0]).values)
+    val = float(crf_nll(lat.emissions, lat.transitions, [0, 1, 0], [3]).values)
     assert val == pytest.approx(math.log(8.0), abs=1e-12)
 
 
@@ -254,7 +251,7 @@ def test_nll_single_token_reduces_to_crossentropy():
         lat = TagLattice(em, np.zeros((k + 2, k + 2)))
         y = int(rng.integers(0, k))
         probs = softmax_predict(em[0], np.eye(k))
-        assert float(crf_nll(lat, [y]).values) == pytest.approx(
+        assert float(crf_nll(lat.emissions, lat.transitions, [y], [1]).values) == pytest.approx(
             crossentropy_loss([probs], [y]), abs=1e-9
         )
 
@@ -264,7 +261,7 @@ def test_nll_partition_matches_brute_force():
     lat = random_lattice(rng, 4, 3)
     log_z, _ = brute_force_oracle(lat)
     y = [2, 0, 1, 1]
-    nll = float(crf_nll(lat, y).values)
+    nll = float(crf_nll(lat.emissions, lat.transitions, y, [4]).values)
     assert nll == pytest.approx(log_z - crf_sequence_score(lat, y), abs=1e-8)
 
 
@@ -273,12 +270,14 @@ def test_nll_nonnegative_and_row_shift_invariant():
     for _ in range(30):
         lat = random_lattice(rng, int(rng.integers(1, 5)), int(rng.integers(2, 4)))
         y = [int(rng.integers(0, lat.num_labels)) for _ in range(lat.seq_len)]
-        base = float(crf_nll(lat, y).values)
+        base = float(crf_nll(lat.emissions, lat.transitions, y, [lat.seq_len]).values)
         assert base >= -1e-12
         shifted_em = lat.emissions.values.copy()
         shifted_em[0] += 3.7
         shifted = TagLattice(shifted_em, lat.transitions.values)
-        assert float(crf_nll(shifted, y).values) == pytest.approx(base, abs=1e-9)
+        assert float(crf_nll(shifted.emissions, shifted.transitions, y, [lat.seq_len]).values) == pytest.approx(
+            base, abs=1e-9
+        )
         assert viterbi_decode(shifted)[0] == viterbi_decode(lat)[0]
 
 
@@ -289,7 +288,7 @@ def test_nll_gradient_matches_finite_differences():
     y = [0, 2, 1]
 
     def builder():
-        return crf_nll(TagLattice(em, tr), y)
+        return crf_nll(em, tr, y, [3])
 
     report = finite_difference_check(builder, [em, tr], eps=1e-5)
     assert report.max_rel_error < 1e-4, str(report)
@@ -302,15 +301,15 @@ def test_nll_adds_a_fixed_number_of_tape_nodes():
         lat = random_lattice(rng, t_len, k)
         tape = Tape()
         with tape:
-            crf_nll(lat, rng.integers(0, k, size=t_len))
+            crf_nll(lat.emissions, lat.transitions, rng.integers(0, k, size=t_len), [t_len])
         counts.add(len(tape))
     assert len(counts) == 1, counts
 
 
-def _value_and_grads(lat, y, lengths=None):
+def _value_and_grads(lat, y, lengths):
     tape = Tape()
     with tape:
-        loss = crf_nll(lat, y, lengths)
+        loss = crf_nll(lat.emissions, lat.transitions, y, lengths)
     backward(loss, tape)
     return float(loss.values), lat.emissions.grad, lat.transitions.grad
 
@@ -327,7 +326,7 @@ def test_batched_nll_is_the_sum_of_sentence_nlls():
         want, want_em, want_tr = 0.0, np.zeros_like(em), np.zeros_like(tr)
         for end, n in zip(np.cumsum(lengths), lengths):
             lat = TagLattice(em[end - n:end], tr)
-            value, g_em, g_tr = _value_and_grads(lat, y[end - n:end])
+            value, g_em, g_tr = _value_and_grads(lat, y[end - n:end], [n])
             want += value
             want_em[end - n:end] = g_em
             want_tr += g_tr
@@ -343,7 +342,7 @@ def test_batched_nll_adds_a_fixed_number_of_tape_nodes():
         lat = random_lattice(rng, sum(lengths), 4)
         tape = Tape()
         with tape:
-            crf_nll(lat, rng.integers(0, 4, size=sum(lengths)), lengths)
+            crf_nll(lat.emissions, lat.transitions, rng.integers(0, 4, size=sum(lengths)), lengths)
         counts.add(len(tape))
     assert len(counts) == 1, counts
 
@@ -376,7 +375,7 @@ def _nll_and_grads(em, tr, y, lengths):
     a, b = tensor(em), tensor(tr)
     tape = Tape()
     with tape:
-        nll = autodiff.crf_nll(a, b, y, lengths)
+        nll = crf_nll(a, b, y, lengths)
     backward(nll, tape)
     return float(nll.values), a.grad, b.grad
 
@@ -436,7 +435,7 @@ def test_crf_nll_matches_brute_force_enumeration_at_any_spread():
             y = rng.integers(0, k, size=t_len)
             log_z, _ = brute_force_oracle(lat)
             score = crf_sequence_score(lat, y)
-            nll = float(crf_nll(lat, y).values)
+            nll = float(crf_nll(lat.emissions, lat.transitions, y, [t_len]).values)
             assert abs(nll - (log_z - score)) <= 1e-12 * (abs(log_z) + abs(score) + 1.0)
 
 
@@ -449,7 +448,7 @@ def test_crf_nll_of_a_nan_or_inf_score_is_non_finite_and_the_step_is_rejected(ba
     a, b = Tensor(em), Tensor(rng.normal(size=(5, 5)).astype(dtype))
     tape = Tape()
     with tape, np.errstate(invalid="ignore"):  # inf - inf in the log-sum-exps
-        nll = autodiff.crf_nll(a, b, np.array([0, 1, 2, 0, 1]), [3, 2])
+        nll = crf_nll(a, b, np.array([0, 1, 2, 0, 1]), [3, 2])
         backward(nll, tape)
     assert not np.isfinite(nll.values)
     assert not (np.isfinite(a.grad).all() and np.isfinite(b.grad).all())

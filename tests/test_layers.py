@@ -10,13 +10,14 @@ from seqtag.autodiff import (
     add,
     backward,
     dense_grad,
+    linear,
     lstm_sequence,
     pick_row,
     reduce_sum,
+    tanh,
     tensor,
 )
-from seqtag.layers import bilstm_run, dense_tanh
-from seqtag.model import glorot_uniform, lstm_bias
+from seqtag.model import bilstm_run, glorot_uniform, lstm_bias
 
 from gradcheck import finite_difference_check, weighted_sum
 from oracles import lstm_sequence_oracle, lstm_step
@@ -135,7 +136,7 @@ SEQUENCE_SHAPES = [(1, None), (5, None), (1, 1), (5, 1), (1, 3), (5, 3)]  # (T, 
 def sequence_inputs(rng, length, batch, input_dim=3):
     """(inputs, lengths): one sequence, or ``batch`` of them back to back."""
     x = t64(rng.normal(size=((batch or 1) * length, input_dim)))
-    return x, None if batch is None else [length] * batch
+    return x, [length] * (batch or 1)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -175,13 +176,13 @@ def test_lstm_sequence_shape_errors():
     p = zero_lstm(2, 3)
     for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((4, 5)), np.zeros((1, 2, 2, 2))):
         with pytest.raises(ValueError, match="lstm_sequence"):
-            lstm_sequence(t64(bad), *p)
+            lstm_sequence(t64(bad), *p, [len(bad)])
 
 
 def test_lstm_sequence_takes_matrices_and_lengths_that_split_them():
     p = zero_lstm(2, 3)
     with pytest.raises(ValueError, match="lstm_sequence"):
-        lstm_sequence(t64(np.zeros((2, 3, 2))), *p)
+        lstm_sequence(t64(np.zeros((2, 3, 2))), *p, [2])
     for lengths in ([], [2, 3], [4, 0], [5, -1]):
         with pytest.raises(ValueError, match="lstm_sequence: lengths"):
             lstm_sequence(t64(np.zeros((4, 2))), *p, lengths=lengths)
@@ -197,6 +198,7 @@ def test_lstm_sequence_matches_whole_array_oracle_bit_for_bit(lengths, reverse, 
     the whole-array form, so states and all four gradients are equal."""
     rng = np.random.default_rng(71 + (len(lengths) if lengths else 0) + 13 * reverse)
     n = sum(lengths) if lengths else 5
+    lengths = lengths or [n]  # None: one sequence of 5
     x = rng.normal(size=(n, 3)).astype(dtype)
     p = [w.values.astype(dtype) for w in random_lstm(rng, 3, 4, scale=2.0)]
     g = rng.normal(size=(n, 4)).astype(dtype)
@@ -206,7 +208,7 @@ def test_lstm_sequence_matches_whole_array_oracle_bit_for_bit(lengths, reverse, 
         out = lstm_sequence(*leaves, reverse=reverse, lengths=lengths)
         loss = weighted_sum(out, tensor(g))  # sends exactly g back to the node
     backward(loss, tape)
-    states, want = lstm_sequence_oracle(x, *p, g, reverse=reverse, lengths=lengths)
+    states, want = lstm_sequence_oracle(x, *p, g, lengths, reverse=reverse)
     assert out.dtype == dtype and np.array_equal(out.values, states)
     for leaf, w in zip(leaves, want):
         assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, w)
@@ -271,7 +273,7 @@ def test_ragged_lstm_sequence_matches_one_run_per_sequence(reverse):
         start = 0
         for n in lengths:
             rows = slice(start, start + n)
-            alone, alone_grads = run(t64(x.values[rows]), None, rows)
+            alone, alone_grads = run(t64(x.values[rows]), [n], rows)
             assert np.allclose(states[rows], alone, rtol=0.0, atol=1e-12)
             assert np.allclose(grads[0][rows], alone_grads[0], rtol=0.0, atol=1e-12)
             for acc, g in zip(want_weights, alone_grads[1:]):
@@ -290,7 +292,7 @@ def test_bilstm_length_one():
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
     x = rng.normal(size=2)
-    out = bilstm_run(rows([x]), fwd, bwd)
+    out = bilstm_run(rows([x]), fwd, bwd, [1])
     zeros = np.zeros(3)
     hf, _ = lstm_step(x, zeros, zeros, fwd)
     hb, _ = lstm_step(x, zeros, zeros, bwd)
@@ -304,8 +306,8 @@ def test_bilstm_reversal_symmetry():
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
     xs = [rng.normal(size=2) for _ in range(4)]
-    out = bilstm_run(rows(xs), fwd, bwd)
-    rev = bilstm_run(rows(xs[::-1]), bwd, fwd)
+    out = bilstm_run(rows(xs), fwd, bwd, [4])
+    rev = bilstm_run(rows(xs[::-1]), bwd, fwd, [4])
     n, h = len(xs), 3
     for t in range(n):
         # forward half of the reversed run equals the backward half of the
@@ -319,7 +321,7 @@ def test_bilstm_matches_reference_loop():
     fwd = random_lstm(rng, 2, 3)
     bwd = random_lstm(rng, 2, 3)
     xs = [rng.normal(size=2) for _ in range(3)]
-    out = bilstm_run(rows(xs), fwd, bwd)
+    out = bilstm_run(rows(xs), fwd, bwd, [3])
 
     h = c = np.zeros(3)
     fwd_states = []
@@ -340,8 +342,8 @@ def test_bilstm_matches_reference_loop():
 def test_bilstm_empty_rejected():
     rng = np.random.default_rng(0)
     p = random_lstm(rng, 2, 3)
-    with pytest.raises(ValueError, match="empty"):
-        bilstm_run(t64(np.zeros((0, 2))), p, p)
+    with pytest.raises(ValueError, match=r"lstm_sequence: incompatible shapes \(0, 2\)"):
+        bilstm_run(t64(np.zeros((0, 2))), p, p, [0])
 
 
 def test_bilstm_per_step_length_1_through_50():
@@ -350,22 +352,22 @@ def test_bilstm_per_step_length_1_through_50():
     bwd = random_lstm(rng, 2, 2)
     for length in range(1, 51):
         xs = [rng.normal(size=2) for _ in range(length)]
-        out = bilstm_run(rows(xs), fwd, bwd)
+        out = bilstm_run(rows(xs), fwd, bwd, [length])
         assert len(out.values) == length
         assert all(s.shape == (4,) for s in out.values)
 
 
 # ---------------------------------------------------------------------------
-# dense layer
+# dense tanh layer: tanh(linear(h, w_d)), as the model builds it
 # ---------------------------------------------------------------------------
 
 def test_dense_tanh_zero_weights():
-    assert np.array_equal(dense_tanh(t64([[1.0, 2.0]]), t64(np.zeros((3, 2)))).values, np.zeros((1, 3)))
+    assert np.array_equal(tanh(linear(t64([[1.0, 2.0]]), t64(np.zeros((3, 2))))).values, np.zeros((1, 3)))
 
 
 def test_dense_tanh_range():
     rng = np.random.default_rng(6)
-    out = dense_tanh(t64(rng.normal(size=(1, 4))), t64(rng.normal(size=(3, 4)) * 3))
+    out = tanh(linear(t64(rng.normal(size=(1, 4))), t64(rng.normal(size=(3, 4)) * 3)))
     assert np.all(np.abs(out.values) < 1.0)
 
 
@@ -373,14 +375,14 @@ def test_dense_tanh_matches_numpy():
     rng = np.random.default_rng(17)
     h = rng.normal(size=(3, 4))
     w = rng.normal(size=(2, 4))
-    out = dense_tanh(t64(h), t64(w))
+    out = tanh(linear(t64(h), t64(w)))
     assert np.allclose(out.values, np.tanh(h @ w.T), atol=1e-15)
 
 
 def test_dense_tanh_shape_error():
     for h in ([[1.0, 2.0]], [1.0, 2.0, 3.0, 4.0, 5.0]):
-        with pytest.raises(ValueError, match="dense_tanh"):
-            dense_tanh(t64(h), t64(np.zeros((3, 5))))
+        with pytest.raises(ValueError, match="linear"):
+            tanh(linear(t64(h), t64(np.zeros((3, 5)))))
 
 
 def test_full_stack_gradient_check():
@@ -392,8 +394,8 @@ def test_full_stack_gradient_check():
     ids = [0, 2, 3, 2]
 
     def builder():
-        out = bilstm_run(pick_row(table, np.array(ids)), fwd, bwd)
-        return reduce_sum(dense_tanh(out, w_d))
+        out = bilstm_run(pick_row(table, np.array(ids)), fwd, bwd, [len(ids)])
+        return reduce_sum(tanh(linear(out, w_d)))
 
     params = [table, *fwd, *bwd, w_d]
     report = finite_difference_check(builder, params, eps=1e-5)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqtag import model as model_module
 from seqtag.autodiff import Tape, backward, dense_grad
 from seqtag.corpus import Sentence, build_vocab, load_pretrained_embeddings, random_embeddings
 from seqtag.model import (
@@ -218,6 +219,35 @@ def test_batch_tape_op_mix(arch, output):
     with tape:
         model.batch_loss_parts(enc)
     assert Counter(n.op for n in tape.nodes) == _WORD_OPS + _OUTPUT_OPS + _ARCH_OPS[arch]
+
+
+def test_each_layer_is_called_once_under_its_model_level_name(monkeypatch):
+    """The benchmark times the layers by wrapping these names in
+    ``seqtag.model``: one attention/CRF batch reaches each once, and tagging
+    a sentence reaches ``viterbi_decode`` once. A layer imported under
+    another name, or called around its name, shows here."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def shim(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return shim
+
+    for name in ("bilstm_run", "emission_scores", "crf_nll", "compose_words", "combine_attention",
+                 "char_aux_loss", "viterbi_decode"):
+        monkeypatch.setattr(model_module, name, counting(name, getattr(model_module, name)))
+    vocab, _ = tiny_vocab()
+    enc = vocab.encode_corpus(batch_sentences())
+    model = assemble_model(toy_config(architecture="attention", output="crf"), vocab)
+    with Tape():
+        model.batch_loss_parts(enc)
+    assert calls == Counter(bilstm_run=1, emission_scores=1, crf_nll=1, compose_words=1, combine_attention=1,
+                            char_aux_loss=1)
+    calls.clear()
+    model.predict_labels(enc[0])
+    assert calls == Counter(bilstm_run=1, emission_scores=1, compose_words=1, combine_attention=1,
+                            viterbi_decode=1)
 
 
 def test_backward_frees_every_intermediate_tensor():
