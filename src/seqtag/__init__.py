@@ -12,16 +12,15 @@ from .autodiff import (
 )
 from .charcomp import char_aux_loss, combine_attention, compose_words
 from .corpus import (
+    LabelSet,
     Sentence,
     Vocabulary,
     build_vocab,
-    dataset_stats,
     load_conll,
     load_pretrained_embeddings,
     preprocess_token,
 )
 from .crf import (
-    LabelSet,
     TagLattice,
     crf_sequence_score,
     emission_scores,

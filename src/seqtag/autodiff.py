@@ -71,21 +71,6 @@ import numpy as np
 
 NORM_EPS = 1e-8
 
-OP_KINDS = (
-    "linear",
-    "add",
-    "mix",
-    "tanh",
-    "sigmoid",
-    "concat",
-    "sum",
-    "cosine_distance",
-    "pick_row",
-    "lstm_sequence",
-    "crf_nll",
-)
-
-
 class Tensor:
     """Dense numeric array with an optional gradient.
 
@@ -739,6 +724,7 @@ _BACKWARD = {
     "lstm_sequence": _bwd_lstm_sequence,
     "crf_nll": _bwd_crf_nll,
 }
+OP_KINDS = tuple(_BACKWARD)  # every kind a node may record, in the table's order
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import build_vocab, dataset_stats, load_conll, load_pretrained_embeddings, read_conll
-from .model import ARCHITECTURES, METRICS, OUTPUTS, ModelConfig, atomic_open, count_parameters, load_model, save_model
+from .corpus import build_vocab, load_conll, load_pretrained_embeddings, read_conll
+from .model import (ARCHITECTURES, FIELD_TYPES, METRICS, OUTPUTS, ModelConfig, atomic_open, count_parameters,
+                    load_model, save_model)
 from .training import TrainingFailed, evaluate, train
 
 
@@ -47,17 +48,6 @@ def read_config_file(path) -> dict:
     return values
 
 
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
-                 "yes": True, "no": False}
-# per declared field type: how a config string is read, and what an error says was expected
-_COERCIONS = {
-    "int": (int, "an int"),
-    "float": (float, "a float"),
-    "bool": (lambda value: _BOOL_STRINGS[str(value).lower()], "a boolean"),
-    "str": (str, "a string"),
-}
-
-
 def config_from_mapping(raw: dict) -> ModelConfig:
     """Coerce string values to the declared field types."""
     types = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
@@ -65,7 +55,7 @@ def config_from_mapping(raw: dict) -> ModelConfig:
     for key, value in raw.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        parse, expected = _COERCIONS[types[key]]
+        _, parse, expected = FIELD_TYPES[types[key]]
         try:
             coerced[key] = parse(value)
         except (KeyError, ValueError):
@@ -113,7 +103,9 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "FAILED").unlink(missing_ok=True)  # left by an earlier run into this directory
+    # an earlier run's outputs go before the new manifest, so no model sits beside a manifest that did not make it
+    for stale in ("FAILED", "model.bin", "report.tsv", "report.json"):
+        (out_dir / stale).unlink(missing_ok=True)
     manifest = {
         "version": __version__,
         "config": config.to_dict(),
@@ -193,9 +185,10 @@ def cmd_count_params(args) -> int:
 
 def cmd_dataset_stats(args) -> int:
     sentences = _load_split(args.data, args)
-    stats = dataset_stats({"data": sentences})
+    tokens = sum(len(sent) for sent in sentences)
+    labels = {lab for sent in sentences for lab in sent.labels}
     print("split\tsentences\ttokens\tlabels")
-    print(f"data\t{len(sentences)}\t{stats.token_counts['data']}\t{stats.label_count}")
+    print(f"data\t{len(sentences)}\t{tokens}\t{len(labels)}")
     return 0
 
 

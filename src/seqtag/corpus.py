@@ -21,6 +21,9 @@ types, and ``Vocabulary.encode_corpus`` looks each distinct normalized
 token up once per call. Every token of a type then holds the type's
 word id and the same read-only tuple of char ids in
 ``Sentence.char_ids``.
+
+The label set (``LabelSet``) sits beside the vocabulary, which holds
+it, and ``encode_corpus`` reads gold ids from its index.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 
 import numpy as np
-
-from .crf import LabelSet
 
 OOV_TOKEN = "<unk>"
 OOV_CHAR = "<unk>"
@@ -114,6 +115,34 @@ def load_conll(path, token_column: int = 0, label_column: int | None = -1):
     return [sent for rows, sent in read_conll(path, token_column, label_column) if rows]
 
 
+class LabelSet:
+    """Ordered, unique label strings with a stable index."""
+
+    def __init__(self, labels):
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError("LabelSet: duplicate labels")
+        if not labels:
+            raise ValueError("LabelSet: empty label set")
+        self.labels = labels
+        self._index = {lab: i for i, lab in enumerate(labels)}
+
+    def id(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise ValueError(f"LabelSet: unknown label {label!r}") from None
+
+    def label(self, i: int) -> str:
+        return self.labels[i]
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __contains__(self, label):
+        return label in self._index
+
+
 class Vocabulary:
     """Bidirectional word/char id maps with OOV entries at index 0."""
 
@@ -157,8 +186,7 @@ class Vocabulary:
         """Copies of ``sentences`` with their id fields filled, each
         distinct normalized token looked up once per call; gold ids only
         when every label is known."""
-        c2i, oov_char = self._c2i, self.oov_char_id
-        label_ids = {lab: i for i, lab in enumerate(self.label_set.labels)}
+        c2i, oov_char, label_ids = self._c2i, self.oov_char_id, self.label_set._index
         types: dict = {}
 
         def entry(token):
@@ -265,22 +293,3 @@ def load_pretrained_embeddings(
                 )
             matrix[wid] = row
     return matrix
-
-
-@dataclass
-class DatasetStats:
-    label_count: int
-    token_counts: dict
-
-
-def dataset_stats(splits: dict) -> DatasetStats:
-    """Token counts per split and the distinct-label count across them."""
-    labels = set()
-    token_counts = {}
-    for split, sentences in splits.items():
-        total = 0
-        for sent in sentences:
-            total += len(sent)
-            labels.update(sent.labels)
-        token_counts[split] = total
-    return DatasetStats(label_count=len(labels), token_counts=token_counts)

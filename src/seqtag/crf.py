@@ -1,5 +1,7 @@
 """Output layer: per-token emission scores, CRF path scores and decoding.
 
+Labels are ids here; ``corpus.LabelSet`` maps them to their strings.
+
 Scores live in a ``TagLattice``: an emission matrix with one row per
 token and a square transition matrix over the label set plus two
 boundary states (index K is the virtual start state, K + 1 the virtual
@@ -25,34 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, linear
-
-
-class LabelSet:
-    """Ordered, unique label strings with a stable index."""
-
-    def __init__(self, labels):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("LabelSet: duplicate labels")
-        if not labels:
-            raise ValueError("LabelSet: empty label set")
-        self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
-
-    def id(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"LabelSet: unknown label {label!r}") from None
-
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __contains__(self, label):
-        return label in self._index
 
 
 def _as_tensor(x) -> Tensor:

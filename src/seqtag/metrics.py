@@ -90,6 +90,21 @@ def extract_spans(labels) -> list:
     return spans
 
 
+def _f_beta(name, tp, fp, fn, beta, degenerate=False) -> MetricResult:
+    """Precision, recall and F-beta from match counts; F1 is the beta = 1 case."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    b2 = beta * beta
+    denom = b2 * precision + recall
+    value = (1 + b2) * precision * recall / denom if denom else 0.0
+    return MetricResult(
+        name,
+        value,
+        {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall},
+        degenerate=degenerate,
+    )
+
+
 def span_f1(gold_spans, pred_spans) -> MetricResult:
     """Micro-averaged F1 over exact (start, end, type) span matches."""
     gold_spans = list(gold_spans)
@@ -104,14 +119,7 @@ def span_f1(gold_spans, pred_spans) -> MetricResult:
         tp += len(g & p)
         fp += len(p - g)
         fn += len(g - p)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MetricResult(
-        "span_f1",
-        f1,
-        {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall},
-    )
+    return _f_beta("span_f1", tp, fp, fn, beta=1)
 
 
 def f_beta_binary(gold, pred, beta: float) -> MetricResult:
@@ -125,15 +133,4 @@ def f_beta_binary(gold, pred, beta: float) -> MetricResult:
     tp = sum(1 for g, p in zip(gold, pred) if g and p)
     fp = sum(1 for g, p in zip(gold, pred) if not g and p)
     fn = sum(1 for g, p in zip(gold, pred) if g and not p)
-    degenerate = tp + fp + fn == 0
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    b2 = beta * beta
-    denom = b2 * precision + recall
-    value = (1 + b2) * precision * recall / denom if denom else 0.0
-    return MetricResult(
-        f"f{beta:g}",
-        value,
-        {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall},
-        degenerate=degenerate,
-    )
+    return _f_beta(f"f{beta:g}", tp, fp, fn, beta, degenerate=tp + fp + fn == 0)

@@ -64,8 +64,15 @@ METRICS = ("acc", "span-f1", "f0.5")
 MODEL_MAGIC = b"SQTG"
 MODEL_FORMAT_VERSION = 2
 
-# accepted Python types per declared field type; bool is an int but no int field takes one
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+# per declared field type: the Python types a value may have (bool is an int, but no int field
+# takes one), how a config file's string is read, and what an error says was expected
+FIELD_TYPES = {
+    "int": (int, int, "an int"),
+    "float": ((int, float), float, "a float"),
+    "bool": (bool, lambda value: {"true": True, "false": False, "1": True, "0": False,
+                                  "yes": True, "no": False}[str(value).lower()], "a boolean"),
+    "str": (str, str, "a string"),
+}
 
 
 @dataclass
@@ -92,7 +99,7 @@ class ModelConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+            if not isinstance(value, FIELD_TYPES[f.type][0]) or (isinstance(value, bool) and f.type != "bool"):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {self.architecture!r}")

@@ -495,6 +495,13 @@ def test_dataset_stats_matches_independent_count(data_dir, capsys):
     assert (int(n_sents), int(n_tokens), int(n_labels)) == (sents, tokens, len(labels))
 
 
+@pytest.mark.parametrize("content", ["", "\n\n  \n"])
+def test_dataset_stats_of_a_file_without_sentences(tmp_path, capsys, content):
+    (tmp_path / "empty.conll").write_text(content)
+    assert main(["dataset-stats", "--data", str(tmp_path / "empty.conll")]) == 0
+    assert capsys.readouterr().out == "split\tsentences\ttokens\tlabels\ndata\t0\t0\t0\n"
+
+
 def test_config_parsing_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("word_dim 6\n")
@@ -631,6 +638,17 @@ def test_a_successful_run_removes_an_earlier_failed_marker(data_dir, tmp_path):
         assert main(["train", "--config", str(config), "--train", str(data_dir / "train.conll"),
                      "--dev", str(data_dir / "dev.conll"), "--out", str(tmp_path / "run")]) == code
         assert (tmp_path / "run" / "FAILED").exists() == bool(code)
+
+
+def test_a_failed_rerun_removes_the_earlier_runs_model(data_dir, tmp_path):
+    (tmp_path / "huge-step.cfg").write_text(TINY_CONFIG + "learning_rate = 1e300\n")
+    out = tmp_path / "run"
+    for config, code in ((data_dir / "tiny.cfg", 0), (tmp_path / "huge-step.cfg", 1)):
+        assert main(["train", "--config", str(config), "--train", str(data_dir / "train.conll"),
+                     "--dev", str(data_dir / "dev.conll"), "--out", str(out)]) == code
+    assert not (out / "model.bin").exists()
+    assert (out / "FAILED").exists()
+    assert len(json.loads((out / "report.json").read_text())["epochs"]) == 1
 
 
 def test_count_params_counts_a_model_too_large_to_build(data_dir, tmp_path, capsys):

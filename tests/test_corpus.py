@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from seqtag.corpus import (
     OOV_TOKEN,
+    LabelSet,
     Sentence,
     Vocabulary,
     build_vocab,
-    dataset_stats,
     load_conll,
     load_pretrained_embeddings,
     preprocess_token,
 )
-from seqtag.crf import LabelSet
 
 from oracles import encode_oracle, vocab_oracle
 from synthdata import write_conll
@@ -333,27 +332,6 @@ def test_pretrained_non_finite_value_names_line(tmp_path, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"vec\.txt:2: non-finite"):
             load_pretrained_embeddings(path, _tiny_vocab(), dim=2, rng=np.random.default_rng(0))
-
-
-# ---------------------------------------------------------------------------
-# statistics
-# ---------------------------------------------------------------------------
-
-def test_dataset_stats_counts():
-    train = make_sentences([
-        [("a", "X"), ("b", "Y")],
-        [("c", "X")],
-    ])
-    dev = make_sentences([[("d", "Z")]])
-    stats = dataset_stats({"train": train, "dev": dev})
-    assert stats.token_counts == {"train": 3, "dev": 1}
-    assert stats.label_count == 3
-
-
-def test_dataset_stats_empty_split():
-    stats = dataset_stats({"test": []})
-    assert stats.token_counts == {"test": 0}
-    assert stats.label_count == 0
 
 
 @settings(max_examples=300, deadline=None)

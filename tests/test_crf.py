@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtag.autodiff import Tape, Tensor, backward, crf_nll, linear, no_tape, tanh, tensor
-from seqtag.corpus import Sentence, build_vocab
+from seqtag.corpus import LabelSet, Sentence, build_vocab
 from seqtag.crf import (
-    LabelSet,
     TagLattice,
     crf_sequence_score,
     emission_scores,
