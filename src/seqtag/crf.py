@@ -1,4 +1,4 @@
-"""Output layer: per-token emission scores, CRF path scores and decoding.
+"""Decoding: the CRF lattice, the score of one label path, and Viterbi.
 
 Labels are ids here; ``corpus.LabelSet`` maps them to their strings.
 
@@ -11,11 +11,12 @@ consecutive labels, and the transition from its last label into end.
 Transitions into start and out of end are never read by any scoring
 routine, which is equivalent to holding them at minus infinity.
 
-The training loss, log Z minus the gold path's score, is not here: it
-is the ``autodiff.crf_nll`` node, which takes the emission and
-transition tensors in this layout and the sentences' ``lengths``, and
-whose backward pass sends the forward-backward marginals minus the gold
-counts to the scores.
+The module only decodes. The emission rows come from
+``model.emission_scores``; the training loss, log Z minus the gold
+path's score, is the ``autodiff.crf_nll`` node, which takes the
+emission and transition tensors in this layout and the sentences'
+``lengths``, and whose backward pass sends the forward-backward
+marginals minus the gold counts to the scores.
 Decoding is plain numeric Viterbi with ties broken toward the
 lowest label index at every backpointer decision; the exhaustive oracle
 in the tests applies the same preference, which for enumeration order
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, linear
+from .autodiff import Tensor
 
 
 def _as_tensor(x) -> Tensor:
@@ -64,32 +65,18 @@ class TagLattice:
         return self.num_labels + 1
 
 
-def _check_sequence(lat: TagLattice, y) -> list:
-    y = list(y)
-    if len(y) != lat.seq_len:
-        raise ValueError(f"label sequence length {len(y)} != lattice length {lat.seq_len}")
-    for lab in y:
-        if not 0 <= lab < lat.num_labels:
-            raise ValueError(f"label id {lab} outside [0, {lat.num_labels})")
-    return y
-
-
-def emission_scores(d: Tensor, w_o: Tensor) -> Tensor:
-    """Emission rows W_o @ d_t for a (T, d) matrix of token states, as one (T, K) tensor."""
-    return linear(d, w_o)
-
-
-# ---------------------------------------------------------------------------
-# CRF scoring and loss
-# ---------------------------------------------------------------------------
-
 def crf_sequence_score(lat: TagLattice, y) -> float:
     """Unnormalized score of one label sequence.
 
     Accumulation order matches the Viterbi recursion exactly, so the
     decoded path's score compares bit-for-bit equal.
     """
-    y = _check_sequence(lat, y)
+    y = list(y)
+    if len(y) != lat.seq_len:
+        raise ValueError(f"label sequence length {len(y)} != lattice length {lat.seq_len}")
+    for lab in y:
+        if not 0 <= lab < lat.num_labels:
+            raise ValueError(f"label id {lab} outside [0, {lat.num_labels})")
     a = lat.emissions.values
     b = lat.transitions.values
     s = b[lat.start_index, y[0]] + a[0, y[0]]
@@ -100,17 +87,14 @@ def crf_sequence_score(lat: TagLattice, y) -> float:
     return float(s)
 
 
-# ---------------------------------------------------------------------------
-# decoding
-# ---------------------------------------------------------------------------
-
-def _viterbi(emissions, transitions):
-    """Highest-scoring label path through a (T, K) lattice and its score.
+def viterbi_decode(lat: TagLattice):
+    """Highest-scoring label path through the lattice and its score.
 
     ``np.argmax`` keeps the first maximum, so ties go to the lowest label
     index. Score accumulation order matches ``crf_sequence_score`` bit for
-    bit, so exact score comparisons are meaningful.
+    bit, so the returned score equals the path's ``crf_sequence_score``.
     """
+    emissions, transitions = lat.emissions.values, lat.transitions.values
     T, K = emissions.shape
     start, end = K, K + 1
     alpha = transitions[start, :K] + emissions[0]
@@ -127,10 +111,4 @@ def _viterbi(emissions, transitions):
     path[T - 1] = last
     for t in range(T - 1, 0, -1):
         path[t - 1] = backptr[t, path[t]]
-    return path, score
-
-
-def viterbi_decode(lat: TagLattice):
-    """Best label sequence and its score (exactly crf_sequence_score of it)."""
-    path, score = _viterbi(lat.emissions.values, lat.transitions.values)
     return [int(p) for p in path], score

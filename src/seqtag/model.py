@@ -1,4 +1,4 @@
-"""Model assembly, parameter accounting and persistence.
+"""The network's layers, model assembly, parameter accounting and persistence.
 
 Three architectures share one word-level pipeline (embedding lookup,
 bidirectional LSTM, narrow tanh layer, output scores), built here from
@@ -10,6 +10,19 @@ the tape primitives of ``seqtag.autodiff``:
 * ``attention``  gates the two vectors together, keeping the input
                  width unchanged, and adds the auxiliary cosine term
                  to the training loss
+
+The character-composed vector ``m`` of a word comes from its characters'
+own bidirectional LSTM: ``compose_words`` joins the final state of each
+direction and projects it through tanh to the word-embedding width, for
+a list of character sequences at once, with one ragged ``lstm_sequence``
+node per direction whatever their lengths. ``combine_attention``
+predicts a sigmoid gate ``z`` from the word embedding ``x`` and ``m``
+and returns ``z * x + (1 - z) * m``, a per-feature convex mix, in one
+``mix`` node. ``char_aux_loss`` is the attention model's auxiliary term:
+``1 - cos(m, x)`` summed over the tokens, one ``cosine_distance`` node
+and its sum. ``x`` enters through ``stop_gradient``, so the pull moves
+the character composer only, and tokens mapped to the OOV row are
+skipped entirely.
 
 The output layer is either a per-token softmax or a linear-chain CRF.
 Both train through the one CRF loss node, ``autodiff.crf_nll``: a
@@ -52,10 +65,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, crf_nll, linear, lstm_sequence, no_tape, pick_row, tanh
-from .charcomp import char_aux_loss, combine_attention, compose_words
+from .autodiff import (Tensor, add, concat, cosine_distance, crf_nll, linear, lstm_sequence, mix, no_tape,
+                       pick_row, reduce_sum, sigmoid, stop_gradient, tanh)
 from .corpus import Sentence, Vocabulary, random_embeddings
-from .crf import TagLattice, emission_scores, viterbi_decode
+from .crf import TagLattice, viterbi_decode
 
 ARCHITECTURES = ("word", "concat", "attention")
 OUTPUTS = ("softmax", "crf")
@@ -151,6 +164,67 @@ def bilstm_run(inputs: Tensor, fwd, bwd, lengths) -> Tensor:
     forward = lstm_sequence(inputs, *fwd, lengths)
     backward = lstm_sequence(inputs, *bwd, lengths, reverse=True)
     return concat((forward, backward))
+
+
+def compose_words(char_seqs, char_emb: Tensor, fwd, bwd, w_m: Tensor) -> Tensor:
+    """Character-level word vectors m, one row per character sequence.
+
+    All sequences' characters, stored back to back, run through the
+    character BiLSTM as one ragged ``lstm_sequence`` per direction; a
+    word's final states are its last row forward and its first row
+    backward, so a call costs eight tape nodes whatever its lengths. Row
+    i of the (len(char_seqs), word_dim) result is the vector of
+    ``char_seqs[i]``.
+    """
+    seqs = [list(s) for s in char_seqs]
+    if not seqs:
+        raise ValueError("compose_words: no character sequences")
+    lengths = np.array([len(s) for s in seqs])
+    if not lengths.all():
+        raise ValueError("compose_words: empty character sequence")
+    ends = np.cumsum(lengths)
+    chars = pick_row(char_emb, np.concatenate(seqs))
+    forward = lstm_sequence(chars, *fwd, lengths)
+    backward = lstm_sequence(chars, *bwd, lengths, reverse=True)
+    h_star = concat((pick_row(forward, ends - 1), pick_row(backward, ends - lengths)))
+    return tanh(linear(h_star, w_m))
+
+
+def combine_attention(x: Tensor, m: Tensor, w_z1: Tensor, w_z2: Tensor, w_z3: Tensor):
+    """Gate the two word representations; returns (combined, z).
+
+    x and m are (N, dim) matrices with one token per row.
+    Every entry of z lies strictly inside (0, 1), so the combination is
+    a per-feature convex mix of x and m. z is returned so callers can
+    export and inspect it.
+    """
+    # row-vector form of z = sigmoid(W3 tanh(W1 x + W2 m)), one row per token
+    hidden = tanh(add(linear(x, w_z1), linear(m, w_z2)))
+    z = sigmoid(linear(hidden, w_z3))
+    return mix(z, x, m), z
+
+
+def char_aux_loss(m: Tensor, x: Tensor, oov_mask) -> Tensor:
+    """Cosine pull of m toward x, summed over non-OOV positions.
+
+    m and x are (N, dim) matrices, one token per row. Each kept row
+    contributes 1 - cos(m_t, x_t). x passes through stop_gradient, so
+    minimizing this term never moves word embeddings.
+    """
+    oov_mask = np.asarray(oov_mask, dtype=bool)
+    if m.values.ndim != 2 or m.shape != x.shape or oov_mask.shape != m.shape[:1]:
+        raise ValueError(
+            f"char_aux_loss: length mismatch {m.shape}/{x.shape}/{oov_mask.shape}"
+        )
+    kept = np.flatnonzero(~oov_mask)
+    if not kept.size:
+        return Tensor(np.zeros((), dtype=m.values.dtype), constant=True)
+    return reduce_sum(cosine_distance(pick_row(m, kept), stop_gradient(Tensor(x.values[kept]))))
+
+
+def emission_scores(d: Tensor, w_o: Tensor) -> Tensor:
+    """Emission rows W_o @ d_t for a (T, d) matrix of token states, as one (T, K) tensor."""
+    return linear(d, w_o)
 
 
 class Model:

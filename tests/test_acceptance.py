@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from seqtag.autodiff import Tape, add, backward, crf_nll, dense_grad, pick_row, tensor
-from seqtag.charcomp import char_aux_loss, compose_words
 from seqtag.cli import main
 from seqtag.corpus import Sentence, build_vocab
 from seqtag.crf import TagLattice, crf_sequence_score, viterbi_decode
 from seqtag.metrics import extract_spans, f_beta_binary, span_f1, token_accuracy
-from seqtag.model import ModelConfig, assemble_model, count_parameters, parameter_table, save_model
+from seqtag.model import (ModelConfig, assemble_model, char_aux_loss, compose_words, count_parameters,
+                          parameter_table, save_model)
 from seqtag.training import evaluate
 
 from gradcheck import finite_difference_check

@@ -13,13 +13,16 @@ from seqtag.autodiff import (
     pick_row,
     tensor,
 )
-from seqtag.charcomp import (
+from seqtag.corpus import Sentence, build_vocab
+from seqtag.model import (
+    ModelConfig,
+    assemble_model,
     char_aux_loss,
     combine_attention,
     compose_words,
+    glorot_uniform,
+    lstm_bias,
 )
-from seqtag.corpus import Sentence, build_vocab
-from seqtag.model import ModelConfig, assemble_model, glorot_uniform, lstm_bias
 
 from gradcheck import finite_difference_check, weighted_sum
 from oracles import lstm_step

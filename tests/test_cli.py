@@ -14,7 +14,7 @@ from seqtag import cli
 from seqtag.cli import config_from_mapping, main, read_config_file
 from seqtag.corpus import build_vocab, load_conll
 from seqtag.metrics import token_accuracy
-from seqtag.model import Model, ModelConfig, assemble_model, load_model
+from seqtag.model import Model, ModelConfig, ModelFormatError, assemble_model, load_model
 
 from synthdata import make_suffix_corpus, write_conll
 
@@ -360,6 +360,23 @@ def test_malformed_model_header_is_an_error(trained_dir, data_dir, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"SQTG\x00\x00\x00", "truncated model file (missing header length)"),
+    (b"SQTG" + struct.pack("<Q", 2) + b"[]", "corrupt header (not a JSON object)"),
+], ids=["three-length-bytes", "list-header"])
+def test_tag_rejects_a_cut_length_or_a_header_that_is_no_object(data_dir, tmp_path, capsys, raw, message):
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(raw)
+    with pytest.raises(ModelFormatError) as info:
+        load_model(bad)
+    assert str(info.value) == f"{bad}: {message}"
+    code = main(["tag", "--model", str(bad), "--input", str(data_dir / "test.conll")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"
 
 
 def test_manifest_listing_a_tensor_twice_is_an_error(trained_dir, data_dir, tmp_path, capsys):

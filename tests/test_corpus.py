@@ -252,6 +252,31 @@ def test_type_level_vocab_and_encoding_match_the_per_token_oracle(train, other, 
         assert vocab.encode(sent) == enc
 
 
+@pytest.mark.parametrize("surface,normalized,labels", [
+    (["a", "b"], ["a"], ["X", "Y"]),
+    (["a"], ["a"], []),
+], ids=["normalized", "labels"])
+def test_misaligned_sentence_rejected(surface, normalized, labels):
+    with pytest.raises(ValueError, match="^Sentence: token, normalized and label sequences must align$"):
+        Sentence(surface, normalized, labels)
+
+
+def test_empty_label_set_rejected():
+    with pytest.raises(ValueError, match="^LabelSet: empty label set$"):
+        LabelSet([])
+
+
+@pytest.mark.parametrize("words,chars,field", [
+    (["a", OOV_TOKEN], [OOV_TOKEN, "a"], "words"),
+    ([], [OOV_TOKEN, "a"], "words"),
+    ([OOV_TOKEN, "a"], ["a", OOV_TOKEN], "chars"),
+    ([OOV_TOKEN, "a"], [], "chars"),
+])
+def test_vocabulary_must_start_with_the_oov_entry(words, chars, field):
+    with pytest.raises(ValueError, match=f"^Vocabulary: {field} must start with the OOV entry$"):
+        Vocabulary(words, chars, LabelSet(["X"]))
+
+
 def test_build_vocab_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
         build_vocab([])
@@ -308,6 +333,24 @@ def test_pretrained_header_accepted(tmp_path):
     vocab = _tiny_vocab()
     table = load_pretrained_embeddings(path, vocab, dim=2, rng=np.random.default_rng(0))
     assert np.allclose(table[vocab.word_id("dog")], [0.5, 0.6], atol=1e-7)
+
+
+def test_pretrained_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("dog 0.1 0.2\n\n  \ncat 0.3 0.4\n")
+    vocab = _tiny_vocab()
+    table = load_pretrained_embeddings(path, vocab, dim=2, rng=np.random.default_rng(0))
+    assert np.allclose(table[vocab.word_id("dog")], [0.1, 0.2], atol=1e-7)
+    assert np.allclose(table[vocab.word_id("cat")], [0.3, 0.4], atol=1e-7)
+
+
+def test_pretrained_two_field_first_line_of_a_word_is_a_vector(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("dog 0.5\ncat 0.25\n")
+    vocab = _tiny_vocab()
+    table = load_pretrained_embeddings(path, vocab, dim=1, rng=np.random.default_rng(0))
+    assert table[vocab.word_id("dog")].tolist() == [0.5]
+    assert table[vocab.word_id("cat")].tolist() == [0.25]
 
 
 def test_pretrained_entry_width_error_names_line(tmp_path):

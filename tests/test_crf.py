@@ -10,10 +10,9 @@ from seqtag.corpus import LabelSet, Sentence, build_vocab
 from seqtag.crf import (
     TagLattice,
     crf_sequence_score,
-    emission_scores,
     viterbi_decode,
 )
-from seqtag.model import ModelConfig, assemble_model, bilstm_run
+from seqtag.model import ModelConfig, assemble_model, bilstm_run, emission_scores
 from seqtag.training import AdaDelta
 
 from gradcheck import finite_difference_check
@@ -48,6 +47,12 @@ def test_label_set_roundtrip_and_errors():
         ls.id("B-LOC")
     with pytest.raises(ValueError, match="duplicate"):
         LabelSet(["O", "O"])
+
+
+@pytest.mark.parametrize("emissions", [np.zeros(3), np.zeros((0, 3))], ids=["1-d", "no-rows"])
+def test_lattice_needs_a_matrix_of_at_least_one_row(emissions):
+    with pytest.raises(ValueError, match=r"^TagLattice: emissions must be \(T, K\), got "):
+        TagLattice(emissions, np.zeros((5, 5)))
 
 
 def test_lattice_shape_validation():

@@ -40,6 +40,11 @@ def test_accuracy_misaligned_rejected():
         token_accuracy([["A"]], [["A", "B"]])
 
 
+def test_accuracy_sentence_count_mismatch_rejected():
+    with pytest.raises(ValueError, match="^token_accuracy: 1 gold sequences vs 0 predicted$"):
+        token_accuracy([["A"]], [])
+
+
 # ---------------------------------------------------------------------------
 # span extraction
 # ---------------------------------------------------------------------------
@@ -131,6 +136,11 @@ def test_span_f1_zero_predictions():
     result = span_f1(gold, [[]])
     assert result.value == 0.0
     assert result.components["precision"] == 0.0
+
+
+def test_span_f1_sentence_count_mismatch_rejected():
+    with pytest.raises(ValueError, match="^span_f1: 1 gold sentences vs 0 predicted$"):
+        span_f1([[Span(0, 1, "A")]], [])
 
 
 def test_span_f1_permutation_invariant():

@@ -290,6 +290,17 @@ def test_unencoded_sentence_rejected():
         model.predict(sents[0])
 
 
+def test_batch_loss_parts_needs_sentences_with_gold_ids():
+    vocab, _ = tiny_vocab()
+    model = assemble_model(toy_config(), vocab)
+    with pytest.raises(ValueError, match="^batch_loss_parts: empty batch$"):
+        model.batch_loss_parts([])
+    unknown_label = vocab.encode(Sentence(["aa"], ["aa"], ["B-Y"]))
+    assert unknown_label.gold is None
+    with pytest.raises(ValueError, match="^sentence has no gold label ids$"):
+        model.batch_loss_parts([unknown_label])
+
+
 # ---------------------------------------------------------------------------
 # parameter counting
 # ---------------------------------------------------------------------------

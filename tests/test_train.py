@@ -15,7 +15,7 @@ import seqtag.training as train_mod
 from seqtag.autodiff import RowGrad, tensor
 from seqtag.corpus import build_vocab
 from seqtag.metrics import MetricResult
-from seqtag.model import ModelConfig, save_model
+from seqtag.model import ModelConfig, assemble_model, save_model
 from seqtag.training import AdaDelta, evaluate, train
 
 from oracles import adadelta_dense_step
@@ -332,6 +332,33 @@ def test_f05_dev_metric_needs_positive_label():
     tr, dev, _, vocab = tiny_task()
     with pytest.raises(ValueError, match="positive label"):
         train(tiny_config(dev_metric="f0.5"), tr, dev, vocab)
+
+
+def test_a_nan_word_table_fails_epoch_one_with_every_step_rejected():
+    tr, _, _, vocab = tiny_task()
+    cfg = tiny_config()
+    nan_table = np.full((vocab.n_words, cfg.word_dim), np.nan)
+    with pytest.raises(train_mod.TrainingFailed, match=r"^training failed in epoch 1: train loss is nan$") as info:
+        train(cfg, tr, tr, vocab, pretrained=nan_table)
+    (epoch,) = info.value.report.epochs
+    assert epoch.rejected_steps == math.ceil(len(tr) / cfg.batch_size)
+    assert math.isnan(epoch.dev_metric)
+
+
+def test_train_rejects_a_training_label_outside_the_vocabulary():
+    tr, dev, _, _ = tiny_task()
+    missing = tr[0].labels[0]
+    narrow = build_vocab([s for s in tr if missing not in s.labels])
+    assert missing not in narrow.label_set
+    with pytest.raises(ValueError, match="^train: training sentence has labels outside the vocabulary$"):
+        train(tiny_config(), tr, dev, narrow)
+
+
+def test_evaluate_f05_needs_a_positive_label():
+    _, dev, _, vocab = tiny_task()
+    model = assemble_model(tiny_config(), vocab)
+    with pytest.raises(ValueError, match=r"^evaluate: f0\.5 needs a positive label$"):
+        evaluate(model, vocab.encode_corpus(dev), "f0.5")
 
 
 def test_report_table_has_aux_column():
