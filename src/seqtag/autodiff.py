@@ -440,12 +440,13 @@ def crf_nll(a: Tensor, b: Tensor, y, lengths) -> Tensor:
     before[ends - lens] = k
     gold_pairs = (np.concatenate((before, y[ends - 1])), np.concatenate((y, np.full(len(ends), k + 1))))
     gold = np.concatenate((av[np.arange(n_rows), y], bv[gold_pairs])).sum()
-    em = np.asarray(av[perm], dtype=np.float64)
     b64 = np.asarray(bv, dtype=np.float64)
     trans, start, end = b64[:k, :k], b64[k, :k], b64[:k, k + 1]
-    spread = np.ptp(np.concatenate((trans.ravel(), start, end))) + (em.max(axis=1) - em.min(axis=1)).max()
+    row_spread = (av.max(axis=1).astype(np.float64) - av.min(axis=1)).max()
+    spread = np.ptp(np.concatenate((trans.ravel(), start, end))) + row_spread
     run = _crf_scaled if spread < MAX_SCALED_SPREAD else _crf_log_space
-    log_z, unary, pairs, d_end = run(em, trans, start, end, steps)
+    # the float64 emissions in packed order go to ``run`` alone, which frees them when done
+    log_z, unary, pairs, d_end = run(np.asarray(av[perm], dtype=np.float64), trans, start, end, steps)
     d_em = unary[np.argsort(perm)]
     d_em[np.arange(n_rows), y] -= 1.0
     db = np.zeros_like(b64)
@@ -461,12 +462,14 @@ def _crf_scaled(em, trans, start, end, steps):
     - max)``, times ``exp(emissions - row max)``, its rows then divided by
     their sums, the scales. ``beta`` is scaled by the same factors, so
     ``alpha * beta`` is the label marginal; with ``w = beta * exp(emissions
-    - row max) / scale``, a backward step is ``w @ T.T``.
+    - row max) / scale``, a backward step is ``w @ T.T``. ``em`` turns into
+    ``exp(emissions - row max)`` in place, and ``alpha`` into the marginals.
     """
     top = trans.max()
     trans_exp = np.exp(trans - top)
     row_max = em.max(axis=1)
-    em_exp = np.exp(em - row_max[:, None])
+    em -= row_max[:, None]
+    em_exp = np.exp(em, out=em)
     alpha = np.empty_like(em)
     scale = np.empty(len(em))
     log_scale = np.empty(len(em))
@@ -500,14 +503,16 @@ def _crf_scaled(em, trans, start, end, steps):
         w /= scale[rows][:, None]
         pairs += alpha[steps[t - 1][0]][:n].T @ w
         beta[steps[t - 1][0]][:n] = w @ trans_exp.T
-    return log_scale.sum() + end_log_scale.sum(), alpha * beta, pairs * trans_exp, d_end
+    alpha *= beta
+    return log_scale.sum() + end_log_scale.sum(), alpha, pairs * trans_exp, d_end
 
 
 def _crf_log_space(em, trans, start, end, steps):
     """``_crf_scaled``'s results by log-space recursions, exact at any score range.
 
     A step in either direction is one (n, K, K) log-sum-exp, and a
-    marginal is ``exp(log alpha + log beta - log Z)`` of its sentence.
+    marginal is ``exp(log alpha + log beta - log Z)`` of its sentence,
+    formed in place in ``log alpha``.
     """
     la = np.empty_like(em)
     log_z = np.empty(steps[0][1])  # per sentence, longest first
@@ -532,7 +537,9 @@ def _crf_log_space(em, trans, start, end, steps):
         pairs += np.exp(la[steps[t - 1][0]][:n, :, None] + trans + (w - log_z[:n, None])[:, None, :]).sum(axis=0)
         lb[steps[t - 1][0]][:n] = _logsumexp(trans + w[:, None, :], axis=-1)
     row_log_z = np.concatenate([log_z[:n] for _, n in steps])
-    return log_z.sum(), np.exp(la + lb - row_log_z[:, None]), pairs, d_end
+    la += lb
+    la -= row_log_z[:, None]
+    return log_z.sum(), np.exp(la, out=la), pairs, d_end
 
 
 def _stop_gradient_values(values):

@@ -37,6 +37,7 @@ import numpy as np
 
 OOV_TOKEN = "<unk>"
 OOV_CHAR = "<unk>"
+DRAW_BLOCK_VALUES = 1 << 16  # float64 draws per block of an embedding table: 512 KiB
 
 _DIGITS = re.compile(r"\d")
 
@@ -235,8 +236,18 @@ def build_vocab(train_sentences, min_count: int = 2) -> Vocabulary:
 
 
 def random_embeddings(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
-    """An embedding table's rows drawn uniform in [-0.05, 0.05]."""
-    return rng.uniform(-0.05, 0.05, size=shape).astype(dtype)
+    """An embedding table's rows drawn uniform in [-0.05, 0.05].
+
+    The (rows, dim) table is drawn a block of rows at a time, so no float64
+    copy of the whole table is held. The generator fills the rows in order
+    either way, so the values equal one draw of the whole shape bit for bit.
+    """
+    table = np.empty(shape, dtype=dtype)
+    step = max(1, DRAW_BLOCK_VALUES // shape[1])
+    for start in range(0, shape[0], step):
+        block = table[start : start + step]
+        block[...] = rng.uniform(-0.05, 0.05, size=block.shape)
+    return table
 
 
 def load_pretrained_embeddings(

@@ -45,7 +45,10 @@ them in the same order.
 Saved models are a single binary container: a short magic, a JSON
 header (format version, configuration, vocabulary, tensor manifest)
 and the raw parameter data as little-endian floats of the configured
-dtype, so a model reloads to exactly its trained values. Version 1
+dtype, so a model reloads to exactly its trained values. Saving writes
+each tensor from its own buffer and loading reads each straight into
+its array, so neither holds a second copy of a table (a file stored in
+another dtype than the configured one is converted per tensor). Version 1
 files, which stored every model as 32-bit floats, still load. Before it
 allocates anything, loading checks that the file holds as much parameter
 data as the configuration's table implies and that the manifest lists
@@ -254,10 +257,6 @@ class Model:
 
     def state_arrays(self) -> dict:
         return {n: t.values.copy() for n, t in self.params.items()}
-
-    def load_state_arrays(self, state: dict):
-        for name, values in state.items():
-            self.params[name].values[...] = values
 
     # -- forward ------------------------------------------------------------
 
@@ -495,7 +494,7 @@ def save_model(model: Model, path):
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name, t in model.all_tensors().items():
-            fh.write(np.ascontiguousarray(t.values, dtype=stored).tobytes())
+            fh.write(np.ascontiguousarray(t.values, dtype=stored).data)
 
 
 def load_model(path) -> Model:
@@ -565,12 +564,10 @@ def load_model(path) -> Model:
         loaded = {}
         for entry in manifest:
             name = entry["name"]
-            shape = shapes[name]
-            nbytes = math.prod(shape) * stored.itemsize
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
+            values = np.empty(shapes[name], dtype=stored)
+            if fh.readinto(values) != values.nbytes:
                 raise ModelFormatError(f"{path}: truncated model file (tensor {name})")
-            loaded[name] = Tensor(np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype))
+            loaded[name] = Tensor(values.astype(dtype, copy=False))
         if fh.read(1):
             raise ModelFormatError(f"{path}: trailing data after last tensor")
     return Model(config, vocab, {name: loaded[name] for name, _, _ in table})

@@ -22,7 +22,12 @@ temporaries the step before it freed.
 Development decoding still predicts one sentence at a time. Training
 stops once the development metric has not improved for ``patience``
 epochs, and the parameters from the best development epoch are what the
-caller gets back.
+caller gets back. The best epoch is kept in a model file, not in memory:
+each improving epoch is written with ``save_model`` over one temporary
+file, which ``tempfile.mkstemp`` makes at the first improving epoch (so
+``TMPDIR`` picks its directory, which needs room for one model file).
+At the end ``train`` reads the best epoch back from the file, and it
+removes the file on every exit, a raised exception included.
 
 Optimizer steps rejected for non-finite gradients or updates are
 counted per epoch. An epoch whose every step was rejected, or whose
@@ -34,6 +39,8 @@ from __future__ import annotations
 import ctypes
 import logging
 import math
+import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
@@ -43,7 +50,7 @@ import numpy as np
 from .autodiff import RowGrad, Tape, backward
 from .corpus import Vocabulary
 from .metrics import MetricResult, check_iob_labels, extract_spans, f_beta_binary, span_f1, token_accuracy
-from .model import Model, ModelConfig, assemble_model
+from .model import Model, ModelConfig, assemble_model, load_model, save_model
 
 log = logging.getLogger(__name__)
 
@@ -270,7 +277,12 @@ def _batches(n: int, batch_size: int):
 
 def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary,
           pretrained=None):
-    """Fit a model and return (best model, per-epoch report)."""
+    """Fit a model and return (best model, per-epoch report).
+
+    The best epoch's parameters wait in a temporary model file in
+    ``tempfile.gettempdir()``, which needs room for one model file; the
+    file is removed before ``train`` returns or raises.
+    """
     config.validate()
     train_sentences = list(train_sentences)
     dev_sentences = list(dev_sentences)
@@ -294,56 +306,64 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
 
     report = TrainReport()
     best_metric = -np.inf
-    best_state = None
+    checkpoint = None  # the best epoch's model file, made at the first improving epoch
     epochs_since_best = 0
 
     order = np.arange(len(train_enc))
     batches = _batches(len(train_enc), config.batch_size)
-    for epoch in range(1, config.max_epochs + 1):
-        started = time.perf_counter()
-        if config.shuffle:
-            shuffle_rng.shuffle(order)
-        epoch_loss = 0.0
-        epoch_aux = 0.0
-        rejected = 0
-        for batch in batches:
-            tape = Tape()
-            with tape:
-                total, aux = model.batch_loss_parts([train_enc[order[i]] for i in batch])
-            if aux is not None:
-                epoch_aux += aux
-            backward(total, tape)
-            del tape  # backward freed each node's values and gradients; this drops the node records
-            if not opt.step():
-                rejected += 1
-            model.zero_grad()
-            epoch_loss += float(total.values)
+    try:
+        for epoch in range(1, config.max_epochs + 1):
+            started = time.perf_counter()
+            if config.shuffle:
+                shuffle_rng.shuffle(order)
+            epoch_loss = 0.0
+            epoch_aux = 0.0
+            rejected = 0
+            for batch in batches:
+                tape = Tape()
+                with tape:
+                    total, aux = model.batch_loss_parts([train_enc[order[i]] for i in batch])
+                if aux is not None:
+                    epoch_aux += aux
+                backward(total, tape)
+                del tape  # backward freed each node's values and gradients; this drops the node records
+                if not opt.step():
+                    rejected += 1
+                model.zero_grad()
+                epoch_loss += float(total.values)
 
-        failure = None
-        if not np.isfinite(epoch_loss):
-            failure = f"train loss is {epoch_loss}"
-        elif rejected == len(batches):
-            failure = f"all {rejected} optimizer steps were rejected"
-        dev_value = float("nan") if failure else evaluate(
-            model, dev_enc, config.dev_metric, positive_label=config.positive_label or None,
-        ).value
-        report.epochs.append(
-            EpochStats(epoch, epoch_loss, epoch_aux, dev_value,
-                       time.perf_counter() - started, rejected)
-        )
-        report.stopped_epoch = epoch
-        if failure:
-            raise TrainingFailed(f"training failed in epoch {epoch}: {failure}", report)
-        if dev_value > best_metric:
-            best_metric = dev_value
-            best_state = model.state_arrays()
-            report.best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
+            failure = None
+            if not np.isfinite(epoch_loss):
+                failure = f"train loss is {epoch_loss}"
+            elif rejected == len(batches):
+                failure = f"all {rejected} optimizer steps were rejected"
+            dev_value = float("nan") if failure else evaluate(
+                model, dev_enc, config.dev_metric, positive_label=config.positive_label or None,
+            ).value
+            report.epochs.append(
+                EpochStats(epoch, epoch_loss, epoch_aux, dev_value,
+                           time.perf_counter() - started, rejected)
+            )
+            report.stopped_epoch = epoch
+            if failure:
+                raise TrainingFailed(f"training failed in epoch {epoch}: {failure}", report)
+            if dev_value > best_metric:
+                best_metric = dev_value
+                report.best_epoch = epoch
+                epochs_since_best = 0
+                if checkpoint is None:
+                    fd, checkpoint = tempfile.mkstemp(prefix="seqtag-best-", suffix=".bin")
+                    os.close(fd)
+                save_model(model, checkpoint)
+            else:
+                epochs_since_best += 1
+                if epochs_since_best >= config.patience:
+                    break
 
-    if best_state is not None:
-        model.load_state_arrays(best_state)
+        if checkpoint is not None:
+            del opt  # its accumulators are twice the parameters; the reload then adds one copy
+            model.params = load_model(checkpoint).params
+    finally:
+        if checkpoint is not None:
+            os.unlink(checkpoint)
     return model, report

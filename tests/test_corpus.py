@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqtag.corpus import (
+    DRAW_BLOCK_VALUES,
     OOV_TOKEN,
     LabelSet,
     Sentence,
@@ -14,6 +15,7 @@ from seqtag.corpus import (
     load_conll,
     load_pretrained_embeddings,
     preprocess_token,
+    random_embeddings,
 )
 
 from oracles import encode_oracle, vocab_oracle
@@ -342,6 +344,16 @@ def test_pretrained_blank_lines_are_skipped(tmp_path):
     table = load_pretrained_embeddings(path, vocab, dim=2, rng=np.random.default_rng(0))
     assert np.allclose(table[vocab.word_id("dog")], [0.1, 0.2], atol=1e-7)
     assert np.allclose(table[vocab.word_id("cat")], [0.3, 0.4], atol=1e-7)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows,dim", [(5 * DRAW_BLOCK_VALUES // 300 + 7, 300), (3, 50), (0, 4)],
+                         ids=["several-blocks", "part-of-a-block", "no-rows"])
+def test_random_embeddings_equal_one_draw_of_the_whole_table(rows, dim, dtype):
+    table = random_embeddings(np.random.default_rng(9), (rows, dim), dtype)
+    whole = np.random.default_rng(9).uniform(-0.05, 0.05, size=(rows, dim)).astype(dtype)
+    assert table.dtype == dtype and table.shape == (rows, dim)
+    assert table.tobytes() == whole.tobytes()
 
 
 def test_pretrained_two_field_first_line_of_a_word_is_a_vector(tmp_path):

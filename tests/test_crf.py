@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,31 @@ def test_crf_nll_of_a_minus_inf_score_is_finite_and_gives_its_label_no_mass(dtyp
     want, _, _, want_em, _ = _log_space_nll(finite, tr, y, [3, 2])
     assert nll == pytest.approx(want, rel=1e-6)
     assert np.allclose(d_em, want_em, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("spread", [1.0, 2000.0], ids=["scaled", "log-space"])
+def test_crf_nll_forward_holds_three_n_by_k_arrays(spread):
+    """Forward-backward in the forward holds the float64 emissions, alpha and
+    beta; ``exp(emissions)`` and the marginals take the memory of the first and
+    of alpha. With the float32 gather and the O(N) index arrays that stays under
+    4.5 float64 (N, K) arrays; a new array for either would add one each."""
+    rng = np.random.default_rng(23)
+    lengths = [400, 300, 350, 200]
+    n, k = sum(lengths), 20
+    a = Tensor((rng.normal(size=(n, k)) * spread).astype(np.float32))
+    b = Tensor(rng.normal(size=(k + 2, k + 2)).astype(np.float32))
+    y = rng.integers(0, k, size=n)
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with tape:
+            crf_nll(a, b, y, lengths)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * n * k * 8
 
 
 def test_crf_nll_float32_scores_spread_across_100_stay_exact():

@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from seqtag import model as model_module
 from seqtag.autodiff import Tape, backward, dense_grad
-from seqtag.corpus import Sentence, build_vocab, load_pretrained_embeddings, random_embeddings
+from seqtag.corpus import (OOV_CHAR, OOV_TOKEN, LabelSet, Sentence, Vocabulary, build_vocab,
+                           load_pretrained_embeddings, random_embeddings)
 from seqtag.model import (
     ModelConfig,
     ModelFormatError,
@@ -407,6 +409,52 @@ def test_save_is_byte_deterministic(tmp_path):
     save_model(model, p1)
     save_model(model, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the most memory it held at once, in bytes, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_files_are_written_and_read_without_a_copy_of_the_table(tmp_path):
+    words = [OOV_TOKEN] + [f"w{i}" for i in range(19_999)]
+    vocab = Vocabulary(words, [OOV_CHAR, "w"], LabelSet(["O", "B-X"]))
+    model = assemble_model(ModelConfig(architecture="word", word_dim=300, word_lstm_hidden=4, d_size=2), vocab)
+    table = model.params["word_embeddings"].values.nbytes
+    params = sum(t.values.nbytes for t in model.params.values())
+    assert table >= 20 << 20
+    path = tmp_path / "model.bin"
+    _, saving = _traced_peak(save_model, model, path)
+    assert saving < table / 4
+    again, loading = _traced_peak(load_model, path)
+    assert loading < params + table / 4
+    # the tensor data is each tensor's bytes in table order, as ``tobytes`` gives them
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[4:12])
+    assert raw[12 + n:] == b"".join(t.values.astype("<f4").tobytes() for t in model.params.values())
+    for name, t in model.params.items():
+        assert again.params[name].values.tobytes() == t.values.tobytes(), name
+
+
+def test_load_reports_missing_tensor_data_by_size(tmp_path):
+    vocab, _ = tiny_vocab()
+    model = assemble_model(toy_config(dtype="float32"), vocab)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-10])
+    needed = count_parameters(model.config, vocab)[0] * 4
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == (f"{path}: truncated model file (the configuration needs {needed} bytes "
+                               f"of tensor data, the file holds {needed - 10})")
 
 
 def test_load_rejects_bad_magic(tmp_path):

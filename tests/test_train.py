@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -320,6 +321,73 @@ def test_best_model_is_restored():
     restored_dev = evaluate(model, vocab.encode_corpus(dev), "acc").value
     assert restored_dev == pytest.approx(report.best_dev_metric(), abs=1e-12)
     assert report.best_epoch <= report.stopped_epoch
+
+
+def _checkpointed_evaluate(series, tmp_path, seen):
+    """An ``evaluate`` that returns the next value of ``series``; before it does, it
+    records the temp dir's file count and a copy of the parameters it was given."""
+    series = iter(series)
+
+    def evaluate(model, *args, **kwargs):
+        seen.append((len(os.listdir(tmp_path)), {n: t.values.copy() for n, t in model.params.items()}))
+        value = next(series)
+        if isinstance(value, BaseException):
+            raise value
+        return MetricResult("acc", value)
+
+    return evaluate
+
+
+def test_best_epoch_comes_back_from_its_checkpoint_file(monkeypatch, tmp_path):
+    tr, dev, _, vocab = tiny_task()
+    seen = []
+    monkeypatch.setattr(train_mod, "evaluate", _checkpointed_evaluate([0.5, 0.9, 0.4, 0.3], tmp_path, seen))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    model, report = train(tiny_config(patience=2, max_epochs=10), tr, dev, vocab)
+    assert (report.best_epoch, report.stopped_epoch) == (2, 4)
+    # no file before the first epoch ends, then one
+    assert [files for files, _ in seen] == [0, 1, 1, 1]
+    best, last = seen[1][1], seen[3][1]
+    assert list(model.params) == list(best)
+    for name, t in model.params.items():
+        assert t.values.dtype == best[name].dtype
+        assert t.values.tobytes() == best[name].tobytes(), name
+    assert any(not np.array_equal(last[n], best[n]) for n in best)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("epoch_three", [RuntimeError("dev set unreadable"), KeyboardInterrupt()],
+                         ids=["exception", "keyboard-interrupt"])
+def test_the_checkpoint_file_goes_when_evaluate_raises(monkeypatch, tmp_path, epoch_three):
+    tr, dev, _, vocab = tiny_task()
+    seen = []
+    monkeypatch.setattr(train_mod, "evaluate",
+                        _checkpointed_evaluate([0.5, 0.9, epoch_three], tmp_path, seen))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(type(epoch_three)):
+        train(tiny_config(patience=2, max_epochs=10), tr, dev, vocab)
+    assert [files for files, _ in seen] == [0, 1, 1]
+    assert os.listdir(tmp_path) == []
+
+
+def test_the_checkpoint_file_goes_when_training_fails(monkeypatch, tmp_path):
+    tr, dev, _, vocab = tiny_task()
+    cfg = tiny_config(patience=2, max_epochs=10)
+    batches = math.ceil(len(tr) / cfg.batch_size)
+    accepted = train_mod.AdaDelta.step
+    calls = []
+
+    def step(opt):  # every step of epoch 2 is rejected
+        calls.append(None)
+        return accepted(opt) if len(calls) <= batches else False
+
+    monkeypatch.setattr(train_mod.AdaDelta, "step", step)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(train_mod.TrainingFailed,
+                       match=f"^training failed in epoch 2: all {batches} optimizer steps were rejected$") as info:
+        train(cfg, tr, dev, vocab)
+    assert info.value.report.best_epoch == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_train_rejects_empty_split():
