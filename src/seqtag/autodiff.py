@@ -44,10 +44,16 @@ Shape rules per primitive kind::
                            gold counts
 
 Recording is scoped by a ``Tape`` used as a context manager; outside any
-tape the same functions run forward-only. A tape is a list of nodes, and
-each node holds the tensors it read and the one it made. A constant
-tensor takes no gradient; ``stop_gradient`` returns its input's values as
-a constant, so it records nothing. The finite-difference checker in the
+tape the same functions run forward-only. A tape is a list of nodes. A
+node holds the arrays its backward reads and, of each tensor it read and
+of the one it made, only the ``GradSlot``: the gradient half of a tensor
+(``grad``, ``shape``, ``dtype``, ``constant``), not its values. So a
+forward value lives only while the model code or some node's saved arrays
+refer to it: a value no backward reads, such as an LSTM's output or the
+pre-activation of a ``tanh``, is freed during the forward once the ops
+after it have read it. A constant tensor takes no gradient;
+``stop_gradient`` returns its input's values as a constant, so it records
+nothing. The finite-difference checker in the
 test suite relies on forward-only runs for its many loss evaluations, and
 swaps ``_stop_gradient_values`` to freeze every ``stop_gradient`` input
 at its baseline value while perturbing, so that the numeric derivative
@@ -56,9 +62,10 @@ measures exactly the quantity the analytic backward pass computes.
 ``backward`` walks the tape once, from the last node to the first. Every
 gradient accumulates in the ``grad`` of its tensor. The pass frees memory
 as it goes: once a node's backward has run, its output's gradient is
-dropped and the node lets go of its tensors and saved arrays. A training
-step's working set is thus about its forward tape. Only the gradients of
-the leaves the loss reached survive the pass.
+dropped and the node lets go of its slots and saved arrays. A training
+step's working set is thus about the arrays its nodes saved, plus the
+gradients. Only the gradients of the leaves the loss reached survive the
+pass.
 """
 
 from __future__ import annotations
@@ -71,19 +78,44 @@ import numpy as np
 
 NORM_EPS = 1e-8
 
-class Tensor:
-    """Dense numeric array with an optional gradient.
+class GradSlot:
+    """The gradient half of a tensor: what a tape node holds of it.
 
-    ``grad`` is None, an array of the tensor's shape, or a ``RowGrad``;
-    ``backward`` accumulates into it. A ``constant`` tensor never takes one.
+    ``grad`` is None, an array of ``shape`` and ``dtype``, or a
+    ``RowGrad``; ``backward`` accumulates into it. A ``constant`` tensor
+    never takes one. A slot does not refer to the tensor's values, so a
+    node keeps a forward value alive only through its ``saved`` arrays.
     """
 
-    __slots__ = ("values", "grad", "constant")
+    __slots__ = ("grad", "shape", "dtype", "constant")
+
+    def __init__(self, shape, dtype, constant: bool):
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+        self.constant = constant
+
+
+class Tensor:
+    """Dense numeric array with an optional gradient, kept in its ``slot``."""
+
+    __slots__ = ("values", "slot")
 
     def __init__(self, values, constant: bool = False):
         self.values = np.asarray(values)
-        self.grad = None
-        self.constant = constant
+        self.slot = GradSlot(self.values.shape, self.values.dtype, constant)
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.slot.grad = value
+
+    @property
+    def constant(self):
+        return self.slot.constant
 
     @property
     def shape(self):
@@ -133,8 +165,8 @@ def tensor(values, dtype=None) -> Tensor:
 
 
 class Node:
-    """One primitive application: its kind, its input tensors, its output
-    tensor and the arrays its backward reads."""
+    """One primitive application: its kind, the ``GradSlot`` of each input
+    and of its output, and the arrays its backward reads."""
 
     __slots__ = ("op", "inputs", "out", "saved")
 
@@ -199,7 +231,7 @@ def _emit(op, inputs, out_values, saved=()):
     out = Tensor(out_values)
     tape = active_tape()
     if tape is not None:
-        tape.nodes.append(Node(op, inputs, out, saved))
+        tape.nodes.append(Node(op, tuple(t.slot for t in inputs), out.slot, saved))
     return out
 
 
@@ -353,10 +385,10 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, lengths, rever
     then all runs advance together, one ``h @ w_h`` product per step over
     the sequences still running (see ``_run_layout``).
 
-    The node keeps the post-activation gates and the cell states. Its
-    backward gathers the packed inputs and hidden states back from the
-    values of ``x`` and of the result, and takes the local derivatives
-    one step at a time on (k, H) blocks.
+    The node saves the values of ``x`` by reference, the post-activation
+    gates and the cell states, but not the result, which its backward
+    does not read: the hidden states are ``o * tanh(c)`` of the saved
+    gates and cells (see ``_bwd_lstm_sequence``).
     """
     xv, wx, wh, bv = x.values, w_x.values, w_h.values, b.values
     hid = wh.shape[0]
@@ -391,7 +423,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, lengths, rever
             h = act[:, 3 * hid :] * np.tanh(c)
             cells[rows] = c
             out[perm[rows]] = h
-    return _emit("lstm_sequence", (x, w_x, w_h, b), out, (wx, wh, gates, cells, steps, perm))
+    return _emit("lstm_sequence", (x, w_x, w_h, b), out, (xv, wx, wh, gates, cells, steps, perm))
 
 
 # The scaled recursions are exact to rounding while every scaled entry is a
@@ -619,16 +651,25 @@ def _bwd_sum(node, g):
 
 
 def _bwd_cosine_distance(node, g):
+    """Each input's gradient that is taken, ``(cos / |u|) u / |u| - v / (|u| |v|)``
+    times ``g`` for input u and the other input v, one input at a time: numpy
+    forms each expression's later products in its first temporary, so an
+    input takes two (n, d) arrays beside its gradient."""
     av, bv, na, nb, dot = node.saved
     ea = (na + NORM_EPS)[:, None]
     eb = (nb + NORM_EPS)[:, None]
-    c = dot[:, None] / (ea * eb)
-    # a zero row has zero entries, so dividing it by 1 instead of its norm gives 0
-    unit_a = av / np.where(na > 0.0, na, 1.0)[:, None]
-    unit_b = bv / np.where(nb > 0.0, nb, 1.0)[:, None]
+    eab = ea * eb
+    c = dot[:, None] / eab
     gd = -g[:, None]  # the distance falls as the cosine rises
-    _acc(node.inputs[0], gd * (bv / (ea * eb) - (c / ea) * unit_a))
-    _acc(node.inputs[1], gd * (av / (ea * eb) - (c / eb) * unit_b))
+    for t, (u, v, nu, eu) in zip(node.inputs, ((av, bv, na, ea), (bv, av, nb, eb))):
+        if t.constant:
+            continue
+        # a zero row has zero entries, so dividing it by 1 instead of its norm gives 0
+        unit = u / np.where(nu > 0.0, nu, 1.0)[:, None] * (c / eu)
+        d = (v / eab - unit) * gd
+        del unit
+        _acc(t, d)
+        del d
 
 
 def _scatter(buf, rows, g):
@@ -668,45 +709,53 @@ def _bwd_pick_row(node, g):
 def _bwd_lstm_sequence(node, g):
     """Backpropagation through time, then one GEMM per weight gradient.
 
-    The packed inputs and hidden states are gathered back through
-    ``perm`` from the values of the node's input and output, which the
-    node still holds. The local derivatives are taken step by step on
-    (k, H) blocks, so the only (N, H) array besides the gradients is the
-    hidden state entering each step, which the ``w_h`` gradient needs.
+    The node's saved arrays are all it reads: the packed inputs are
+    gathered back through ``perm`` from the values of ``x``, and the
+    hidden states entering each step are rebuilt in the step loop as the
+    forward formed them, ``o * tanh(c)`` of the step before. The local
+    derivatives are taken step by step on (k, H) blocks, and each step's
+    gate derivatives are written over its saved gates. So the only (N, H)
+    array besides the gradients is the entering hidden states, which the
+    ``w_h`` gradient needs.
     """
-    wx, wh, gates, cells, steps, perm = node.saved
+    xv, wx, wh, gates, cells, steps, perm = node.saved
     x, w_x, w_h, b = node.inputs
     hid = wh.shape[0]
-    d_pre = np.empty_like(gates)
+    h_prev = np.zeros_like(cells)
     dh_next = np.zeros((steps[0][1], hid), dtype=g.dtype)
     dc_next = np.zeros_like(dh_next)
     wh_t = wh.T
+    tanh_c = np.tanh(cells[steps[-1][0]])
     for t in range(len(steps) - 1, -1, -1):
         rows, k = steps[t]
-        c_prev = cells[steps[t - 1][0]][:k] if t else 0.0  # the cell state entering the step
         gi, gf, gg, go = (gates[rows, j * hid : (j + 1) * hid] for j in range(4))
-        tanh_c = np.tanh(cells[rows])
+        c_prev = 0.0
+        if t:  # the states entering the step: a prefix of the previous step's
+            prev = steps[t - 1][0]
+            c_prev = cells[prev][:k]
+            tanh_prev = np.tanh(cells[prev])
+            h_prev[rows] = gates[prev, 3 * hid :][:k] * tanh_prev[:k]
         dh = g[perm[rows]] + dh_next[:k]
         dc = dc_next[:k] + dh * (go * (1.0 - tanh_c * tanh_c))
-        # local derivative of c (gates i, f, g) or h (gate o) by each pre-activation, times dc or dh
-        d = d_pre[rows].reshape(k, 4, hid)
-        np.multiply(gg * gi, 1.0 - gi, out=d[:, 0])
-        np.multiply(c_prev * gf, 1.0 - gf, out=d[:, 1])
-        np.multiply(gi, 1.0 - gg * gg, out=d[:, 2])
-        np.multiply(tanh_c * go, 1.0 - go, out=d[:, 3])
+        # local derivative of c (gates i, f, g) or h (gate o) by each pre-activation,
+        # written over its gate once no other derivative reads that gate, times dc or dh
+        d_i = np.multiply(gg * gi, 1.0 - gi)
+        np.multiply(gi, 1.0 - gg * gg, out=gg)
+        gi[...] = d_i
+        np.multiply(dc, gf, out=dc_next[:k])
+        np.multiply(c_prev * gf, 1.0 - gf, out=gf)
+        np.multiply(tanh_c * go, 1.0 - go, out=go)
+        d = gates[rows].reshape(k, 4, hid)
         d[:, :3] *= dc[:, None]
         d[:, 3] *= dh
-        np.multiply(dc, gf, out=dc_next[:k])
-        np.matmul(d_pre[rows], wh_t, out=dh_next[:k])
+        np.matmul(gates[rows], wh_t, out=dh_next[:k])
+        if t:
+            tanh_c = tanh_prev
+    d_pre = gates  # now the gate gradients
     buf = _grad_buffer(x)
     if buf is not None:
         buf[perm] += d_pre @ wx.T
-    _acc(w_x, x.values[perm].T @ d_pre)
-    # the hidden states entering each step: a prefix of the previous step's, zero at the start
-    out = node.out.values
-    h_prev = np.zeros_like(cells)
-    for (prev, _), (rows, k) in zip(steps, steps[1:]):
-        h_prev[rows] = out[perm[prev][:k]]
+    _acc(w_x, xv[perm].T @ d_pre)
     _acc(w_h, h_prev.T @ d_pre)
     _acc(b, d_pre.sum(axis=0))
 
@@ -737,14 +786,17 @@ OP_KINDS = tuple(_BACKWARD)  # every kind a node may record, in the table's orde
 def backward(loss: Tensor, tape: Tape) -> None:
     """Propagate gradients of a scalar loss back through the tape.
 
-    Every gradient lives in the ``grad`` of its tensor. The pass first
+    Every gradient lives in the ``grad`` of its tensor, which is its
+    ``GradSlot``'s, the part of the tensor a node holds. The pass first
     clears ``grad`` on each output of the tape, so a gradient another
     tape's backward left on one is not carried in, then seeds the loss
     with ones and walks the nodes from last to first, handing each output's
     gradient to its node. It releases memory as it goes: once a node's
     backward has run, the output's gradient is dropped and the node lets
-    go of its input, output and saved arrays, keeping only its ``op``.
-    So a step's working set is about its forward tape.
+    go of its input and output slots and its saved arrays, keeping only
+    its ``op``. The forward values no backward reads are gone before the
+    pass starts, so a step's working set is about its nodes' saved arrays
+    plus the gradients.
 
     Afterwards a tensor holds a gradient only if it is a leaf the loss
     reached and not a constant: an array, or a ``RowGrad`` for a leaf
@@ -756,7 +808,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if tape._consumed:
         raise ValueError("backward: this tape was already backpropagated")
-    if not any(node.out is loss for node in tape.nodes):
+    if not any(node.out is loss.slot for node in tape.nodes):
         raise ValueError("backward: loss is not recorded on this tape")
     tape._consumed = True
     for node in tape.nodes:

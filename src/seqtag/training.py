@@ -280,7 +280,8 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
     """Fit a model and return (best model, per-epoch report).
 
     The best epoch's parameters wait in a temporary model file in
-    ``tempfile.gettempdir()``, which needs room for one model file; the
+    ``tempfile.gettempdir()``, which needs room for one model file, and
+    are read back at the end unless that epoch was the last one run; the
     file is removed before ``train`` returns or raises.
     """
     config.validate()
@@ -360,7 +361,8 @@ def train(config: ModelConfig, train_sentences, dev_sentences, vocab: Vocabulary
                 if epochs_since_best >= config.patience:
                     break
 
-        if checkpoint is not None:
+        # a best epoch that is the last one run is what the model holds already
+        if checkpoint is not None and report.best_epoch != report.stopped_epoch:
             del opt  # its accumulators are twice the parameters; the reload then adds one copy
             model.params = load_model(checkpoint).params
     finally:

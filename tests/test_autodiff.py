@@ -461,7 +461,8 @@ def test_stop_gradient_preserves_bits():
 
 
 def test_tape_nodes_topologically_ordered():
-    """Each node reads leaves or outputs of earlier nodes; the loss is the last output."""
+    """Each node reads leaves or outputs of earlier nodes; the loss is the last output.
+    A node holds the gradient slots of its tensors, not the tensors."""
     x = t64([[1.0, 2.0]])
     w = t64(np.eye(2))
     tape = Tape()
@@ -469,10 +470,10 @@ def test_tape_nodes_topologically_ordered():
         loss = reduce_sum(tanh(linear(x, w)))
     made = []
     for node in tape.nodes:
-        assert all(any(t is s for s in (x, w, *made)) for t in node.inputs)
+        assert all(any(t is s for s in (x.slot, w.slot, *made)) for t in node.inputs)
         made.append(node.out)
     assert [n.op for n in tape.nodes] == ["linear", "tanh", "sum"]
-    assert made[-1] is loss
+    assert made[-1] is loss.slot
 
 
 def test_distinct_tapes_on_distinct_threads():

@@ -214,10 +214,9 @@ def test_lstm_sequence_matches_whole_array_oracle_bit_for_bit(lengths, reverse, 
         assert leaf.grad.dtype == dtype and np.array_equal(leaf.grad, w)
 
 
-def test_lstm_backward_allocates_no_other_n_by_h_array():
-    """Beside the gate gradients (N, 4H), the hidden states entering each
-    step (N, H) and the gradients it returns, the backward allocates only
-    (N, D) products and (k, H) blocks per step: less than one more (N, H)."""
+def _lstm_backward_peak_and_bound():
+    """One ragged LSTM backward's ``tracemalloc`` peak, the bound of the
+    test below and the size of one (N, 4H) array, in bytes."""
     rng = np.random.default_rng(67)
     lengths = [300, 40, 260, 90, 1, 180, 60, 230, 120, 20]  # ragged, N·H far above every other term
     n, d, hid, k0 = sum(lengths), 2, 32, len(lengths)
@@ -243,7 +242,22 @@ def test_lstm_backward_allocates_no_other_n_by_h_array():
     # before it is added, and a few (k, H) blocks of one step
     transient = item * (2 * n * d + (d + hid + 1) * 4 * hid + 16 * k0 * hid)
     assert transient < item * n * hid / 2
-    assert peak <= kept + returned + transient
+    return peak, kept + returned + transient, item * n * 4 * hid
+
+
+def test_lstm_backward_allocates_no_other_n_by_h_array():
+    """Beside the gate gradients (N, 4H), the hidden states entering each
+    step (N, H) and the gradients it returns, the backward allocates only
+    (N, D) products and (k, H) blocks per step: less than one more (N, H)."""
+    peak, bound, _ = _lstm_backward_peak_and_bound()
+    assert peak <= bound
+
+
+def test_lstm_backward_allocates_no_n_by_4h_array():
+    """The gate gradients are written over the node's saved gates, so the
+    backward stays a whole (N, 4H) array below the bound above."""
+    peak, bound, gate_bytes = _lstm_backward_peak_and_bound()
+    assert peak <= bound - gate_bytes
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqtag import autodiff
 from seqtag import model as model_module
-from seqtag.autodiff import Tape, backward, dense_grad
+from seqtag.autodiff import RowGrad, Tape, backward, dense_grad
 from seqtag.corpus import (OOV_CHAR, OOV_TOKEN, LabelSet, Sentence, Vocabulary, build_vocab,
                            load_pretrained_embeddings, random_embeddings)
 from seqtag.model import (
@@ -24,6 +25,8 @@ from seqtag.model import (
     load_model,
     save_model,
 )
+
+from synthdata import make_suffix_corpus
 
 
 def tiny_vocab():
@@ -191,7 +194,7 @@ def test_word_bilstm_is_two_nodes_per_batch(arch):
         with tape:
             model.batch_loss_parts((enc * 3)[:size])
         word_weights = [model.params[f"word_lstm.{d}.w_x"] for d in ("fwd", "bwd")]
-        runs = [n for n in tape.nodes if n.op == "lstm_sequence" and any(n.inputs[1] is w for w in word_weights)]
+        runs = [n for n in tape.nodes if n.op == "lstm_sequence" and any(n.inputs[1] is w.slot for w in word_weights)]
         assert len(runs) == 2, size
 
 
@@ -252,23 +255,90 @@ def test_each_layer_is_called_once_under_its_model_level_name(monkeypatch):
                             viterbi_decode=1)
 
 
-def test_backward_frees_every_intermediate_tensor():
+def _recorded_outputs(monkeypatch):
+    """A list that gets a weak reference to the values of every node output
+    from now on, in recording order (a node holds only its output's slot)."""
+    made = []
+    emit = autodiff._emit
+
+    def recording(*args):
+        out = emit(*args)
+        made.append(weakref.ref(out.values))
+        return out
+
+    monkeypatch.setattr(autodiff, "_emit", recording)
+    return made
+
+
+def test_backward_frees_every_intermediate_tensor(monkeypatch):
     """Once ``backward`` returns, the values of every tensor a node produced
     but the loss are freed; the caller's loss and every parameter's
     gradient remain."""
     vocab, _ = tiny_vocab()
     enc = vocab.encode_corpus(batch_sentences())
     model = assemble_model(toy_config(architecture="attention"), vocab)
+    refs = _recorded_outputs(monkeypatch)
     tape = Tape()
     with tape:
         loss, _ = model.batch_loss_parts(enc)
-    assert tape.nodes[-1].out is loss
-    refs = [weakref.ref(n.out.values) for n in tape.nodes[:-1]]
+    assert tape.nodes[-1].out is loss.slot and refs.pop()() is loss.values
     backward(loss, tape)
     assert len(refs) == len(tape.nodes) - 1
     assert all(r() is None for r in refs)
     assert np.isfinite(loss.values)
     assert all(p.grad is not None for p in model.params.values())
+
+
+def test_forward_keeps_only_the_values_a_backward_reads(monkeypatch):
+    """After an attention batch's forward, each value a node produced (the
+    loss aside, which the caller holds) is alive if and only if some node's
+    saved arrays refer to it: the word and character LSTM outputs, the
+    gate's ``linear`` outputs and the other values only a gradient passes
+    through are gone before ``backward`` starts."""
+    vocab, _ = tiny_vocab()
+    enc = vocab.encode_corpus(batch_sentences())
+    model = assemble_model(toy_config(architecture="attention"), vocab)
+    refs = _recorded_outputs(monkeypatch)
+    tape = Tape()
+    with tape:
+        loss, _ = model.batch_loss_parts(enc)
+    assert refs.pop()() is loss.values
+    saved = [a for node in tape.nodes for a in node.saved]
+    values = [r() for r in refs]
+    assert [v is not None for v in values] == [any(v is a for a in saved) for v in values]
+    gone = Counter(node.op for node, v in zip(tape.nodes, values) if v is None)
+    # the composer's two final-state picks, the gate's add, the pre-activations of
+    # char_proj, of the gate's three layers and of the hidden layer, the emissions
+    # and the three loss terms
+    assert gone == Counter(lstm_sequence=4, linear=6, pick_row=2, add=1, crf_nll=1, cosine_distance=1, sum=1)
+
+
+@pytest.mark.parametrize("arch", ["word", "concat", "attention"])
+def test_step_holds_no_more_than_saved_arrays_and_gradients(arch):
+    """One training batch at the paper's dimensions: its forward and backward
+    together never hold more memory than the arrays the tape's nodes saved
+    (the parameters aside) plus the gradients the backward returns, since a
+    value no backward reads is dropped in the forward and the backward frees
+    each node's arrays once it has run."""
+    tr, _, _ = make_suffix_corpus(seed=0)
+    vocab = build_vocab(tr)
+    enc = vocab.encode_corpus(tr[:64])
+    model = assemble_model(ModelConfig(architecture=arch, dtype="float32", seed=3), vocab)
+    params = {id(p.values) for p in model.params.values()}
+
+    def step():
+        tape = Tape()
+        with tape:
+            loss, _ = model.batch_loss_parts(enc)
+        saved = {id(a): a.nbytes for node in tape.nodes for a in node.saved
+                 if isinstance(a, np.ndarray) and id(a) not in params}
+        backward(loss, tape)
+        return saved
+
+    saved, peak = _traced_peak(step)
+    grads = sum(p.grad.values.nbytes if isinstance(p.grad, RowGrad) else p.grad.nbytes
+                for p in model.params.values())
+    assert peak <= sum(saved.values()) + grads
 
 
 def test_gates_require_attention_model():

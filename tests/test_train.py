@@ -356,6 +356,27 @@ def test_best_epoch_comes_back_from_its_checkpoint_file(monkeypatch, tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_best_last_epoch_is_not_read_back(monkeypatch, tmp_path):
+    """When the last epoch run is the best, the model already holds its
+    parameters: ``train`` reads no checkpoint back, returns those parameters
+    bit for bit and still removes the file."""
+    tr, dev, _, vocab = tiny_task()
+    seen = []
+    monkeypatch.setattr(train_mod, "evaluate", _checkpointed_evaluate([0.5, 0.9], tmp_path, seen))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    loads = []
+    monkeypatch.setattr(train_mod, "load_model", lambda path: loads.append(path))
+    model, report = train(tiny_config(patience=2, max_epochs=2), tr, dev, vocab)
+    assert (report.best_epoch, report.stopped_epoch) == (2, 2)
+    assert [files for files, _ in seen] == [0, 1] and loads == []
+    best = seen[1][1]
+    assert list(model.params) == list(best)
+    for name, t in model.params.items():
+        assert t.values.dtype == best[name].dtype
+        assert t.values.tobytes() == best[name].tobytes(), name
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("epoch_three", [RuntimeError("dev set unreadable"), KeyboardInterrupt()],
                          ids=["exception", "keyboard-interrupt"])
 def test_the_checkpoint_file_goes_when_evaluate_raises(monkeypatch, tmp_path, epoch_three):
